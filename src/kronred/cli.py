@@ -106,11 +106,13 @@ def _load_manifest(path):
             raise InputFormatError(f"manifest is missing {key!r}")
     base = manifest_path.parent
     solver = obj.get("solver", {})
-    cfg = SolverConfig(
-        dt=float(solver.get("dt_s", 1e-4)),
-        t_end=float(solver.get("t_end_s", 10.0)),
-        record_stride=int(solver.get("record_stride", 1)),
-    )
+    try:
+        dt = float(solver.get("dt_s", 1e-4))
+        t_end = float(solver.get("t_end_s", 10.0))
+        record_stride = int(solver.get("record_stride", 1))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputFormatError(f"malformed solver settings in {path}: {exc}") from exc
+    cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=record_stride)
     network = load_network(base / obj["network"])
     excitation = load_excitation(base / obj["excitation"])
     f0 = np.asarray(obj.get("f0", [0.0] * len(network.edges)), dtype=float)

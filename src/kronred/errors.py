@@ -115,3 +115,19 @@ class InsufficientWindowError(KronredError):
 
 class InputFormatError(KronredError):
     """A JSON/CSV input file does not match the expected schema."""
+
+
+class SolverConfigError(KronredError, ValueError):
+    """A fixed-step solver setting is out of range or inconsistent."""
+
+
+class UnstableTimeStepError(KronredError):
+    """The RK4 step is outside the stability region of the fastest mode."""
+
+    def __init__(self, dt, rate):
+        self.dt = dt
+        self.rate = rate
+        super().__init__(
+            f"RK4 step dt={dt:.6g} s is unstable: dt * max decay rate = {rate:.6g} "
+            f"exceeds the real-axis bound of about 2.785"
+        )

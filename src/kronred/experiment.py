@@ -19,7 +19,7 @@ from .baseline import draw_gammas, run_baseline_sweep
 from .compare import compare_trajectories
 from .network import Edge, Network, validate
 from .reduction import PStrategy, reduce
-from .signals import Constant, Excitation, Sinusoid, Step
+from .signals import Excitation, Sinusoid, Step
 from .simulate import SolverConfig, simulate_dae_oracle, simulate_reduced, trajectory_to_csv
 
 WYE_R = (0.98, 0.99, 0.58)          # ohms
@@ -53,10 +53,6 @@ def step_excitation() -> Excitation:
     return Excitation(
         signals={str(k + 1): Step(STEP_VALUES_V[k], 0.0) for k in range(3)}
     )
-
-
-def zero_excitation_for_boundary() -> Excitation:
-    return Excitation(signals={str(k + 1): Constant(0.0) for k in range(3)})
 
 
 def resolve_seed(flag_seed=None, manifest_seed=None, default=0):

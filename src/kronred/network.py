@@ -9,6 +9,7 @@ downstream results are orientation-invariant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,9 +133,10 @@ def validate(network: Network) -> Network:
     """Check structural requirements and return the network unchanged.
 
     Raises a :class:`NetworkValidationError` subclass on the first failure:
-    duplicate ids, dangling edge endpoints, self-loops, l <= 0, r < 0,
-    empty boundary, or a disconnected graph. The boundary may equal the
-    full node set (the reduction then degenerates to the identity).
+    duplicate ids, dangling edge endpoints, self-loops, non-finite r or l,
+    l <= 0, r < 0, empty boundary, or a disconnected graph. The boundary
+    may equal the full node set (the reduction then degenerates to the
+    identity).
     """
     if len(set(network.nodes)) != len(network.nodes):
         raise NetworkValidationError("duplicate node ids")
@@ -148,6 +150,10 @@ def validate(network: Network) -> Network:
             raise UnknownNodeRefError(e.id, e.head)
         if e.tail == e.head:
             raise NetworkValidationError(f"edge {e.id!r} is a self-loop")
+        if not math.isfinite(e.r):
+            raise NetworkValidationError(f"edge {e.id!r} has non-finite resistance {e.r!r}")
+        if not math.isfinite(e.l):
+            raise NetworkValidationError(f"edge {e.id!r} has non-finite inductance {e.l!r}")
         if not e.l > 0:
             raise NonpositiveInductanceError(e.id)
         if e.r < 0:

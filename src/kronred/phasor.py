@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import schur_complement, _check_block_conditioning
-from .network import Network, build_incidence, partition
+from .network import Network, build_incidence
 
 
 def _wrap_phase(phase: float) -> float:
@@ -140,9 +140,3 @@ def recover_interior_phasors(reduced: KronReducedAdmittance, v1):
     v1bar = np.array([p.to_complex() for p in v1])
     v0bar = reduced.recovery_map @ v1bar
     return [Phasor.from_complex(z) for z in v0bar]
-
-
-def full_network_admittance_partition(network: Network, omega: float):
-    """Convenience: admittance together with the partitioned incidence."""
-    inc = build_incidence(network)
-    return admittance(network, omega), partition(inc, network)

@@ -57,10 +57,6 @@ class ReducedModel:
     def order(self):
         return self.P.shape[1]
 
-    def beta_coefficients(self):
-        """Per-circuit voltage mixing coefficients, P^T B1^T (= Bhat^T)."""
-        return self.Bhat.T.copy()
-
 
 @dataclass(frozen=True)
 class HomogeneousReducedModel:

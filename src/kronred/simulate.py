@@ -1,15 +1,20 @@
 """Time integration and steady-state extraction.
 
-A single fixed-step classical RK4 core integrates linear time-invariant
-systems y' = A y + b(t), with the forcing pre-evaluated on the half-step
-stage grid so runs are deterministic and fast. Three front ends build
-the (A, b) pair differently:
+Every run is fixed-step classical RK4 on a linear time-invariant system
+y' = A y + b(t), with the forcing pre-evaluated on the half-step stage
+grid so runs are deterministic. Two cores carry out the recurrence:
 
-* simulate_reduced — the projected reduced ODE (pseudoflow state);
-* simulate_dae_oracle — the full constrained model, converted to an ODE
-  by solving for interior voltages at every stage (index-1 reduction);
-  deliberately independent of the projection machinery;
-* simulate_homogeneous — the injection-space model for R = alpha L.
+* _rk4_modal — decoupled scalar modes z_k' = -d_k z_k + u_k(t), each
+  integrated over the whole horizon by one banded LAPACK solve. A
+  validated reduced pencil (Lhat, Rhat) is symmetric-definite, so one
+  congruence brings simulate_reduced to this form; a model without
+  interior nodes (the baseline sweep's synthesized network) and
+  simulate_homogeneous are diagonal already.
+* _rk4_lti — a dense step loop, used only by simulate_dae_oracle: the
+  full constrained model, converted to an ODE by solving for interior
+  voltages at every stage (index-1 reduction). It shares neither the
+  projection machinery nor the modal core, so it stays an independent
+  reference.
 """
 
 from __future__ import annotations
@@ -19,13 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import (
     ConstraintDriftError,
     InconsistentInitialConditionError,
     InputFormatError,
     InsufficientWindowError,
+    SingularBlockError,
+    SolverConfigError,
+    UnstableTimeStepError,
 )
+from .linalg import simultaneous_diagonalization
 from .network import Network, build_incidence, partition
 from .phasor import Phasor
 from .reduction import HomogeneousReducedModel, ReducedModel, embed_initial
@@ -34,22 +44,30 @@ from .signals import Excitation
 # Constraint-drift guard for the DAE oracle, relative to the flow scale.
 DRIFT_TOL = 1e-7
 
+# Relative tolerance on t_end / dt being a whole number of steps.
+GRID_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step RK4 configuration."""
+    """Fixed-step RK4 configuration; t_end must be a whole number of steps."""
 
     dt: float = 1e-4
     t_end: float = 10.0
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end <= self.dt:
-            raise ValueError("t_end must exceed dt")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise SolverConfigError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (math.isfinite(self.t_end) and self.t_end > self.dt):
+            raise SolverConfigError(f"t_end must be finite and exceed dt, got {self.t_end!r}")
         if self.record_stride < 1:
-            raise ValueError("record_stride must be a positive integer")
+            raise SolverConfigError("record_stride must be a positive integer")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > GRID_RTOL * steps:
+            raise SolverConfigError(
+                f"t_end={self.t_end!r} is not an integer multiple of dt={self.dt!r}"
+            )
 
     @property
     def n_steps(self):
@@ -79,6 +97,14 @@ class Trajectory:
         return Trajectory(self.times, self.data[:, idx], tuple(names))
 
 
+def _record_steps(n_steps, record_stride):
+    """Steps 0, stride, 2*stride, ... plus the final step n_steps."""
+    steps = list(range(0, n_steps + 1, record_stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    return steps
+
+
 def _rk4_lti(A, forcing_stages, y0, dt, n_steps, record_stride):
     """Integrate y' = A y + b(t) with classical RK4.
 
@@ -87,9 +113,7 @@ def _rk4_lti(A, forcing_stages, y0, dt, n_steps, record_stride):
     states[i] is y at step record_steps[i].
     """
     y = np.asarray(y0, dtype=float).copy()
-    record_steps = list(range(0, n_steps + 1, record_stride))
-    if record_steps[-1] != n_steps:
-        record_steps.append(n_steps)
+    record_steps = _record_steps(n_steps, record_stride)
     out = np.empty((len(record_steps), y.size))
     out[0] = y
     # The system is LTI, so one RK4 step collapses to y <- M y + g_n with
@@ -122,6 +146,75 @@ def _rk4_lti(A, forcing_stages, y0, dt, n_steps, record_stride):
     return np.asarray(record_steps), out
 
 
+def _rk4_modal(d, u, z0, dt, n_steps, record_stride):
+    """Integrate decoupled modes z_k' = -d_k z_k + u_k(t) with classical RK4.
+
+    u holds the modal forcing on the half-step grid, one row per mode:
+    shape (order, 2*n_steps + 1). z0 has shape (order, runs), the runs
+    sharing d and u. With A = -diag(d), one RK4 step of mode k is
+    z <- m_k z + g_n, the diagonal of _rk4_lti's recurrence. Over the
+    whole horizon that is the unit lower-bidiagonal system
+    z_{n+1} - m_k z_n = g_n, solved per mode and run by LAPACK dtbtrs.
+    Only the recorded steps are kept. Returns (record_steps, states) with
+    states shaped (n_records, order, runs). Raises UnstableTimeStepError
+    when a decaying mode is past RK4's real-axis stability bound.
+    """
+    d = np.asarray(d, dtype=float)
+    a = -dt * d
+    # m = 1 + p is rounded to the grid of 1, a relative error of up to
+    # eps / (dt d) in 1 - m that the recurrence turns into a steady-state
+    # bias. m_lo is that rounding error (TwoSum), fed back by a second
+    # solve below.
+    p = a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
+    m = 1.0 + p
+    p_part = m - 1.0
+    m_lo = (1.0 - (m - p_part)) + (p - p_part)
+    # RK4's real-axis amplification never drops below 0, so a decaying
+    # mode is unstable exactly when m > 1, i.e. dt d past about 2.785.
+    # Modes with d <= 0 (eigh's tiny negative zeros, or the growing modes
+    # of an unphysical synthesized network) do not decay in the continuous
+    # model either and are integrated as they are.
+    if np.any((d > 0) & (m > 1.0)):
+        raise UnstableTimeStepError(dt, float(np.max(dt * d)))
+    h6 = dt / 6.0
+    c0 = h6 * (1.0 + a + a**2 / 2.0 + a**3 / 4.0)
+    cm = h6 * (4.0 + 2.0 * a + a**2 / 2.0)
+    z0 = np.asarray(z0, dtype=float)
+    record_steps = np.asarray(_record_steps(n_steps, record_stride))
+    rows = record_steps[1:] - 1          # x[j] is z at step j + 1
+    out = np.empty((len(record_steps),) + z0.shape)
+    out[0] = z0
+    ab = np.ones((2, n_steps))           # row 0, the unit diagonal, is not read
+    x = np.empty((n_steps, 1), order="F")
+    dx = np.empty((n_steps, 1), order="F")
+    # Runs are solved one column at a time: dtbtrs treats its columns
+    # one by one anyway, and single columns keep the buffers small.
+    for k in range(d.size):
+        ab[1] = -m[k]
+        uk = u[k]
+        gk = c0[k] * uk[0:-1:2] + cm[k] * uk[1::2] + h6 * uk[2::2]
+        for r, zk0 in enumerate(z0[k]):
+            x[:, 0] = gk
+            x[0] += m[k] * zk0
+            _unit_bidiagonal_solve(ab, x)
+            # x + dx solves the recurrence with the unrounded m, up to m_lo * dx.
+            dx[0] = m_lo[k] * zk0
+            np.multiply(x[:-1], m_lo[k], out=dx[1:])
+            _unit_bidiagonal_solve(ab, dx)
+            x += dx
+            out[1:, k, r] = x[rows, 0]
+    return record_steps, out
+
+
+def _unit_bidiagonal_solve(ab, rhs):
+    """Solve in place: rhs is a Fortran-ordered float64 (n, 1) array."""
+    x, info = dtbtrs(ab, rhs, uplo="L", diag="U", overwrite_b=1)
+    if info != 0:
+        raise RuntimeError(f"dtbtrs failed with info={info}")
+    if x is not rhs:
+        rhs[:] = x
+
+
 def _stage_grid(cfg):
     return np.arange(2 * cfg.n_steps + 1) * (0.5 * cfg.dt)
 
@@ -134,17 +227,57 @@ def simulate_reduced(
     Channels: fhat_<k> for the pseudoflows and i_<node> for the boundary
     injections i1 = Bhat fhat.
     """
-    fhat0 = embed_initial(model.P, np.asarray(f0, dtype=float))
-    A = np.linalg.solve(model.Lhat, -model.Rhat)
-    Bu = np.linalg.solve(model.Lhat, model.Bhat.T)
+    return simulate_reduced_batch(model, excitation, [f0], cfg)[0]
+
+
+def simulate_reduced_batch(
+    model: ReducedModel, excitation: Excitation, f0s, cfg: SolverConfig
+) -> list:
+    """simulate_reduced for several initial flows under one excitation.
+
+    The excitation, the modal basis and the modal forcing are computed
+    once; each run only adds its own bidiagonal solves. The pseudoflows
+    are fhat = V z, where z' = -d z + W Bhat^T v1 and z0 = W Lhat fhat0
+    (see _modal_form).
+    """
+    if len(f0s) == 0:
+        return []
+    fhat0 = np.column_stack([embed_initial(model.P, np.asarray(f0, dtype=float)) for f0 in f0s])
+    V, W, d = _modal_form(model.Lhat, model.Rhat)
     v1 = excitation.evaluate(model.boundary_nodes, _stage_grid(cfg))
-    forcing = v1 @ Bu.T
-    steps, fhat = _rk4_lti(A, forcing, fhat0, cfg.dt, cfg.n_steps, cfg.record_stride)
-    i1 = fhat @ model.Bhat.T
+    steps, z = _rk4_modal(
+        d, (W @ model.Bhat.T) @ v1.T, W @ (model.Lhat @ fhat0),
+        cfg.dt, cfg.n_steps, cfg.record_stride,
+    )
     channels = tuple(f"fhat_{k}" for k in range(model.order)) + tuple(
         f"i_{n}" for n in model.boundary_nodes
     )
-    return Trajectory(steps * cfg.dt, np.hstack([fhat, i1]), channels)
+    runs = []
+    for r in range(fhat0.shape[1]):
+        fhat = z[:, :, r] @ V.T
+        runs.append(Trajectory(steps * cfg.dt, np.hstack([fhat, fhat @ model.Bhat.T]), channels))
+    return runs
+
+
+def _modal_form(Lhat, Rhat):
+    """(V, W, d) turning Lhat fhat' = -Rhat fhat + b into decoupled modes.
+
+    With fhat = V z the model reads z' = -d z + W b, W = V^-1 Lhat^-1.
+    A diagonal pencil, as in every model without interior nodes, is
+    decoupled already and takes V = I, d = r / l; this also covers the
+    unvalidated networks that allow_unphysical synthesis returns (r < 0
+    or l < 0), for which no congruence exists. Otherwise the pencil of a
+    validated network is symmetric-definite, and the congruence
+    V^T Lhat V = I, V^T Rhat V = diag(d) gives W = V^T.
+    """
+    l = np.diag(Lhat)
+    r = np.diag(Rhat)
+    if np.array_equal(Lhat, np.diag(l)) and np.array_equal(Rhat, np.diag(r)):
+        if np.any(l == 0):
+            raise SingularBlockError(math.inf)
+        return np.eye(l.size), np.diag(1.0 / l), r / l
+    V, d = simultaneous_diagonalization(Lhat, Rhat)
+    return V, V.T, d
 
 
 def simulate_dae_oracle(
@@ -205,12 +338,13 @@ def simulate_homogeneous(
 ) -> Trajectory:
     """Integrate di1/dt = -alpha i1 + Lred v1 from the initial injections."""
     i1_0 = np.asarray(i1_0, dtype=float)
-    A = -model.alpha * np.eye(len(i1_0))
     v1 = excitation.evaluate(model.boundary_nodes, _stage_grid(cfg))
-    forcing = v1 @ model.Lred.T
-    steps, i1 = _rk4_lti(A, forcing, i1_0, cfg.dt, cfg.n_steps, cfg.record_stride)
+    steps, i1 = _rk4_modal(
+        np.full(i1_0.size, model.alpha), model.Lred @ v1.T, i1_0[:, None],
+        cfg.dt, cfg.n_steps, cfg.record_stride,
+    )
     channels = tuple(f"i_{n}" for n in model.boundary_nodes)
-    return Trajectory(steps * cfg.dt, i1, channels)
+    return Trajectory(steps * cfg.dt, i1[:, :, 0], channels)
 
 
 def extract_steady_phasors(

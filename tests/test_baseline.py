@@ -138,6 +138,23 @@ class TestBaselineSweep:
             i0 = [traj.channel(f"i_{n}")[0] for n in ("1", "2", "3")]
             assert np.allclose(i0, f0, atol=1e-9)
 
+    def test_allow_unphysical_sweep_matches_oracle(self):
+        # the synthesized network has r < 0 on one edge, so Lhat is
+        # diagonal but the pencil has a growing mode
+        net = make_wye(r=UNPHYSICAL_R, l=UNPHYSICAL_L)
+        exc = Excitation({"1": Sinusoid(120.0, 1.5, 0.0), "2": Sinusoid(120.0, 1.5, 30.0)})
+        cfg = SolverConfig(dt=1e-3, t_end=2.0)
+        f0 = [-5.0, -5.0, 10.0]
+        synth, runs = run_baseline_sweep(
+            net, UNPHYSICAL_OMEGA0, exc, f0, [-1.0, 2.0], cfg, allow_unphysical=True
+        )
+        assert any(e.r < 0 for e in synth.network.edges)
+        Br = build_incidence(synth.network).matrix
+        for gamma, traj in runs:
+            f0_delta = map_initial_condition(Br, f0, gamma)
+            oracle = simulate_dae_oracle(synth.network, exc, f0_delta, cfg)
+            assert compare_trajectories(traj, oracle)["max_rel"] <= 1e-9
+
     def test_transients_depend_on_gamma(self, wye):
         cfg = SolverConfig(dt=1e-3, t_end=1.0)
         exc = Excitation({"1": Sinusoid(120.0, 1.5, 0.0)})

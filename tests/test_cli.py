@@ -67,6 +67,16 @@ class TestValidate:
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"] == "NonpositiveInductance"
 
+    @pytest.mark.parametrize("key, value", [("r_ohm", float("nan")), ("l_henry", float("inf"))])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, key, value):
+        bad = wye_dict()
+        bad["edges"][1][key] = value
+        path = write_json(tmp_path / "bad.json", bad)
+        assert main(["validate", path]) == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "NetworkValidation"
+        assert "non-finite" in diag["message"]
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
@@ -182,15 +192,45 @@ class TestSimulate:
         i0 = [traj.channel(f"i_{n}")[0] for n in ("1", "2", "3")]
         assert np.allclose(i0, [-5.0, -5.0, 10.0], atol=1e-9)
 
-    def test_baseline_unphysical_exits_3(self, tmp_path, capsys):
-        net = write_json(
+    def test_nan_resistance_exits_2_without_output(self, manifest_file, tmp_path, capsys):
+        bad = wye_dict()
+        bad["edges"][0]["r_ohm"] = float("nan")
+        write_json(tmp_path / "wye.json", bad)
+        assert main(["simulate", manifest_file, "--method", "reduced"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "NetworkValidation"
+        assert not (tmp_path / "out" / "reduced.csv").exists()
+
+    @pytest.mark.parametrize(
+        "solver, error",
+        [
+            ({"dt_s": 0}, "SolverConfig"),
+            ({"dt_s": -1e-3}, "SolverConfig"),
+            ({"dt_s": 0.3, "t_end_s": 1.0}, "SolverConfig"),
+            ({"dt_s": "abc"}, "InputFormat"),
+            ({"dt_s": None}, "InputFormat"),
+            ({"record_stride": "ten"}, "InputFormat"),
+        ],
+    )
+    def test_bad_solver_settings_exit_2(self, tmp_path, wye_file, capsys, solver, error):
+        write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "solver": solver},
+        )
+        assert main(["simulate", manifest, "--method", "reduced"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+    @staticmethod
+    def _unphysical_baseline_args(tmp_path):
+        # omega0 at which the wye's synthesized delta has a negative resistance
+        write_json(
             tmp_path / "hard.json",
             wye_dict(
                 r=(5.12309803, 9.50513233, 1.45015453),
                 l=(9.48700798, 3.12519621, 4.23903123),
             ),
         )
-        exc = write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
+        write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
         manifest = write_json(
             tmp_path / "m.json",
             {
@@ -199,11 +239,20 @@ class TestSimulate:
                 "solver": {"dt_s": 1e-3, "t_end_s": 0.1},
             },
         )
-        code = main(
-            ["simulate", manifest, "--method", "baseline", "--omega0", "82.78748912266214"]
-        )
+        return ["simulate", manifest, "--method", "baseline", "--omega0", "82.78748912266214"]
+
+    def test_baseline_unphysical_exits_3(self, tmp_path, capsys):
+        code = main(self._unphysical_baseline_args(tmp_path))
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "NegativeSynthesizedElement"
+
+    def test_baseline_allow_unphysical_runs(self, tmp_path, capsys):
+        args = self._unphysical_baseline_args(tmp_path) + ["--gamma", "1.0", "--allow-unphysical"]
+        assert main(args) == 0
+        traj = trajectory_from_csv(tmp_path / "baseline_gamma_0.csv")
+        assert np.all(np.isfinite(traj.data))
+        i0 = [traj.channel(f"i_{n}")[0] for n in ("1", "2", "3")]
+        assert np.allclose(i0, [0.0, 0.0, 0.0], atol=1e-12)
 
 
 class TestCompare:
@@ -271,3 +320,23 @@ class TestPaperExperiment:
         assert len(summary["baseline"]) == 5
         assert (tmp_path / "exp" / "summary.json").exists()
         assert (tmp_path / "exp" / "dae.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            # dt * max decay rate = 3.3, past RK4's real-axis bound
+            (["--which", "step", "--dt", "2", "--t-end", "20"], "UnstableTimeStep"),
+            (["--which", "sinusoid", "--dt", "0"], "SolverConfig"),
+            (["--which", "sinusoid", "--dt", "nan"], "SolverConfig"),
+            # would otherwise stop silently at t = 0.9
+            (["--which", "sinusoid", "--dt", "0.3", "--t-end", "1"], "SolverConfig"),
+        ],
+    )
+    def test_bad_solver_settings_exit_2(self, tmp_path, capsys, flags, error):
+        code = main(["paper-experiment", *flags, "--out-dir", str(tmp_path / "exp")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == error

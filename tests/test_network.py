@@ -35,6 +35,21 @@ class TestValidate:
         with pytest.raises(NegativeResistanceError):
             validate(net)
 
+    @pytest.mark.parametrize(
+        "r, l, quantity",
+        [
+            (float("nan"), 1.0, "resistance"),
+            (float("inf"), 1.0, "resistance"),
+            (1.0, float("nan"), "inductance"),
+            (1.0, float("inf"), "inductance"),
+        ],
+    )
+    def test_non_finite_parameter_rejected(self, r, l, quantity):
+        net = Network(("1", "2"), (Edge("e1", "1", "2", r, l),), ("1", "2"))
+        with pytest.raises(NetworkValidationError, match=f"non-finite {quantity}") as exc_info:
+            validate(net)
+        assert not isinstance(exc_info.value, NonpositiveInductanceError)
+
     def test_zero_resistance_allowed(self):
         validate(Network(("1", "2"), (Edge("e1", "1", "2", 0.0, 1.0),), ("1", "2")))
 

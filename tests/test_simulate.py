@@ -1,11 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kronred
+from kronred import simulate as simulate_module
 from kronred import (
     Constant,
+    Edge,
     Excitation,
+    Network,
     PStrategy,
     Piecewise,
     Sinusoid,
@@ -14,21 +22,32 @@ from kronred import (
     Trajectory,
     build_incidence,
     compare_trajectories,
+    embed_initial,
     extract_steady_phasors,
     reduce,
     simulate_dae_oracle,
     simulate_homogeneous,
     simulate_reduced,
+    validate,
     zero_excitation,
 )
 from kronred.errors import (
     InconsistentInitialConditionError,
     InputFormatError,
     InsufficientWindowError,
+    KronredError,
+    SingularBlockError,
+    UnstableTimeStepError,
 )
 from kronred.reduction import homogeneous_reduce
 from kronred.signals import excitation_from_dict, excitation_to_dict
-from kronred.simulate import trajectory_from_csv, trajectory_to_csv
+from kronred.simulate import (
+    _rk4_lti,
+    _stage_grid,
+    simulate_reduced_batch,
+    trajectory_from_csv,
+    trajectory_to_csv,
+)
 
 from conftest import (
     make_balanced_wye,
@@ -304,3 +323,173 @@ class TestRk4Accuracy:
         e1 = np.linalg.norm(final_state(2e-3) - ref)
         e2 = np.linalg.norm(final_state(1e-3) - ref)
         assert 12.0 <= e1 / e2 <= 20.0
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "dt, t_end",
+        [(1e-4, 10.0), (1e-4, 1.0), (1e-4, 0.05), (1e-3, 30.0 / 1.5), (2e-2, 1.0), (1.25e-4, 1.0)],
+    )
+    def test_whole_step_grids_accepted(self, dt, t_end):
+        cfg = SolverConfig(dt=dt, t_end=t_end)
+        assert math.isclose(cfg.n_steps * dt, t_end, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dt": 0.0},
+            {"dt": -1e-3},
+            {"dt": float("nan")},
+            {"dt": 1e-3, "t_end": float("inf")},
+            {"dt": 1e-3, "t_end": 1e-3},
+            {"dt": 1e-3, "t_end": 1.0, "record_stride": 0},
+            # not a whole number of steps: would end at t = 0.9
+            {"dt": 0.3, "t_end": 1.0},
+            {"dt": 1e-3, "t_end": 1.0005},
+        ],
+    )
+    def test_bad_settings_raise_typed_value_error(self, kwargs):
+        with pytest.raises(KronredError) as exc_info:
+            SolverConfig(**kwargs)
+        assert isinstance(exc_info.value, ValueError)
+
+
+def _dense_reduced_states(model, exc, f0, cfg):
+    """The reduced model stepped by the dense RK4 loop the oracle uses."""
+    A = np.linalg.solve(model.Lhat, -model.Rhat)
+    Bu = np.linalg.solve(model.Lhat, model.Bhat.T)
+    forcing = exc.evaluate(model.boundary_nodes, _stage_grid(cfg)) @ Bu.T
+    fhat0 = embed_initial(model.P, np.asarray(f0, dtype=float))
+    return _rk4_lti(A, forcing, fhat0, cfg.dt, cfg.n_steps, cfg.record_stride)
+
+
+def _rel_dev(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+class TestModalCore:
+    # 500 steps recorded every 7th, so the last sample is an extra row
+    CFG = SolverConfig(dt=1e-3, t_end=0.5, record_stride=7)
+
+    def test_matches_dense_recurrence(self, rng):
+        for _ in range(10):
+            net = random_connected_network(rng)
+            f0 = random_consistent_flow(net, rng)
+            exc = Excitation(
+                {n: Sinusoid(float(rng.uniform(10, 50)), float(rng.uniform(0.5, 2.0)), 0.3)
+                 for n in net.boundary}
+            )
+            for strategy in PStrategy:
+                model = reduce(net, strategy)
+                steps, fhat = _dense_reduced_states(model, exc, f0, self.CFG)
+                traj = simulate_reduced(model, exc, f0, self.CFG)
+                assert np.array_equal(traj.times, steps * self.CFG.dt)
+                assert traj.times[-1] == pytest.approx(0.5)
+                assert _rel_dev(traj.data[:, : model.order], fhat) <= 1e-12
+
+    def test_homogeneous_matches_dense_recurrence(self):
+        hm = homogeneous_reduce(make_balanced_wye(r=2.0, l=1.0))
+        exc = Excitation({"1": Sinusoid(5.0, 1.0, 0.0), "2": Step(3.0, 0.2)})
+        i1_0 = [1.0, 1.0, -2.0]
+        cfg = self.CFG
+        forcing = exc.evaluate(hm.boundary_nodes, _stage_grid(cfg)) @ hm.Lred.T
+        A = -hm.alpha * np.eye(3)
+        _, dense = _rk4_lti(A, forcing, i1_0, cfg.dt, cfg.n_steps, cfg.record_stride)
+        traj = simulate_homogeneous(hm, exc, i1_0, cfg)
+        assert _rel_dev(traj.data, dense) <= 1e-12
+
+    def test_order_zero_and_one_models(self):
+        # a path with one boundary end has no independent flow (order 0);
+        # one edge between two boundary nodes has one (order 1)
+        path = Network(
+            ("1", "2", "3"),
+            (Edge("e1", "1", "2", 1.0, 1.0), Edge("e2", "2", "3", 1.0, 2.0)),
+            ("1",),
+        )
+        exc = Excitation({"1": Sinusoid(3.0, 1.0, 0.0)})
+        traj = simulate_reduced(reduce(validate(path)), exc, [0.0, 0.0], self.CFG)
+        assert traj.channels == ("i_1",)
+        assert np.array_equal(traj.data, np.zeros((len(traj.times), 1)))
+        model = reduce(make_net_a(r=1.0, l=1.0))
+        exc = Excitation({"1": Sinusoid(3.0, 1.0, 0.0), "2": Constant(1.0)})
+        _, dense = _dense_reduced_states(model, exc, [2.0], self.CFG)
+        traj = simulate_reduced(model, exc, [2.0], self.CFG)
+        assert _rel_dev(traj.data[:, :1], dense) <= 1e-12
+
+    def test_batch_equals_single_runs(self, wye, rng):
+        exc = Excitation({"1": Sinusoid(120.0, 1.5, 0.0), "3": Step(50.0, 0.1)})
+        model = reduce(wye, PStrategy.TREE_ELIMINATION)
+        f0s = [random_consistent_flow(wye, rng) for _ in range(4)]
+        batch = simulate_reduced_batch(model, exc, f0s, self.CFG)
+        for f0, traj in zip(f0s, batch):
+            single = simulate_reduced(model, exc, f0, self.CFG)
+            assert traj.channels == single.channels
+            assert np.array_equal(traj.times, single.times)
+            assert _rel_dev(traj.data, single.data) <= 1e-14
+        assert simulate_reduced_batch(model, exc, [], self.CFG) == []
+
+    def test_unstable_step_rejected(self, wye):
+        # the fastest wye mode decays at about 1.66/s: dt = 1.8 puts
+        # dt * rate past RK4's real-axis bound of about 2.785
+        model = reduce(wye)
+        with pytest.raises(UnstableTimeStepError) as exc_info:
+            simulate_reduced(model, zero_excitation(), [-5.0, -5.0, 10.0], SolverConfig(dt=1.8, t_end=18.0))
+        assert exc_info.value.rate > 2.785
+        hm = homogeneous_reduce(make_balanced_wye(r=2.0, l=1.0))
+        with pytest.raises(UnstableTimeStepError):
+            simulate_homogeneous(hm, zero_excitation(), [1.0, 0.0, -1.0], SolverConfig(dt=1.5, t_end=3.0))
+
+    def test_unvalidated_diagonal_model_matches_dense_recurrence(self):
+        # allow_unphysical synthesis hands over networks without interior
+        # nodes whose r or l may be negative: Lhat is not SPD, and the
+        # r < 0 mode grows in the continuous model, which is not an RK4
+        # instability
+        net = Network(
+            ("1", "2", "3"),
+            (
+                Edge("a", "1", "2", -2.0, 1.0),
+                Edge("b", "2", "3", 3.0, -0.5),
+                Edge("c", "3", "1", -4.0, -2.0),
+            ),
+            ("1", "2", "3"),
+        )
+        model = reduce(net, PStrategy.TREE_ELIMINATION)
+        exc = Excitation({"1": Sinusoid(5.0, 1.0, 0.0), "2": Step(3.0, 0.2)})
+        f0 = [1.0, -2.0, 0.5]
+        steps, dense = _dense_reduced_states(model, exc, f0, self.CFG)
+        traj = simulate_reduced(model, exc, f0, self.CFG)
+        assert np.array_equal(traj.times, steps * self.CFG.dt)
+        assert _rel_dev(traj.data[:, : model.order], dense) <= 1e-12
+        # a decaying mode (r, l < 0) past the bound is still rejected
+        with pytest.raises(UnstableTimeStepError) as exc_info:
+            simulate_reduced(model, exc, f0, SolverConfig(dt=1.5, t_end=3.0))
+        assert exc_info.value.rate == pytest.approx(3.0)
+
+    def test_zero_inductance_diagonal_model_rejected(self):
+        net = Network(
+            ("1", "2"), (Edge("a", "1", "2", 1.0, 0.0),), ("1", "2")
+        )
+        model = reduce(net, PStrategy.TREE_ELIMINATION)
+        with pytest.raises(SingularBlockError):
+            simulate_reduced(model, zero_excitation(), [1.0], self.CFG)
+
+    def test_oracle_does_not_use_modal_core(self, wye, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the DAE oracle must not use the modal core")
+
+        monkeypatch.setattr(simulate_module, "_rk4_modal", refuse)
+        traj = simulate_dae_oracle(wye, zero_excitation(), [-5.0, -5.0, 10.0], self.CFG)
+        assert np.all(np.isfinite(traj.data))
+        with pytest.raises(AssertionError):
+            simulate_reduced(reduce(wye), zero_excitation(), [-5.0, -5.0, 10.0], self.CFG)
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal takes about as long to import as kronred itself
+    src = str(Path(kronred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, kronred; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
