@@ -109,7 +109,7 @@ def _load_manifest(path):
     try:
         dt = float(solver.get("dt_s", 1e-4))
         t_end = float(solver.get("t_end_s", 10.0))
-        record_stride = int(solver.get("record_stride", 1))
+        record_stride = float(solver.get("record_stride", 1))
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed solver settings in {path}: {exc}") from exc
     cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=record_stride)

@@ -219,15 +219,16 @@ def network_from_dict(obj) -> Network:
         missing = _EDGE_KEYS - set(raw)
         if missing:
             raise InputFormatError(f"missing edge keys: {sorted(missing)}")
-        edges.append(
-            Edge(
-                id=str(raw["id"]),
-                tail=str(raw["from"]),
-                head=str(raw["to"]),
-                r=float(raw["r_ohm"]),
-                l=float(raw["l_henry"]),
-            )
-        )
+        edge_id = str(raw["id"])
+        values = []
+        for key in ("r_ohm", "l_henry"):
+            try:
+                values.append(float(raw[key]))
+            except (TypeError, ValueError):
+                raise InputFormatError(
+                    f"edge {edge_id!r}: {key} must be a number, got {raw[key]!r}"
+                ) from None
+        edges.append(Edge(edge_id, str(raw["from"]), str(raw["to"]), *values))
     return Network(
         nodes=tuple(obj["nodes"]),
         edges=tuple(edges),

@@ -20,6 +20,7 @@ grid so runs are deterministic. Two cores carry out the recurrence:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,13 @@ class SolverConfig:
             raise SolverConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end > self.dt):
             raise SolverConfigError(f"t_end must be finite and exceed dt, got {self.t_end!r}")
-        if self.record_stride < 1:
-            raise SolverConfigError("record_stride must be a positive integer")
+        stride = self.record_stride
+        integral = isinstance(stride, numbers.Integral) or (
+            isinstance(stride, float) and stride.is_integer()
+        )
+        if not (integral and stride >= 1):
+            raise SolverConfigError(f"record_stride must be a positive integer, got {stride!r}")
+        object.__setattr__(self, "record_stride", int(stride))
         steps = self.t_end / self.dt
         if abs(steps - round(steps)) > GRID_RTOL * steps:
             raise SolverConfigError(
@@ -399,10 +405,13 @@ def trajectory_from_csv(path) -> Trajectory:
         if not header or header[0] != "t":
             raise InputFormatError(f"{path}: first CSV column must be 't'")
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if line:
-                rows.append([float(v) for v in line.split(",")])
+                try:
+                    rows.append([float(v) for v in line.split(",")])
+                except ValueError as exc:
+                    raise InputFormatError(f"{path}, line {lineno}: {exc}") from exc
     if not rows:
         raise InputFormatError(f"{path}: no samples")
     arr = np.asarray(rows)

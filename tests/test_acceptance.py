@@ -251,7 +251,7 @@ def test_criterion_8_structural_invariants(capsys):
         inc = build_incidence(net)
         mats = partition(inc, net)
         E, N0 = len(net.edges), net.n_interior
-        P = build_P(mats.B0, inc, PStrategy.ORTHONORMAL_NULL_BASIS, mats, net)
+        P = build_P(mats.B0, inc, PStrategy.ORTHONORMAL_NULL_BASIS, mats)
         dim_ok &= P.shape == (E, E - N0)
         model = reduce(net, PStrategy.MODAL_DIAGONALIZING)
         definite_ok &= bool(np.all(np.linalg.eigvalsh(model.Lhat) > 0))

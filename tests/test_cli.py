@@ -77,6 +77,16 @@ class TestValidate:
         assert diag["error"] == "NetworkValidation"
         assert "non-finite" in diag["message"]
 
+    @pytest.mark.parametrize("key, value", [("r_ohm", "abc"), ("l_henry", None), ("r_ohm", [1.0])])
+    def test_non_numeric_parameter_exits_2(self, tmp_path, capsys, key, value):
+        bad = wye_dict()
+        bad["edges"][1][key] = value
+        path = write_json(tmp_path / "bad.json", bad)
+        assert main(["validate", path]) == 2
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "InputFormat"
+        assert "'e2'" in diag["message"] and key in diag["message"]
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
@@ -209,6 +219,8 @@ class TestSimulate:
             ({"dt_s": "abc"}, "InputFormat"),
             ({"dt_s": None}, "InputFormat"),
             ({"record_stride": "ten"}, "InputFormat"),
+            # used to run with stride 2
+            ({"record_stride": 2.7}, "SolverConfig"),
         ],
     )
     def test_bad_solver_settings_exit_2(self, tmp_path, wye_file, capsys, solver, error):
@@ -219,6 +231,19 @@ class TestSimulate:
         )
         assert main(["simulate", manifest, "--method", "reduced"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == error
+
+    def test_stride_given_as_whole_float_runs(self, tmp_path, wye_file, capsys):
+        write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
+        manifest = write_json(
+            tmp_path / "m.json",
+            {
+                "network": "wye.json",
+                "excitation": "exc.json",
+                "solver": {"dt_s": 1e-3, "t_end_s": 0.1, "record_stride": 10.0},
+            },
+        )
+        assert main(["simulate", manifest, "--method", "reduced"]) == 0
+        assert len(trajectory_from_csv(tmp_path / "reduced.csv").times) == 11
 
     @staticmethod
     def _unphysical_baseline_args(tmp_path):
@@ -264,6 +289,18 @@ class TestCompare:
         report = json.loads(capsys.readouterr().out)
         assert report["max_abs"] == 0.0
         assert report["max_rel"] == 0.0
+
+    def test_non_numeric_cell_exits_2(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("t,x\n0.0,1.0\n0.1,2.0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x\n0.0,1.0\n0.1,abc\n")
+        assert main(["compare", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diag = json.loads(captured.err)
+        assert diag["error"] == "InputFormat"
+        assert "bad.csv, line 3" in diag["message"]
 
 
 class TestPhasor:

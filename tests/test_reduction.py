@@ -57,7 +57,7 @@ class TestBuildP:
             net = random_connected_network(rng)
             inc = build_incidence(net)
             mats = partition(inc, net)
-            P = build_P(mats.B0, inc, strategy, mats, net)
+            P = build_P(mats.B0, inc, strategy, mats)
             assert P.shape == (len(net.edges), len(net.edges) - net.n_interior)
             assert np.linalg.matrix_rank(P) == P.shape[1]
             if mats.B0.shape[0]:
@@ -68,7 +68,7 @@ class TestBuildP:
             net = random_connected_network(rng)
             inc = build_incidence(net)
             mats = partition(inc, net)
-            P = build_P(mats.B0, inc, PStrategy.TREE_ELIMINATION, mats, net)
+            P = build_P(mats.B0, inc, PStrategy.TREE_ELIMINATION, mats)
             assert np.array_equal(P, np.rint(P))
             if mats.B0.shape[0]:
                 assert not np.any(mats.B0 @ P.astype(int))

@@ -346,12 +346,18 @@ class TestSolverConfig:
             # not a whole number of steps: would end at t = 0.9
             {"dt": 0.3, "t_end": 1.0},
             {"dt": 1e-3, "t_end": 1.0005},
+            {"dt": 1e-3, "t_end": 1.0, "record_stride": 2.7},
+            {"dt": 1e-3, "t_end": 1.0, "record_stride": "10"},
         ],
     )
     def test_bad_settings_raise_typed_value_error(self, kwargs):
         with pytest.raises(KronredError) as exc_info:
             SolverConfig(**kwargs)
         assert isinstance(exc_info.value, ValueError)
+
+    def test_integral_float_stride_accepted(self):
+        cfg = SolverConfig(dt=1e-3, t_end=1.0, record_stride=10.0)
+        assert cfg.record_stride == 10 and isinstance(cfg.record_stride, int)
 
 
 def _dense_reduced_states(model, exc, f0, cfg):

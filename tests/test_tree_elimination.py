@@ -1,0 +1,190 @@
+"""The tree-elimination basis: a pinned golden P and its invariants.
+
+The invariants hold for any network: entries in {0, +-1}, B0 P = 0,
+unit rows on the co-tree edges (so full column rank E - N0), |P|
+unchanged by edge flips, and the same boundary transfer Bhat Lhat^-1
+Bhat^T as every other strategy.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kronred import Edge, Network, PStrategy, build_incidence, partition, reduce, validate
+from kronred.reduction import build_P
+
+TREE = PStrategy.TREE_ELIMINATION
+
+
+def _grid(k, rng, boundary=None, shuffle=False):
+    """k x k grid with seeded orientations (and edge order when
+    `shuffle`); the boundary defaults to row 0."""
+    name = lambda r, c: f"n{r}_{c}"  # noqa: E731
+    ends = []
+    for r in range(k):
+        for c in range(k):
+            if c + 1 < k:
+                ends.append((name(r, c), name(r, c + 1)))
+            if r + 1 < k:
+                ends.append((name(r, c), name(r + 1, c)))
+    order = rng.permutation(len(ends)) if shuffle else range(len(ends))
+    flip = rng.random(len(ends)) < 0.5
+    r = rng.uniform(0.5, 1.0, size=len(ends))
+    l = rng.uniform(0.5, 1.0, size=len(ends))
+    edges = []
+    for j, i in enumerate(order):
+        a, b = ends[i]
+        if flip[j]:
+            a, b = b, a
+        edges.append(Edge(f"e{j}", a, b, float(r[j]), float(l[j])))
+    nodes = tuple(name(r, c) for r in range(k) for c in range(k))
+    if boundary is None:
+        boundary = tuple(name(0, c) for c in range(k))
+    return validate(Network(nodes, tuple(edges), boundary))
+
+
+def _golden_grid():
+    rng = np.random.default_rng(2024)
+    return _grid(4, rng, boundary=("n0_0", "n0_3", "n2_1", "n3_3"), shuffle=True)
+
+
+# Tree P of _golden_grid() as built by the earlier per-node KCL
+# elimination (dense solve of the omitted block, rounded to integers);
+# one string per edge, columns in co-tree edge order.
+GOLDEN_P = (
+    "+....+......",
+    "+...........",
+    ".+..........",
+    "......-....+",
+    "..+.....--..",
+    "..+.........",
+    "...+.....+..",
+    "...+........",
+    "....+.......",
+    ".++.-.......",
+    ".....+......",
+    "++..........",
+    "......+.....",
+    ".......+....",
+    "......+...+.",
+    ".......+..+.",
+    "........+...",
+    ".........+..",
+    "......+.....",
+    "....-+.+....",
+    "........-..+",
+    ".+++-.......",
+    "..........+.",
+    "...........+",
+)
+
+
+def _tree_edges(network):
+    """Parent edge of each interior node: its highest-indexed edge to a
+    node one BFS level closer to the boundary."""
+    adjacency = {n: [] for n in network.nodes}
+    for j, e in enumerate(network.edges):
+        adjacency[e.tail].append((j, e.head))
+        adjacency[e.head].append((j, e.tail))
+    depth = {n: 0 for n in network.boundary}
+    frontier = list(depth)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for _, v in adjacency[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return {
+        max(j for j, v in adjacency[n] if depth[v] == depth[n] - 1) for n in network.interior
+    }
+
+
+def _tree_P(network):
+    inc = build_incidence(network)
+    mats = partition(inc, network)
+    return build_P(mats.B0, inc, TREE, mats), mats
+
+
+def _transfer(model):
+    return model.Bhat @ np.linalg.solve(model.Lhat, model.Bhat.T)
+
+
+def _assert_rel_close(a, b, tol):
+    assert np.max(np.abs(a - b)) <= tol * max(np.max(np.abs(b)), 1e-300)
+
+
+def test_golden_grid_matches_pinned_basis():
+    P, _ = _tree_P(_golden_grid())
+    symbol = {1.0: "+", -1.0: "-", 0.0: "."}
+    assert P.dtype == np.float64
+    assert tuple("".join(symbol[v] for v in row) for row in P) == GOLDEN_P
+
+
+@st.composite
+def _networks(draw):
+    """Connected networks with parallel edges, any boundary subset (all
+    nodes included), shuffled node and edge order and orientations."""
+    n = draw(st.integers(2, 9))
+    ends = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    ends = draw(st.permutations(ends + draw(st.lists(pair, max_size=2 * n))))
+    value = st.floats(0.5, 1.0)
+    edges = []
+    for j, (a, b) in enumerate(ends):
+        if draw(st.booleans()):
+            a, b = b, a
+        edges.append(Edge(f"e{j}", str(a), str(b), draw(value), draw(value)))
+    nodes = tuple(draw(st.permutations([str(i) for i in range(n)])))
+    boundary = draw(st.sets(st.sampled_from(nodes), min_size=1))
+    return validate(Network(nodes, tuple(edges), tuple(sorted(boundary))))
+
+
+def _check_invariants(net, P, B0, dtype):
+    E, n0 = len(net.edges), net.n_interior
+    assert P.shape == (E, E - n0)
+    assert set(np.unique(P)) <= {-1.0, 0.0, 1.0}
+    assert not np.any(B0.astype(dtype) @ P.astype(dtype))
+    # Unit rows on the co-tree edges, in edge order: an identity block,
+    # which also gives P full column rank E - N0.
+    tree = _tree_edges(net)
+    cotree = [j for j in range(E) if j not in tree]
+    assert np.array_equal(P[cotree], np.eye(E - n0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(net=_networks(), data=st.data())
+def test_tree_basis_invariants(net, data):
+    P, mats = _tree_P(net)
+    _check_invariants(net, P, mats.B0, int)
+    if P.size:
+        assert np.linalg.matrix_rank(P) == P.shape[1]
+    flipped = net.with_flipped_edge(data.draw(st.sampled_from(net.edges)).id)
+    assert np.array_equal(np.abs(_tree_P(flipped)[0]), np.abs(P))
+    if len(net.boundary) > 1:  # one boundary node: the transfer is exactly 0
+        _assert_rel_close(_transfer(reduce(net, TREE)), _transfer(reduce(net)), 1e-8)
+
+
+def test_k40_grid_invariants():
+    net = _grid(40, np.random.default_rng(40))
+    model = reduce(net, TREE)
+    P = model.P
+    inc = build_incidence(net)
+    mats = partition(inc, net)
+    # float64 B0 P is exact for these small integers and runs through
+    # BLAS; an integer matmul of this size takes seconds.
+    _check_invariants(net, P, mats.B0, float)
+    tree = _tree_edges(net)
+    cotree = [j for j in range(len(net.edges)) if j not in tree]
+    for j in (min(tree), max(tree), cotree[0], cotree[-1]):
+        flipped = net.with_flipped_edge(net.edges[j].id)
+        assert np.array_equal(np.abs(_tree_P(flipped)[0]), np.abs(P))
+    # Reference transfer: the boundary Schur complement of the 1/l
+    # weighted Laplacian, which is what every strategy reproduces (the
+    # nullbasis SVD takes seconds at this size).
+    B = inc.matrix.astype(float)
+    lap = (B / mats.l) @ B.T
+    nb = len(inc.boundary_nodes)
+    ref = lap[:nb, :nb] - lap[:nb, nb:] @ np.linalg.solve(lap[nb:, nb:], lap[nb:, :nb])
+    _assert_rel_close(_transfer(model), ref, 1e-8)
