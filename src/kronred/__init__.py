@@ -7,10 +7,9 @@ reduction, the homogeneous-network reduction, a full constrained-model
 solver, and a frequency-domain synthesis baseline.
 """
 
-from .network import Edge, IncidenceMatrix, Network, PartitionedMatrices, build_incidence, load_network, partition, validate
+from .network import Edge, IncidenceMatrix, Network, build_incidence, load_network, validate
 from .linalg import (
     min_norm_solution,
-    nullspace,
     nullspace_basis,
     projection_identity_residual,
     schur_complement,
@@ -21,7 +20,6 @@ from .phasor import (
     KronReducedAdmittance,
     Phasor,
     admittance,
-    check_interior_invertibility,
     kron_reduce,
     phasor_solve,
     recover_interior_phasors,
@@ -33,9 +31,7 @@ from .reduction import (
     build_P,
     embed_initial,
     homogeneous_reduce,
-    lift,
     load_model,
-    output_injections,
     reduce,
     save_model,
 )
@@ -50,7 +46,7 @@ from .simulate import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from .baseline import SynthesizedNetwork, draw_gammas, heuristic_reduce, map_initial_condition, run_baseline_sweep
+from .baseline import draw_gammas, heuristic_reduce, map_initial_condition, run_baseline_sweep
 from .compare import compare_trajectories
 
 __version__ = "0.1.0"

@@ -10,35 +10,27 @@ cases; the point of carrying it here is to quantify where it fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NegativeSynthesizedElementError
-from .linalg import min_norm_solution, nullspace
-from .network import Edge, Network, build_incidence, partition, validate
+from .linalg import min_norm_solution, nullspace_basis
+from .network import Edge, Network, build_incidence, validate
 from .phasor import admittance, kron_reduce
 from .reduction import PStrategy, reduce
 from .signals import Excitation
-from .simulate import SolverConfig, Trajectory, simulate_reduced_batch
+from .simulate import SolverConfig, simulate_reduced_batch
 
 # Off-diagonal admittance entries below this relative level are treated
 # as absent branches of the reduced graph.
 _BRANCH_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SynthesizedNetwork:
-    """RL network over the boundary nodes, recovered from Yr at omega0."""
-
-    network: Network
-    omega0: float
-
-
 def heuristic_reduce(
     network: Network, omega0: float, allow_unphysical: bool = False
-) -> SynthesizedNetwork:
-    """Steps: admittance at omega0 -> Schur reduction -> per reduced
+) -> Network:
+    """RL network over the boundary nodes, recovered from Yr at omega0.
+
+    Steps: admittance at omega0 -> Schur reduction -> per reduced
     branch, impedance z = -1/Yr[m,n] split as r = Re(z), l = Im(z)/omega0.
 
     For the 3-node reduced triangle edges are oriented cyclically (so the
@@ -46,8 +38,6 @@ def heuristic_reduce(
     delta convention); otherwise orientation is lexicographic. Synthesis
     can produce r < 0 or l <= 0; that raises unless allow_unphysical.
     """
-    if omega0 <= 0:
-        raise ValueError("omega0 must be positive")
     reduced = kron_reduce(admittance(network, omega0))
     nodes = list(reduced.boundary_nodes)
     nb = len(nodes)
@@ -78,32 +68,24 @@ def heuristic_reduce(
     # synthesized elements are physical
     if all(e.r >= 0 and e.l > 0 for e in edges):
         synth = validate(synth)
-    return SynthesizedNetwork(network=synth, omega0=omega0)
+    return synth
 
 
-def map_initial_condition(Br: np.ndarray, i1_0, gamma: float = 0.0, gamma_vector=None):
+def map_initial_condition(Br: np.ndarray, i1_0, gamma: float = 0.0):
     """Branch currents of the synthesized network matching the boundary
     injections i1(0), plus the gamma-scaled null-space component.
 
     The minimum-norm solve pins the component in range(Br^T); gamma fills
     the null(Br) ambiguity. When null(Br) is spanned by the ones vector
     (a single cycle), gamma multiplies the plain ones vector; otherwise
-    it scales the first orthonormal null-basis vector, and gamma_vector
-    may supply a full coefficient list instead.
+    it scales the first orthonormal null-basis vector.
     """
     Br = np.asarray(Br, dtype=float)
     base = min_norm_solution(Br, np.asarray(i1_0, dtype=float))
     E = Br.shape[1]
-    basis = nullspace(Br)
+    basis = nullspace_basis(Br)
     if basis.shape[1] == 0:
         return base
-    if gamma_vector is not None:
-        coeffs = np.asarray(gamma_vector, dtype=float)
-        if coeffs.size != basis.shape[1]:
-            raise ValueError(
-                f"gamma_vector needs {basis.shape[1]} coefficients, got {coeffs.size}"
-            )
-        return base + basis @ coeffs
     if basis.shape[1] == 1 and np.allclose(basis[:, 0], np.mean(basis[:, 0])):
         # single cycle: the null space is the constant vector, use gamma * 1
         return base + gamma * np.ones(E)
@@ -130,13 +112,13 @@ def run_baseline_sweep(
     The synthesized network has no interior nodes, so its exact reduced
     model is just its own edge dynamics. The gammas differ only in the
     initial flows, so all runs share one excitation evaluation and one
-    modal solve. Returns (synthesized, list of (gamma, Trajectory)).
+    modal solve. Returns (synthesized network, list of (gamma, Trajectory)).
     """
     synth = heuristic_reduce(network, omega0, allow_unphysical=allow_unphysical)
     inc = build_incidence(network)
     i1_0 = inc.b1.astype(float) @ np.asarray(f0_full, dtype=float)
-    Br = build_incidence(synth.network).matrix
-    model = reduce(synth.network, PStrategy.TREE_ELIMINATION)
+    Br = build_incidence(synth).matrix
+    model = reduce(synth, PStrategy.TREE_ELIMINATION)
     gammas = [float(gamma) for gamma in gammas]
     f0s = [map_initial_condition(Br, i1_0, gamma) for gamma in gammas]
     return synth, list(zip(gammas, simulate_reduced_batch(model, excitation, f0s, cfg)))

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input/validation error, 3 model-applicability
-error (non-homogeneous network, unphysical synthesized element),
-64 usage error.
+Exit codes: 0 success, 2 input/validation error (including an
+unreadable file), 3 model-applicability error (non-homogeneous network,
+unphysical synthesized element), 64 usage error.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from .errors import (
     InputFormatError,
     KronredError,
     NegativeSynthesizedElementError,
-    NetworkValidationError,
     NotHomogeneousError,
 )
 from .experiment import resolve_seed, run_experiment
-from .network import load_network
+from .network import build_incidence, load_json, load_network
 from .phasor import Phasor, admittance, kron_reduce, phasor_solve, recover_interior_phasors
 from .reduction import (
     PStrategy,
@@ -66,10 +65,6 @@ def _diagnostic(exc):
     print(json.dumps(payload), file=sys.stderr)
 
 
-def _strategy(name):
-    return PStrategy(name)
-
-
 def cmd_validate(args):
     load_network(args.network)
     print(f"{args.network}: valid")
@@ -78,7 +73,7 @@ def cmd_validate(args):
 
 def cmd_reduce(args):
     network = load_network(args.network)
-    model = reduce(network, _strategy(args.p_strategy))
+    model = reduce(network, PStrategy(args.p_strategy))
     if args.out:
         save_model(model, args.out)
         print(f"wrote {args.out}")
@@ -90,13 +85,9 @@ def cmd_reduce(args):
 
 def _load_manifest(path):
     manifest_path = Path(path)
-    with open(manifest_path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno})"
-            ) from exc
+    obj = load_json(manifest_path)
+    if not isinstance(obj, dict):
+        raise InputFormatError("manifest JSON root must be an object")
     known = {"network", "excitation", "f0", "solver", "strategy", "seed", "out_dir"}
     unknown = set(obj) - known
     if unknown:
@@ -115,17 +106,24 @@ def _load_manifest(path):
     cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=record_stride)
     network = load_network(base / obj["network"])
     excitation = load_excitation(base / obj["excitation"])
-    f0 = np.asarray(obj.get("f0", [0.0] * len(network.edges)), dtype=float)
-    if f0.size != len(network.edges):
+    try:
+        strategy = PStrategy(obj.get("strategy", "nullbasis"))
+    except ValueError as exc:
+        raise InputFormatError(f"bad strategy in {path}: {exc}") from exc
+    try:
+        f0 = np.asarray(obj.get("f0", [0.0] * len(network.edges)), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"malformed f0 in {path}: {exc}") from exc
+    if f0.shape != (len(network.edges),) or not np.all(np.isfinite(f0)):
         raise InputFormatError(
-            f"f0 length {f0.size} != edge count {len(network.edges)}"
+            f"f0 must list {len(network.edges)} finite edge flows, got {obj.get('f0')!r}"
         )
     return {
         "network": network,
         "excitation": excitation,
         "f0": f0,
         "cfg": cfg,
-        "strategy": PStrategy(obj.get("strategy", "nullbasis")),
+        "strategy": strategy,
         "seed": obj.get("seed"),
         "out_dir": base / obj.get("out_dir", "."),
     }
@@ -150,8 +148,6 @@ def cmd_simulate(args):
         written.append(path)
     elif args.method == "homogeneous":
         hmodel = homogeneous_reduce(network, tol=args.homogeneity_tol)
-        from .network import build_incidence
-
         i1_0 = build_incidence(network).b1.astype(float) @ f0
         traj = simulate_homogeneous(hmodel, excitation, i1_0, cfg)
         path = out_dir / "homogeneous.csv"
@@ -161,7 +157,7 @@ def cmd_simulate(args):
         if args.omega0 is None:
             raise InputFormatError("--omega0 is required for the baseline method")
         if args.gamma:
-            gammas = [float(g) for g in args.gamma]
+            gammas = args.gamma
         else:
             gammas = list(draw_gammas(resolve_seed(args.seed, m["seed"])))
         _, runs = run_baseline_sweep(
@@ -281,7 +277,7 @@ def build_parser():
     p.add_argument("--method", choices=["reduced", "dae", "homogeneous", "baseline"], required=True)
     p.add_argument("--model", help="pre-built reduced-model JSON (method=reduced)")
     p.add_argument("--omega0", type=float, help="synthesis frequency rad/s (method=baseline)")
-    p.add_argument("--gamma", action="append", help="explicit gamma value (repeatable)")
+    p.add_argument("--gamma", type=float, action="append", help="explicit gamma value (repeatable)")
     p.add_argument("--allow-unphysical", action="store_true")
     p.add_argument("--seed", type=int, help="gamma-draw seed (overrides KRONRED_SEED)")
     p.add_argument("--oracle", help="reference trajectory CSV for the baseline summary")
@@ -326,10 +322,7 @@ def main(argv=None):
     except (NotHomogeneousError, NegativeSynthesizedElementError) as exc:
         _diagnostic(exc)
         return EXIT_MODEL
-    except (NetworkValidationError, InputFormatError, FileNotFoundError) as exc:
-        _diagnostic(exc)
-        return EXIT_INPUT
-    except KronredError as exc:
+    except (KronredError, OSError) as exc:
         _diagnostic(exc)
         return EXIT_INPUT
 

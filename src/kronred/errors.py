@@ -121,6 +121,10 @@ class SolverConfigError(KronredError, ValueError):
     """A fixed-step solver setting is out of range or inconsistent."""
 
 
+class InvalidFrequencyError(KronredError, ValueError):
+    """A phasor or synthesis frequency is not positive and finite."""
+
+
 class UnstableTimeStepError(KronredError):
     """The RK4 step is outside the stability region of the fastest mode."""
 

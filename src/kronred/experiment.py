@@ -17,8 +17,9 @@ import numpy as np
 
 from .baseline import draw_gammas, run_baseline_sweep
 from .compare import compare_trajectories
+from .errors import InputFormatError
 from .network import Edge, Network, validate
-from .reduction import PStrategy, reduce
+from .reduction import reduce
 from .signals import Excitation, Sinusoid, Step
 from .simulate import SolverConfig, simulate_dae_oracle, simulate_reduced, trajectory_to_csv
 
@@ -56,14 +57,22 @@ def step_excitation() -> Excitation:
 
 
 def resolve_seed(flag_seed=None, manifest_seed=None, default=0):
-    """Seed priority: CLI flag, then KRONRED_SEED, then manifest, then default."""
-    if flag_seed is not None:
-        return int(flag_seed)
+    """Seed priority: CLI flag, then KRONRED_SEED, then manifest, then default.
+
+    A seed that is not a whole number raises InputFormatError.
+    """
     env = os.environ.get("KRONRED_SEED")
-    if env is not None:
-        return int(env)
-    if manifest_seed is not None:
-        return int(manifest_seed)
+    sources = (("--seed", flag_seed), ("KRONRED_SEED", env), ("manifest seed", manifest_seed))
+    for source, value in sources:
+        if value is None:
+            continue
+        try:
+            seed = int(value)
+        except (TypeError, ValueError, OverflowError):
+            seed = None
+        if seed is None or (isinstance(value, float) and seed != value):
+            raise InputFormatError(f"{source} must be an integer, got {value!r}")
+        return seed
     return default
 
 
@@ -72,7 +81,6 @@ def run_experiment(
     out_dir=None,
     seed: int = 0,
     cfg: SolverConfig = None,
-    strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BASIS,
 ) -> dict:
     """Run one excitation variant end to end.
 
@@ -92,7 +100,7 @@ def run_experiment(
     network = wye_network()
     f0 = np.array(WYE_F0)
     oracle = simulate_dae_oracle(network, excitation, f0, cfg)
-    reduced_traj = simulate_reduced(reduce(network, strategy), excitation, f0, cfg)
+    reduced_traj = simulate_reduced(reduce(network), excitation, f0, cfg)
     gammas = draw_gammas(seed, N_GAMMAS)
     synth, baseline_runs = run_baseline_sweep(network, OMEGA0, excitation, f0, gammas, cfg)
 
@@ -148,7 +156,7 @@ def run_experiment(
         "baseline": baseline_summaries,
         "observations": observations,
         "synthesized_delta": {
-            e.id: {"r_ohm": e.r, "l_henry": e.l} for e in synth.network.edges
+            e.id: {"r_ohm": e.r, "l_henry": e.l} for e in synth.edges
         },
     }
     if out_dir is not None:

@@ -9,7 +9,6 @@ import numpy as np
 from .errors import (
     InconsistentSystemError,
     NotPositiveDefiniteError,
-    RankDeficientInputError,
     SingularBlockError,
 )
 
@@ -23,28 +22,11 @@ RCOND_SINGULAR = 1e-13
 
 
 def nullspace_basis(M: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
-    """Orthonormal basis of null(M) via SVD.
+    """Orthonormal basis of null(M) via SVD, for a matrix of any rank.
 
-    For a (k, n) matrix of full row rank returns an (n, n-k) matrix with
-    orthonormal columns. An empty constraint (k == 0) yields the identity.
-    Raises RankDeficientInputError if the numerical rank of M is below k.
+    The numerical rank counts the singular values above tol times the
+    largest. An empty or all-zero M yields the identity.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    k, n = M.shape
-    if k == 0:
-        return np.eye(n)
-    if k > n:
-        raise RankDeficientInputError(f"more constraint rows than columns, got {M.shape}")
-    _, s, vt = np.linalg.svd(M)
-    if s[k - 1] <= tol * s[0]:
-        raise RankDeficientInputError(
-            f"numerical rank {int(np.sum(s > tol * s[0]))} < row count {k}"
-        )
-    return vt[k:, :].T.copy()
-
-
-def nullspace(M: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
-    """Orthonormal basis of null(M) for a matrix of any rank."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     k, n = M.shape
     if k == 0 or not M.any():
@@ -54,32 +36,35 @@ def nullspace(M: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     return vt[rank:, :].T.copy()
 
 
-def _check_block_conditioning(block, label="block"):
+def _check_block_conditioning(block):
     cond = np.linalg.cond(block)
     if not np.isfinite(cond) or 1.0 / cond < RCOND_SINGULAR:
         raise SingularBlockError(cond)
     return cond
 
 
-def schur_complement(M: np.ndarray, interior_idx) -> np.ndarray:
-    """Eliminate the rows/columns in `interior_idx`: M11 - M10 M00^-1 M01.
+def schur_complement(M: np.ndarray, interior_idx):
+    """Eliminate the rows/columns in `interior_idx`: M11 - M10 X with
+    X = M00^-1 M01.
 
     Works for real or complex square matrices; the general nonsymmetric
-    form is used. Raises SingularBlockError when the eliminated block is
-    singular to working precision.
+    form is used. Returns (Schur complement, X). Raises
+    SingularBlockError when the eliminated block is singular to working
+    precision.
     """
     M = np.asarray(M)
     n = M.shape[0]
     interior = np.asarray(sorted(interior_idx), dtype=int)
     if interior.size == 0:
-        return M.copy()
+        return M.copy(), np.zeros((0, n), dtype=M.dtype)
     keep = np.setdiff1d(np.arange(n), interior)
     M11 = M[np.ix_(keep, keep)]
     M10 = M[np.ix_(keep, interior)]
     M01 = M[np.ix_(interior, keep)]
     M00 = M[np.ix_(interior, interior)]
     _check_block_conditioning(M00)
-    return M11 - M10 @ np.linalg.solve(M00, M01)
+    X = np.linalg.solve(M00, M01)
+    return M11 - M10 @ X, X
 
 
 def min_norm_solution(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:

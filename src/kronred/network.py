@@ -90,24 +90,6 @@ class IncidenceMatrix:
         return self.matrix[len(self.boundary_nodes):, :]
 
 
-@dataclass(frozen=True)
-class PartitionedMatrices:
-    """Boundary/interior incidence blocks and diagonal R, L (as vectors)."""
-
-    B1: np.ndarray
-    B0: np.ndarray
-    r: np.ndarray
-    l: np.ndarray
-
-    @property
-    def R(self):
-        return np.diag(self.r)
-
-    @property
-    def L(self):
-        return np.diag(self.l)
-
-
 def _connected_component_count(network):
     adjacency = {n: set() for n in network.nodes}
     for e in network.edges:
@@ -183,16 +165,6 @@ def build_incidence(network: Network) -> IncidenceMatrix:
     return IncidenceMatrix(B, boundary_nodes, interior_nodes, tuple(e.id for e in network.edges))
 
 
-def partition(incidence: IncidenceMatrix, network: Network) -> PartitionedMatrices:
-    """Split B into boundary/interior row blocks alongside diagonal R, L."""
-    return PartitionedMatrices(
-        B1=incidence.b1.copy(),
-        B0=incidence.b0.copy(),
-        r=network.r_vector(),
-        l=network.l_vector(),
-    )
-
-
 _EDGE_KEYS = {"id", "from", "to", "r_ohm", "l_henry"}
 _NETWORK_KEYS = {"nodes", "boundary", "edges"}
 
@@ -247,13 +219,20 @@ def network_to_dict(network: Network) -> dict:
     }
 
 
+def load_json(path):
+    """Parse a JSON input file; malformed or non-UTF-8 content raises
+    InputFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(
+            f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno})"
+        ) from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
 def load_network(path) -> Network:
     """Load and validate a network JSON file."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno})"
-            ) from exc
-    return validate(network_from_dict(obj))
+    return validate(network_from_dict(load_json(path)))

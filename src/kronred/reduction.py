@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     InconsistentInitialConditionError,
     InputFormatError,
     NotHomogeneousError,
+    RankDeficientInputError,
 )
-from .linalg import NULL_TOL, nullspace_basis, schur_complement, simultaneous_diagonalization
-from .network import IncidenceMatrix, Network, PartitionedMatrices, build_incidence, partition
+from .linalg import nullspace_basis, schur_complement, simultaneous_diagonalization
+from .network import IncidenceMatrix, Network, build_incidence, load_json
 
 
 class PStrategy(enum.Enum):
@@ -145,24 +145,28 @@ def _tree_elimination_basis(incidence: IncidenceMatrix) -> np.ndarray:
     return P
 
 
-def build_P(
-    B0: np.ndarray,
-    incidence: IncidenceMatrix,
-    strategy: PStrategy,
-    matrices: PartitionedMatrices,
-) -> np.ndarray:
-    """Basis P with range(P) = null(B0), per the chosen strategy."""
+def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy) -> np.ndarray:
+    """Basis P with range(P) = null(B0), per the chosen strategy.
+
+    nullbasis and modal start from the orthonormal SVD basis, which must
+    have E - N0 columns; RankDeficientInputError otherwise.
+    """
     if strategy is PStrategy.TREE_ELIMINATION:
         return _tree_elimination_basis(incidence)
-    if strategy is PStrategy.ORTHONORMAL_NULL_BASIS:
-        return nullspace_basis(B0)
+    if strategy not in (PStrategy.ORTHONORMAL_NULL_BASIS, PStrategy.MODAL_DIAGONALIZING):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    P = nullspace_basis(incidence.b0)
+    n0, E = incidence.b0.shape
+    if P.shape[1] != E - n0:
+        raise RankDeficientInputError(
+            f"null(B0) has dimension {P.shape[1]}, expected E - N0 = {E - n0}"
+        )
     if strategy is PStrategy.MODAL_DIAGONALIZING:
-        Pp = nullspace_basis(B0)
-        Lp = Pp.T @ (matrices.l[:, None] * Pp)
-        Rp = Pp.T @ (matrices.r[:, None] * Pp)
+        Lp = P.T @ (network.l_vector()[:, None] * P)
+        Rp = P.T @ (network.r_vector()[:, None] * P)
         V, _ = simultaneous_diagonalization(Lp, Rp)
-        return Pp @ V
-    raise ValueError(f"unknown strategy {strategy!r}")
+        P = P @ V
+    return P
 
 
 # Off-diagonal entries below this relative level are stored as exact
@@ -174,18 +178,18 @@ _MODAL_ZERO_TOL = 1e-12
 def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BASIS) -> ReducedModel:
     """Assemble the exact reduced model of order E - N0."""
     incidence = build_incidence(network)
-    matrices = partition(incidence, network)
-    P = build_P(matrices.B0, incidence, strategy, matrices)
-    Lhat = P.T @ (matrices.l[:, None] * P)
-    Rhat = P.T @ (matrices.r[:, None] * P)
+    P = build_P(incidence, network, strategy)
+    l, r = network.l_vector(), network.r_vector()
+    Lhat = P.T @ (l[:, None] * P)
+    Rhat = P.T @ (r[:, None] * P)
     Lhat = 0.5 * (Lhat + Lhat.T)
     Rhat = 0.5 * (Rhat + Rhat.T)
     if strategy is PStrategy.MODAL_DIAGONALIZING:
         for M in (Lhat, Rhat):
-            scale = max(np.max(np.abs(np.diag(M))), 1e-300)
+            scale = max(np.max(np.abs(np.diag(M)), initial=0.0), 1e-300)
             off = ~np.eye(M.shape[0], dtype=bool)
             M[off & (np.abs(M) < _MODAL_ZERO_TOL * scale)] = 0.0
-    Bhat = matrices.B1.astype(float) @ P
+    Bhat = incidence.b1.astype(float) @ P
     return ReducedModel(
         P=P,
         Lhat=Lhat,
@@ -212,26 +216,6 @@ def embed_initial(P: np.ndarray, f0: np.ndarray, tol: float = 1e-8) -> np.ndarra
     return fhat0
 
 
-def lift(P: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """Edge flows f = P fhat."""
-    fhat = np.asarray(fhat, dtype=float)
-    if fhat.shape[-1] != P.shape[1]:
-        raise DimensionMismatchError(
-            f"pseudoflow length {fhat.shape[-1]} != basis columns {P.shape[1]}"
-        )
-    return fhat @ P.T
-
-
-def output_injections(B1: np.ndarray, P: np.ndarray, fhat: np.ndarray) -> np.ndarray:
-    """Boundary injections i1 = B1 P fhat."""
-    fhat = np.asarray(fhat, dtype=float)
-    if fhat.shape[-1] != P.shape[1]:
-        raise DimensionMismatchError(
-            f"pseudoflow length {fhat.shape[-1]} != basis columns {P.shape[1]}"
-        )
-    return fhat @ (B1.astype(float) @ P).T
-
-
 def homogeneous_reduce(network: Network, tol: float = 1e-9) -> HomogeneousReducedModel:
     """Injection-space reduction, valid only when R = alpha L.
 
@@ -250,7 +234,7 @@ def homogeneous_reduce(network: Network, tol: float = 1e-9) -> HomogeneousReduce
     Ltilde = (B / l[None, :]) @ B.T
     n0 = len(incidence.interior_nodes)
     nb = B.shape[0] - n0
-    Lred = schur_complement(Ltilde, range(nb, B.shape[0]))
+    Lred, _ = schur_complement(Ltilde, range(nb, B.shape[0]))
     Lred = 0.5 * (Lred + Lred.T)
     return HomogeneousReducedModel(alpha=alpha, Lred=Lred, boundary_nodes=incidence.boundary_nodes)
 
@@ -289,11 +273,4 @@ def save_model(model: ReducedModel, path) -> None:
 
 
 def load_model(path) -> ReducedModel:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno})"
-            ) from exc
-    return model_from_dict(obj)
+    return model_from_dict(load_json(path))

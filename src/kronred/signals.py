@@ -7,13 +7,13 @@ switching instant).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputFormatError
+from .network import load_json
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,9 @@ def _signal_from_dict(node, raw):
 
 
 def excitation_from_dict(obj) -> Excitation:
-    if not isinstance(obj, dict) or set(obj) != {"signals"}:
+    if not (
+        isinstance(obj, dict) and set(obj) == {"signals"} and isinstance(obj["signals"], dict)
+    ):
         raise InputFormatError('excitation JSON must be {"signals": {...}}')
     return Excitation(
         signals={str(node): _signal_from_dict(node, raw) for node, raw in obj["signals"].items()}
@@ -153,11 +155,4 @@ def excitation_to_dict(exc: Excitation) -> dict:
 
 
 def load_excitation(path) -> Excitation:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(
-                f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno})"
-            ) from exc
-    return excitation_from_dict(obj)
+    return excitation_from_dict(load_json(path))

@@ -13,8 +13,8 @@ grid so runs are deterministic. Two cores carry out the recurrence:
 * _rk4_lti — a dense step loop, used only by simulate_dae_oracle: the
   full constrained model, converted to an ODE by solving for interior
   voltages at every stage (index-1 reduction). It shares neither the
-  projection machinery nor the modal core, so it stays an independent
-  reference.
+  projection machinery nor the modal core (only the RK4 stability rule,
+  _rk4_decay_factor), so it stays an independent reference.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     UnstableTimeStepError,
 )
 from .linalg import simultaneous_diagonalization
-from .network import Network, build_incidence, partition
+from .network import Network, build_incidence
 from .phasor import Phasor
 from .reduction import HomogeneousReducedModel, ReducedModel, embed_initial
 from .signals import Excitation
@@ -171,17 +171,9 @@ def _rk4_modal(d, u, z0, dt, n_steps, record_stride):
     # eps / (dt d) in 1 - m that the recurrence turns into a steady-state
     # bias. m_lo is that rounding error (TwoSum), fed back by a second
     # solve below.
-    p = a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
-    m = 1.0 + p
+    m, p = _rk4_decay_factor(d, dt)
     p_part = m - 1.0
     m_lo = (1.0 - (m - p_part)) + (p - p_part)
-    # RK4's real-axis amplification never drops below 0, so a decaying
-    # mode is unstable exactly when m > 1, i.e. dt d past about 2.785.
-    # Modes with d <= 0 (eigh's tiny negative zeros, or the growing modes
-    # of an unphysical synthesized network) do not decay in the continuous
-    # model either and are integrated as they are.
-    if np.any((d > 0) & (m > 1.0)):
-        raise UnstableTimeStepError(dt, float(np.max(dt * d)))
     h6 = dt / 6.0
     c0 = h6 * (1.0 + a + a**2 / 2.0 + a**3 / 4.0)
     cm = h6 * (4.0 + 2.0 * a + a**2 / 2.0)
@@ -210,6 +202,23 @@ def _rk4_modal(d, u, z0, dt, n_steps, record_stride):
             x += dx
             out[1:, k, r] = x[rows, 0]
     return record_steps, out
+
+
+def _rk4_decay_factor(d, dt):
+    """RK4's one-step factor m = 1 + p for z' = -d z, as (m, p).
+
+    RK4's real-axis amplification never drops below 0, so a decaying
+    mode is unstable exactly when m > 1, i.e. dt d past about 2.785;
+    that raises UnstableTimeStepError. Modes with d <= 0 (eigh's tiny
+    negative zeros, or the growing modes of an unphysical synthesized
+    network) do not decay in the continuous model either and pass.
+    """
+    a = -dt * d
+    p = a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
+    m = 1.0 + p
+    if np.any((d > 0) & (m > 1.0)):
+        raise UnstableTimeStepError(dt, float(np.max(dt * d)))
+    return m, p
 
 
 def _unit_bidiagonal_solve(ab, rhs):
@@ -296,30 +305,40 @@ def simulate_dae_oracle(
     B0 f' = 0; the SPD system matrix is Cholesky-factored once. The
     interior current balance is drift-checked at every recorded sample.
     Channels: f_<edge>, i_<node> (boundary), v0_<node> (interior).
+
+    A step past RK4's stability bound raises UnstableTimeStepError. The
+    nonzero spectrum of A is {-d_k} of the reduced pencil, since B0 A = 0,
+    and max d_k <= max(r / l) by Courant-Fischer when l > 0 (with equality
+    when there are no interior nodes). So A's eigenvalues are only
+    computed when that bound fails the test.
     """
     incidence = build_incidence(network)
-    mats = partition(incidence, network)
+    r, l = network.r_vector(), network.l_vector()
     f0 = np.asarray(f0, dtype=float)
-    drift0 = np.max(np.abs(mats.B0 @ f0)) if mats.B0.size else 0.0
+    drift0 = np.max(np.abs(incidence.b0 @ f0)) if incidence.b0.size else 0.0
     if drift0 > DRIFT_TOL * max(np.max(np.abs(f0), initial=0.0), 1e-300):
         raise InconsistentInitialConditionError(drift0)
-    linv = 1.0 / mats.l
-    B0 = mats.B0.astype(float)
-    B1 = mats.B1.astype(float)
+    linv = 1.0 / l
+    B0 = incidence.b0.astype(float)
+    B1 = incidence.b1.astype(float)
     n0 = B0.shape[0]
     v1 = excitation.evaluate(incidence.boundary_nodes, _stage_grid(cfg))
     if n0 > 0:
         B0L = B0 * linv[None, :]
         chol = cho_factor(B0L @ B0.T)
-        G = cho_solve(chol, B0 * (linv * mats.r)[None, :])   # v0 = G f + H v1
+        G = cho_solve(chol, B0 * (linv * r)[None, :])   # v0 = G f + H v1
         H = -cho_solve(chol, B0L @ B1.T)
-        A = linv[:, None] * (B0.T @ G - np.diag(mats.r))
+        A = linv[:, None] * (B0.T @ G - np.diag(r))
         forcing = v1 @ (linv[:, None] * (B0.T @ H + B1.T)).T
     else:
-        G = np.zeros((0, len(mats.l)))
+        G = np.zeros((0, len(l)))
         H = np.zeros((0, B1.shape[0]))
-        A = linv[:, None] * (-np.diag(mats.r))
+        A = linv[:, None] * (-np.diag(r))
         forcing = v1 @ (linv[:, None] * B1.T).T
+    try:
+        _rk4_decay_factor(r * linv, cfg.dt)
+    except UnstableTimeStepError:
+        _rk4_decay_factor(-np.linalg.eigvals(A).real, cfg.dt)
     steps, f = _rk4_lti(A, forcing, f0, cfg.dt, cfg.n_steps, cfg.record_stride)
     # Drift check on the algebraic constraint at each recorded sample.
     if n0 > 0:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kronred import Edge, Network, build_incidence, validate
-from kronred.linalg import nullspace
+from kronred.linalg import nullspace_basis
 
 
 def make_net_a(r=1.0, l=1.0):
@@ -69,7 +69,7 @@ def random_connected_network(
 
 def random_consistent_flow(network, rng):
     """Random edge flows satisfying the interior current balance."""
-    basis = nullspace(build_incidence(network).b0.astype(float))
+    basis = nullspace_basis(build_incidence(network).b0.astype(float))
     return basis @ rng.normal(size=basis.shape[1])
 
 

@@ -30,8 +30,7 @@ UNPHYSICAL_OMEGA0 = 82.78748912266214
 
 class TestHeuristicReduce:
     def test_balanced_wye_gives_balanced_delta(self):
-        synth = heuristic_reduce(make_balanced_wye(r=1.0, l=1.0), omega0=2.0)
-        net = synth.network
+        net = heuristic_reduce(make_balanced_wye(r=1.0, l=1.0), omega0=2.0)
         assert len(net.edges) == 3
         assert net.interior == ()
         for e in net.edges:
@@ -40,7 +39,7 @@ class TestHeuristicReduce:
 
     def test_delta_orientation_is_cyclic(self):
         synth = heuristic_reduce(make_balanced_wye(), omega0=1.0)
-        B = build_incidence(synth.network).matrix.astype(float)
+        B = build_incidence(synth).matrix.astype(float)
         assert np.array_equal(B, DELTA_INCIDENCE)
         assert np.max(np.abs(B @ np.ones(3))) == 0.0
 
@@ -50,16 +49,16 @@ class TestHeuristicReduce:
         alpha = 1.7
         l = (0.55, 0.64, 0.77)
         net = make_wye(r=tuple(alpha * x for x in l), l=l)
-        a = heuristic_reduce(net, omega0=0.8).network
-        b = heuristic_reduce(net, omega0=25.0).network
+        a = heuristic_reduce(net, omega0=0.8)
+        b = heuristic_reduce(net, omega0=25.0)
         for ea, eb in zip(a.edges, b.edges):
             assert abs(ea.r - eb.r) <= 1e-10 * abs(ea.r)
             assert abs(ea.l - eb.l) <= 1e-10 * abs(ea.l)
 
     def test_inhomogeneous_synthesis_depends_on_frequency(self):
         net = make_wye()
-        a = heuristic_reduce(net, omega0=1.0).network
-        b = heuristic_reduce(net, omega0=10.0).network
+        a = heuristic_reduce(net, omega0=1.0)
+        b = heuristic_reduce(net, omega0=10.0)
         assert any(abs(ea.r - eb.r) > 1e-3 for ea, eb in zip(a.edges, b.edges))
 
     def test_unphysical_element_raises(self):
@@ -70,7 +69,7 @@ class TestHeuristicReduce:
     def test_allow_unphysical_proceeds(self):
         net = make_wye(r=UNPHYSICAL_R, l=UNPHYSICAL_L)
         synth = heuristic_reduce(net, UNPHYSICAL_OMEGA0, allow_unphysical=True)
-        assert any(e.r < 0 for e in synth.network.edges)
+        assert any(e.r < 0 for e in synth.edges)
 
     def test_rejects_nonpositive_omega0(self):
         with pytest.raises(ValueError):
@@ -97,10 +96,6 @@ class TestMapInitialCondition:
             gamma = float(rng.uniform(-5, 5))
             f0 = map_initial_condition(DELTA_INCIDENCE, i1, gamma)
             assert np.allclose(DELTA_INCIDENCE @ f0, i1, atol=1e-10)
-
-    def test_gamma_vector_override(self):
-        f0 = map_initial_condition(DELTA_INCIDENCE, np.zeros(3), gamma_vector=[math.sqrt(3.0)])
-        assert np.allclose(np.abs(f0), 1.0)
 
 
 class TestDrawGammas:
@@ -148,11 +143,11 @@ class TestBaselineSweep:
         synth, runs = run_baseline_sweep(
             net, UNPHYSICAL_OMEGA0, exc, f0, [-1.0, 2.0], cfg, allow_unphysical=True
         )
-        assert any(e.r < 0 for e in synth.network.edges)
-        Br = build_incidence(synth.network).matrix
+        assert any(e.r < 0 for e in synth.edges)
+        Br = build_incidence(synth).matrix
         for gamma, traj in runs:
             f0_delta = map_initial_condition(Br, f0, gamma)
-            oracle = simulate_dae_oracle(synth.network, exc, f0_delta, cfg)
+            oracle = simulate_dae_oracle(synth, exc, f0_delta, cfg)
             assert compare_trajectories(traj, oracle)["max_rel"] <= 1e-9
 
     def test_transients_depend_on_gamma(self, wye):

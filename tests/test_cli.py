@@ -96,6 +96,16 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputFormat"
 
+    def test_non_utf8_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(wye_dict()).replace('"e1"', '"\u00e91"', 1).encode("latin-1"))
+        assert main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InputFormat"
+
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "IsADirectory"
+
 
 class TestUsageErrors:
     def test_no_command(self):
@@ -111,6 +121,11 @@ class TestUsageErrors:
     def test_bad_experiment_choice(self):
         with pytest.raises(SystemExit) as exc:
             main(["paper-experiment", "--which", "triangle"])
+        assert exc.value.code == 64
+
+    def test_non_numeric_gamma(self, manifest_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", manifest_file, "--method", "baseline", "--omega0", "9.4", "--gamma", "abc"])
         assert exc.value.code == 64
 
 
@@ -232,6 +247,59 @@ class TestSimulate:
         assert main(["simulate", manifest, "--method", "reduced"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == error
 
+    @pytest.mark.parametrize(
+        "entries, excitation, flags",
+        [
+            # the dae method never uses the strategy, but it is still checked
+            ({"strategy": "bogus"}, None, ["--method", "dae"]),
+            ({"seed": "abc"}, None, ["--method", "baseline", "--omega0", "9.4"]),
+            ({"seed": 1.5}, None, ["--method", "baseline", "--omega0", "9.4"]),
+            ({"f0": ["a", 1, 2]}, None, ["--method", "reduced"]),
+            ({"f0": [[-5.0, -5.0, 10.0]]}, None, ["--method", "reduced"]),
+            # used to write an all-nan CSV and exit 0
+            ({"f0": [float("nan"), 0.0, 0.0]}, None, ["--method", "dae"]),
+            ({}, {"signals": [1]}, ["--method", "reduced"]),
+        ],
+        ids=["strategy", "seed-text", "seed-fraction", "f0-text", "f0-nested", "f0-nan", "signals-list"],
+    )
+    def test_bad_manifest_exits_2(
+        self, tmp_path, wye_file, capsys, monkeypatch, entries, excitation, flags
+    ):
+        monkeypatch.delenv("KRONRED_SEED", raising=False)
+        write_json(tmp_path / "exc.json", excitation or sinusoid_excitation_dict())
+        manifest = write_json(
+            tmp_path / "m.json",
+            {
+                "network": "wye.json",
+                "excitation": "exc.json",
+                "solver": {"dt_s": 1e-3, "t_end_s": 0.1},
+                **entries,
+            },
+        )
+        assert main(["simulate", manifest, *flags]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InputFormat"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_dae_unstable_step_exits_2(self, tmp_path, wye_file, capsys):
+        # used to write values up to 7.6e4 and exit 0
+        write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "solver": {"dt_s": 2.0, "t_end_s": 20.0}},
+        )
+        assert main(["simulate", manifest, "--method", "dae"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "UnstableTimeStep"
+        assert not (tmp_path / "dae.csv").exists()
+
+    @pytest.mark.parametrize("omega0", ["0", "-1", "nan"])
+    def test_bad_omega0_exits_2(self, manifest_file, capsys, omega0):
+        args = ["simulate", manifest_file, "--method", "baseline", "--omega0", omega0, "--gamma", "1"]
+        assert main(args) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidFrequency"
+
     def test_stride_given_as_whole_float_runs(self, tmp_path, wye_file, capsys):
         write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
         manifest = write_json(
@@ -330,6 +398,13 @@ class TestPhasor:
     def test_wrong_phasor_count_exits_2(self, wye_file, capsys):
         assert main(["phasor", wye_file, "--omega", "1.0", "--v1", "120@0"]) == 2
 
+    @pytest.mark.parametrize("omega", ["-1", "0", "nan"])
+    def test_bad_omega_exits_2(self, wye_file, capsys, omega):
+        assert main(["phasor", wye_file, "--omega", omega]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "InvalidFrequency"
+
 
 class TestPaperExperiment:
     def test_sinusoid_summary(self, tmp_path, capsys):
@@ -377,3 +452,13 @@ class TestPaperExperiment:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
+
+    def test_non_integer_seed_variable_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("KRONRED_SEED", "abc")
+        code = main(["paper-experiment", "--which", "step", "--out-dir", str(tmp_path / "exp")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diag = json.loads(captured.err)
+        assert diag["error"] == "InputFormat"
+        assert "KRONRED_SEED" in diag["message"]

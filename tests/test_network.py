@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kronred import Edge, Network, build_incidence, partition, validate
+from kronred import Edge, Network, build_incidence, validate
 from kronred.errors import (
     DisconnectedNetworkError,
     EmptyBoundaryError,
@@ -105,26 +105,22 @@ class TestIncidence:
 
 class TestPartition:
     def test_wye_boundary_block_is_identity(self, wye):
-        mats = partition(build_incidence(wye), wye)
-        assert np.array_equal(mats.B1, np.eye(3))
-        assert np.allclose(np.diag(mats.R), [0.98, 0.99, 0.58])
-        assert np.allclose(np.diag(mats.L), [0.55, 0.64, 0.77])
+        assert np.array_equal(build_incidence(wye).b1, np.eye(3))
+        assert np.allclose(wye.r_vector(), [0.98, 0.99, 0.58])
+        assert np.allclose(wye.l_vector(), [0.55, 0.64, 0.77])
 
     def test_path_blocks(self, net_b):
-        mats = partition(build_incidence(net_b), net_b)
-        assert mats.B1.tolist() == [[1, 0], [0, -1]]
-        assert mats.B0.tolist() == [[-1, 1]]
+        inc = build_incidence(net_b)
+        assert inc.b1.tolist() == [[1, 0], [0, -1]]
+        assert inc.b0.tolist() == [[-1, 1]]
 
     def test_no_interior_gives_empty_block(self, net_a):
-        mats = partition(build_incidence(net_a), net_a)
-        assert mats.B0.shape == (0, 1)
+        assert build_incidence(net_a).b0.shape == (0, 1)
 
     def test_stacking_reproduces_b(self, rng):
         for _ in range(20):
-            net = random_connected_network(rng)
-            inc = build_incidence(net)
-            mats = partition(inc, net)
-            assert np.array_equal(np.vstack([mats.B1, mats.B0]), inc.matrix)
+            inc = build_incidence(random_connected_network(rng))
+            assert np.array_equal(np.vstack([inc.b1, inc.b0]), inc.matrix)
 
 
 class TestIncidenceProperties:

@@ -7,7 +7,6 @@ from kronred import (
     Phasor,
     admittance,
     build_incidence,
-    check_interior_invertibility,
     kron_reduce,
     phasor_solve,
 )
@@ -79,20 +78,9 @@ class TestAdmittance:
 
 
 class TestInteriorInvertibility:
-    def test_wye_both_conditions(self, wye):
-        assert check_interior_invertibility(wye) == {"c1": True, "c2": True}
-
-    def test_zero_resistance_keeps_c2(self):
-        net = make_balanced_wye(r=0.0, l=1.0)
-        cond = check_interior_invertibility(net)
-        assert not cond["c1"]
-        assert cond["c2"]
-
     def test_random_interior_block_invertible(self, rng):
         for _ in range(50):
             net = random_connected_network(rng)
-            cond = check_interior_invertibility(net)
-            assert cond["c1"] or cond["c2"]
             adm = admittance(net, omega=float(rng.uniform(0.5, 20)))
             n0 = adm.n_interior
             if n0:

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from kronred import (
+    Edge,
+    Network,
     PStrategy,
     build_incidence,
     embed_initial,
     homogeneous_reduce,
-    lift,
-    output_injections,
-    partition,
     reduce,
+    validate,
 )
 from kronred.errors import (
-    DimensionMismatchError,
     InconsistentInitialConditionError,
     NotHomogeneousError,
+    RankDeficientInputError,
 )
 from kronred.linalg import projection_identity_residual, schur_complement
 from kronred.reduction import build_P, model_from_dict, model_to_dict
@@ -56,22 +56,28 @@ class TestBuildP:
         for _ in range(15):
             net = random_connected_network(rng)
             inc = build_incidence(net)
-            mats = partition(inc, net)
-            P = build_P(mats.B0, inc, strategy, mats)
+            P = build_P(inc, net, strategy)
             assert P.shape == (len(net.edges), len(net.edges) - net.n_interior)
             assert np.linalg.matrix_rank(P) == P.shape[1]
-            if mats.B0.shape[0]:
-                assert np.max(np.abs(mats.B0 @ P)) <= 1e-9
+            if inc.b0.shape[0]:
+                assert np.max(np.abs(inc.b0 @ P)) <= 1e-9
 
     def test_tree_elimination_is_integer(self, rng):
         for _ in range(25):
             net = random_connected_network(rng)
             inc = build_incidence(net)
-            mats = partition(inc, net)
-            P = build_P(mats.B0, inc, PStrategy.TREE_ELIMINATION, mats)
+            P = build_P(inc, net, PStrategy.TREE_ELIMINATION)
             assert np.array_equal(P, np.rint(P))
-            if mats.B0.shape[0]:
-                assert not np.any(mats.B0 @ P.astype(int))
+            if inc.b0.shape[0]:
+                assert not np.any(inc.b0 @ P.astype(int))
+
+    def test_rank_deficient_raises(self, wye):
+        # Without boundary nodes B0 is the whole incidence matrix, whose
+        # rank is N - 1, so null(B0) is one dimension too large.
+        net = Network(wye.nodes, wye.edges, ())
+        for strategy in (PStrategy.ORTHONORMAL_NULL_BASIS, PStrategy.MODAL_DIAGONALIZING):
+            with pytest.raises(RankDeficientInputError):
+                build_P(build_incidence(net), net, strategy)
 
 
 class TestReduce:
@@ -93,6 +99,15 @@ class TestReduce:
         assert np.allclose(model.Lhat, [[1.0]])
         assert np.allclose(model.Rhat, [[1.0]])
         assert np.array_equal(model.Bhat, [[1.0], [-1.0]])
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_order_zero_model(self, strategy):
+        # an edge hanging from the only boundary node carries no flow
+        net = validate(Network(("1", "2"), (Edge("e1", "2", "1", 1.0, 1.0),), ("1",)))
+        model = reduce(net, strategy)
+        assert model.P.shape == (1, 0)
+        assert model.Lhat.shape == model.Rhat.shape == (0, 0)
+        assert model.Bhat.shape == (1, 0)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_order_and_definiteness(self, rng, strategy):
@@ -121,11 +136,11 @@ class TestEmbedLift:
 
     def test_lift_example(self, wye):
         model = reduce(wye, PStrategy.TREE_ELIMINATION)
-        assert np.allclose(lift(model.P, [-5.0, -5.0]), [-5.0, -5.0, 10.0])
+        assert np.allclose(model.P @ [-5.0, -5.0], [-5.0, -5.0, 10.0])
 
     def test_lift_zero(self, wye):
         model = reduce(wye)
-        assert np.allclose(lift(model.P, np.zeros(model.order)), 0.0)
+        assert np.allclose(model.P @ np.zeros(model.order), 0.0)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_round_trip(self, rng, strategy):
@@ -133,38 +148,30 @@ class TestEmbedLift:
             net = random_connected_network(rng)
             model = reduce(net, strategy)
             f0 = random_consistent_flow(net, rng)
-            assert np.allclose(lift(model.P, embed_initial(model.P, f0)), f0, atol=1e-12)
-
-    def test_dimension_mismatch(self, wye):
-        model = reduce(wye)
-        with pytest.raises(DimensionMismatchError):
-            lift(model.P, np.zeros(model.order + 1))
+            assert np.allclose(model.P @ embed_initial(model.P, f0), f0, atol=1e-12)
 
 
 class TestOutputInjections:
     def test_series_current(self, net_b):
-        inc = build_incidence(net_b)
-        P = np.array([[1.0], [1.0]])
-        assert np.allclose(output_injections(inc.b1, P, [3.0]), [3.0, -3.0])
+        model = reduce(net_b, PStrategy.TREE_ELIMINATION)
+        assert np.array_equal(model.P, [[1.0], [1.0]])
+        assert np.allclose(model.Bhat @ [3.0], [3.0, -3.0])
 
     def test_zero(self, wye):
         model = reduce(wye)
-        inc = build_incidence(wye)
-        assert np.allclose(output_injections(inc.b1, model.P, np.zeros(model.order)), 0.0)
+        assert np.allclose(model.Bhat @ np.zeros(model.order), 0.0)
 
     def test_wye_injections(self, wye):
         model = reduce(wye, PStrategy.TREE_ELIMINATION)
-        inc = build_incidence(wye)
-        i1 = output_injections(inc.b1, model.P, [-5.0, -5.0])
+        i1 = model.Bhat @ [-5.0, -5.0]
         assert np.allclose(i1, [-5.0, -5.0, 10.0])
 
     def test_injections_sum_to_zero(self, rng):
         for _ in range(10):
             net = random_connected_network(rng)
             model = reduce(net)
-            inc = build_incidence(net)
             fhat = rng.normal(size=model.order)
-            i1 = output_injections(inc.b1, model.P, fhat)
+            i1 = model.Bhat @ fhat
             assert abs(i1.sum()) <= 1e-9 * max(np.max(np.abs(i1)), 1e-300)
 
 
@@ -173,7 +180,7 @@ class TestHomogeneousReduce:
         net = make_net_b(r1=0.4, l1=0.4, r2=0.9, l2=0.9)
         hm = homogeneous_reduce(net)
         assert np.isclose(hm.alpha, 1.0)
-        lred_series = schur_complement(
+        lred_series, _ = schur_complement(
             build_incidence(net).matrix.astype(float)
             @ np.diag(1.0 / net.l_vector())
             @ build_incidence(net).matrix.T.astype(float),
@@ -198,16 +205,16 @@ class TestEquivalenceIdentities:
         for _ in range(20):
             net = random_connected_network(rng)
             inc = build_incidence(net)
-            mats = partition(inc, net)
+            r, l = net.r_vector(), net.l_vector()
             model = reduce(net)
             omega = float(rng.uniform(0.5, 20.0))
-            for w in (mats.l.astype(complex), mats.r + 1j * omega * mats.l):
+            for w in (l.astype(complex), r + 1j * omega * l):
                 PWP = model.P.T @ (w[:, None] * model.P)
-                lhs = mats.B1 @ model.P @ np.linalg.solve(PWP, model.P.T.astype(complex)) @ mats.B1.T
+                lhs = inc.b1 @ model.P @ np.linalg.solve(PWP, model.P.T.astype(complex)) @ inc.b1.T
                 B = inc.matrix.astype(float)
                 Wt = (B / w[None, :]) @ B.T
-                nb = mats.B1.shape[0]
-                rhs = schur_complement(Wt, range(nb, B.shape[0]))
+                nb = inc.b1.shape[0]
+                rhs, _ = schur_complement(Wt, range(nb, B.shape[0]))
                 scale = max(np.max(np.abs(rhs)), 1e-300)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 

@@ -188,6 +188,39 @@ class TestDaeOracle:
         traj = simulate_dae_oracle(net, zero_excitation(), [2.0], SolverConfig(dt=1e-3, t_end=1.0))
         assert np.max(np.abs(traj.channel("f_e1") - 2.0 * np.exp(-traj.times))) <= 1e-8
 
+    def test_unstable_step_rejected(self, wye):
+        # the fastest wye mode decays at about 1.66/s; dt * max(r / l) is
+        # 3.2 at dt = 1.8 and 2.85 at dt = 1.6, so both take the
+        # eigenvalue test, and only dt = 1.8 is past RK4's bound
+        f0 = [-5.0, -5.0, 10.0]
+        with pytest.raises(UnstableTimeStepError) as exc_info:
+            simulate_dae_oracle(wye, zero_excitation(), f0, SolverConfig(dt=1.8, t_end=18.0))
+        assert exc_info.value.rate == pytest.approx(1.8 * 1.66, rel=1e-2)
+        traj = simulate_dae_oracle(wye, zero_excitation(), f0, SolverConfig(dt=1.6, t_end=16.0))
+        assert np.all(np.isfinite(traj.data))
+
+    def test_unphysical_network_without_interior_nodes(self):
+        # A = -diag(r / l) here, so the bound is exact: the oracle and the
+        # modal core agree on every dt. The r < 0 edge grows in the
+        # continuous model too and is not an RK4 instability.
+        net = Network(
+            ("1", "2", "3"),
+            (Edge("a", "1", "2", -2.0, 1.0), Edge("b", "2", "3", 1.0, 1.0)),
+            ("1", "2", "3"),
+        )
+        exc = Excitation({"1": Sinusoid(5.0, 0.1, 0.0)})
+        f0 = [1.0, -1.0]
+        model = reduce(net)
+        cfg = SolverConfig(dt=2.78, t_end=27.8)
+        oracle = simulate_dae_oracle(net, exc, f0, cfg)
+        reduced = simulate_reduced(model, exc, f0, cfg)
+        assert compare_trajectories(reduced, oracle)["max_rel"] <= 1e-9
+        cfg = SolverConfig(dt=2.79, t_end=27.9)
+        for run in (simulate_dae_oracle, lambda *args: simulate_reduced(model, *args[1:])):
+            with pytest.raises(UnstableTimeStepError) as exc_info:
+                run(net, exc, f0, cfg)
+            assert exc_info.value.rate == pytest.approx(2.79)
+
     def test_matches_reduced_model(self, wye, rng):
         exc = Excitation(
             {

@@ -1,19 +1,23 @@
-"""The tree-elimination basis: a pinned golden P and its invariants.
+"""The tree-elimination basis: a pinned golden P and its invariants,
+and the invariants every other strategy shares.
 
-The invariants hold for any network: entries in {0, +-1}, B0 P = 0,
+The tree invariants hold for any network: entries in {0, +-1}, B0 P = 0,
 unit rows on the co-tree edges (so full column rank E - N0), |P|
 unchanged by edge flips, and the same boundary transfer Bhat Lhat^-1
-Bhat^T as every other strategy.
+Bhat^T as every other strategy. The SVD-based nullbasis and modal bases
+annihilate B0 to rounding, have rank E - N0 and give that same transfer;
+the modal Lhat and Rhat are diagonal.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kronred import Edge, Network, PStrategy, build_incidence, partition, reduce, validate
+from kronred import Edge, Network, PStrategy, build_incidence, reduce, validate
 from kronred.reduction import build_P
 
 TREE = PStrategy.TREE_ELIMINATION
+MODAL = PStrategy.MODAL_DIAGONALIZING
 
 
 def _grid(k, rng, boundary=None, shuffle=False):
@@ -103,8 +107,7 @@ def _tree_edges(network):
 
 def _tree_P(network):
     inc = build_incidence(network)
-    mats = partition(inc, network)
-    return build_P(mats.B0, inc, TREE, mats), mats
+    return build_P(inc, network, TREE), inc
 
 
 def _transfer(model):
@@ -156,8 +159,8 @@ def _check_invariants(net, P, B0, dtype):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(net=_networks(), data=st.data())
 def test_tree_basis_invariants(net, data):
-    P, mats = _tree_P(net)
-    _check_invariants(net, P, mats.B0, int)
+    P, inc = _tree_P(net)
+    _check_invariants(net, P, inc.b0, int)
     if P.size:
         assert np.linalg.matrix_rank(P) == P.shape[1]
     flipped = net.with_flipped_edge(data.draw(st.sampled_from(net.edges)).id)
@@ -166,15 +169,40 @@ def test_tree_basis_invariants(net, data):
         _assert_rel_close(_transfer(reduce(net, TREE)), _transfer(reduce(net)), 1e-8)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(net=_networks())
+def test_svd_basis_invariants(net):
+    inc = build_incidence(net)
+    E, n0 = len(net.edges), net.n_interior
+    tree = reduce(net, TREE)
+    for strategy in (PStrategy.ORTHONORMAL_NULL_BASIS, MODAL):
+        P = build_P(inc, net, strategy)
+        assert P.shape == (E, E - n0)
+        assert np.max(np.abs(inc.b0 @ P), initial=0.0) <= 1e-12
+        if P.size:
+            assert np.linalg.matrix_rank(P) == P.shape[1]
+        model = reduce(net, strategy)
+        assert np.array_equal(model.P, P)
+        if len(net.boundary) > 1:
+            _assert_rel_close(_transfer(model), _transfer(tree), 1e-8)
+        else:  # the one boundary node carries no current
+            assert np.max(np.abs(model.Bhat), initial=0.0) <= 1e-12
+        if strategy is MODAL:
+            off = ~np.eye(model.order, dtype=bool)
+            for M in (model.Lhat, model.Rhat):
+                scale = np.max(np.diag(M), initial=1.0)
+                assert np.max(np.abs(M[off]), initial=0.0) <= 1e-10 * scale
+            assert np.all(np.diag(model.Lhat) > 0)
+
+
 def test_k40_grid_invariants():
     net = _grid(40, np.random.default_rng(40))
     model = reduce(net, TREE)
     P = model.P
     inc = build_incidence(net)
-    mats = partition(inc, net)
     # float64 B0 P is exact for these small integers and runs through
     # BLAS; an integer matmul of this size takes seconds.
-    _check_invariants(net, P, mats.B0, float)
+    _check_invariants(net, P, inc.b0, float)
     tree = _tree_edges(net)
     cotree = [j for j in range(len(net.edges)) if j not in tree]
     for j in (min(tree), max(tree), cotree[0], cotree[-1]):
@@ -184,7 +212,7 @@ def test_k40_grid_invariants():
     # weighted Laplacian, which is what every strategy reproduces (the
     # nullbasis SVD takes seconds at this size).
     B = inc.matrix.astype(float)
-    lap = (B / mats.l) @ B.T
+    lap = (B / net.l_vector()) @ B.T
     nb = len(inc.boundary_nodes)
     ref = lap[:nb, :nb] - lap[:nb, nb:] @ np.linalg.solve(lap[nb:, nb:], lap[nb:, :nb])
     _assert_rel_close(_transfer(model), ref, 1e-8)
