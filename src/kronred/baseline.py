@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .compare import compare_trajectories
 from .errors import NegativeSynthesizedElementError
 from .linalg import min_norm_solution, nullspace_basis
 from .network import Edge, Network, build_incidence, validate
@@ -92,10 +93,11 @@ def map_initial_condition(Br: np.ndarray, i1_0, gamma: float = 0.0):
     return base + gamma * basis[:, 0]
 
 
-def draw_gammas(seed, count: int = 5, low: float = -5.0, high: float = 5.0):
-    """Seeded uniform gamma draws, matching the reference experiment."""
+def draw_gammas(seed):
+    """Five seeded uniform gamma draws on [-5, 5], as in the reference
+    experiment."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(low, high, size=count)
+    return rng.uniform(-5.0, 5.0, size=5)
 
 
 def run_baseline_sweep(
@@ -122,3 +124,21 @@ def run_baseline_sweep(
     gammas = [float(gamma) for gamma in gammas]
     f0s = [map_initial_condition(Br, i1_0, gamma) for gamma in gammas]
     return synth, list(zip(gammas, simulate_reduced_batch(model, excitation, f0s, cfg)))
+
+
+def baseline_errors(runs, oracle) -> list:
+    """Per-gamma error of each baseline run against the oracle, over the
+    boundary injections they share. Other channels, such as pseudoflows,
+    are coordinates of different models and are not compared."""
+    errors = []
+    for gamma, traj in runs:
+        channels = [c for c in traj.channels_with_prefix("i_") if c in oracle.channels]
+        cmp = compare_trajectories(traj, oracle, channels=channels)
+        errors.append(
+            {
+                "gamma": gamma,
+                "steady_state_error_rel": cmp["steady_rel"],
+                "transient_max_error_rel": cmp["max_rel"],
+            }
+        )
+    return errors

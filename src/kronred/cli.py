@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import draw_gammas, run_baseline_sweep
+from .baseline import baseline_errors, draw_gammas, run_baseline_sweep
 from .compare import compare_trajectories
 from .errors import (
     InputFormatError,
@@ -41,7 +41,7 @@ from .simulate import (
     simulate_homogeneous,
     simulate_reduced,
     trajectory_from_csv,
-    trajectory_to_csv,
+    write_trajectories,
 )
 
 EXIT_OK = 0
@@ -95,6 +95,9 @@ def _load_manifest(path):
     for key in ("network", "excitation"):
         if key not in obj:
             raise InputFormatError(f"manifest is missing {key!r}")
+    for key in ("network", "excitation", "out_dir"):
+        if not isinstance(obj.get(key, "."), str):
+            raise InputFormatError(f"manifest {key!r} must be a path string, got {obj[key]!r}")
     base = manifest_path.parent
     solver = obj.get("solver", {})
     try:
@@ -106,6 +109,9 @@ def _load_manifest(path):
     cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=record_stride)
     network = load_network(base / obj["network"])
     excitation = load_excitation(base / obj["excitation"])
+    stray = sorted(set(excitation.signals) - set(network.boundary))
+    if stray:
+        raise InputFormatError(f"excitation drives nodes that are not boundary nodes: {stray}")
     try:
         strategy = PStrategy(obj.get("strategy", "nullbasis"))
     except ValueError as exc:
@@ -134,26 +140,25 @@ def cmd_simulate(args):
     out_dir = Path(args.out_dir) if args.out_dir else m["out_dir"]
     out_dir.mkdir(parents=True, exist_ok=True)
     network, excitation, f0, cfg = m["network"], m["excitation"], m["f0"], m["cfg"]
-    written = []
+    report = None
     if args.method == "reduced":
-        model = load_model(args.model) if args.model else reduce(network, m["strategy"])
-        traj = simulate_reduced(model, excitation, f0, cfg)
-        path = out_dir / "reduced.csv"
-        trajectory_to_csv(traj, path)
-        written.append(path)
+        if args.model:
+            model = load_model(args.model)
+            inc = build_incidence(network)
+            if (model.edge_ids, model.boundary_nodes) != (inc.edge_ids, inc.boundary_nodes):
+                raise InputFormatError(
+                    f"model {args.model} is for other edges or boundary nodes than the manifest's network"
+                )
+        else:
+            model = reduce(network, m["strategy"])
+        trajectories = {"reduced": simulate_reduced(model, excitation, f0, cfg)}
     elif args.method == "dae":
-        traj = simulate_dae_oracle(network, excitation, f0, cfg)
-        path = out_dir / "dae.csv"
-        trajectory_to_csv(traj, path)
-        written.append(path)
+        trajectories = {"dae": simulate_dae_oracle(network, excitation, f0, cfg)}
     elif args.method == "homogeneous":
         hmodel = homogeneous_reduce(network, tol=args.homogeneity_tol)
         i1_0 = build_incidence(network).b1.astype(float) @ f0
-        traj = simulate_homogeneous(hmodel, excitation, i1_0, cfg)
-        path = out_dir / "homogeneous.csv"
-        trajectory_to_csv(traj, path)
-        written.append(path)
-    elif args.method == "baseline":
+        trajectories = {"homogeneous": simulate_homogeneous(hmodel, excitation, i1_0, cfg)}
+    else:  # baseline
         if args.omega0 is None:
             raise InputFormatError("--omega0 is required for the baseline method")
         if args.gamma:
@@ -169,21 +174,16 @@ def cmd_simulate(args):
             cfg,
             allow_unphysical=args.allow_unphysical,
         )
-        summary = []
-        oracle = trajectory_from_csv(args.oracle) if args.oracle else None
-        for k, (gamma, traj) in enumerate(runs):
-            path = out_dir / f"baseline_gamma_{k}.csv"
-            trajectory_to_csv(traj, path)
-            written.append(path)
-            entry = {"gamma": gamma}
-            if oracle is not None:
-                cmp = compare_trajectories(traj, oracle)
-                entry["steady_state_error_rel"] = cmp["steady_rel"]
-                entry["transient_max_error_rel"] = cmp["max_rel"]
-            summary.append(entry)
+        if args.oracle:
+            report = baseline_errors(runs, trajectory_from_csv(args.oracle))
+        else:
+            report = [{"gamma": gamma} for gamma, _ in runs]
+        trajectories = {f"baseline_gamma_{k}": traj for k, (_, traj) in enumerate(runs)}
+    written = write_trajectories(trajectories, out_dir)
+    if report is not None:
         path = out_dir / "baseline_summary.json"
         with open(path, "w") as fh:
-            json.dump(summary, fh, indent=2)
+            json.dump(report, fh, indent=2)
         written.append(path)
     for path in written:
         print(f"wrote {path}")
@@ -249,7 +249,6 @@ def cmd_paper_experiment(args):
         seed=resolve_seed(args.seed),
         cfg=cfg,
     )
-    summary.pop("_trajectories", None)
     json.dump(summary, sys.stdout, indent=2)
     print()
     return EXIT_OK

@@ -16,7 +16,6 @@ def compare_trajectories(
     b: Trajectory,
     channels=None,
     from_time: float = 0.0,
-    steady_fraction: float = STEADY_FRACTION,
 ) -> dict:
     """Error summary of `a` against reference `b` over t >= from_time.
 
@@ -28,7 +27,7 @@ def compare_trajectories(
     * max_abs — largest absolute deviation;
     * max_rel — largest deviation / reference scale;
     * steady_rel — same ratio restricted to the trailing
-      `steady_fraction` of the window.
+      STEADY_FRACTION of the window.
     """
     if channels is None:
         channels = [c for c in a.channels if c in b.channels]
@@ -40,7 +39,7 @@ def compare_trajectories(
     if not np.any(mask):
         raise InputFormatError(f"no samples at or after t={from_time}")
     t = a.times[mask]
-    steady_start = t[-1] - steady_fraction * (t[-1] - t[0])
+    steady_start = t[-1] - STEADY_FRACTION * (t[-1] - t[0])
     steady = t >= steady_start
     max_abs = 0.0
     max_rel = 0.0

@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .baseline import draw_gammas, run_baseline_sweep
+from .baseline import baseline_errors, draw_gammas, run_baseline_sweep
 from .compare import compare_trajectories
 from .errors import InputFormatError
 from .network import Edge, Network, validate
 from .reduction import reduce
 from .signals import Excitation, Sinusoid, Step
-from .simulate import SolverConfig, simulate_dae_oracle, simulate_reduced, trajectory_to_csv
+from .simulate import SolverConfig, simulate_dae_oracle, simulate_reduced, write_trajectories
 
 WYE_R = (0.98, 0.99, 0.58)          # ohms
 WYE_L = (0.55, 0.64, 0.77)          # henries
@@ -31,7 +31,6 @@ SIN_AMPLITUDE_V = 120.0
 SIN_PHASES_DEG = (0.0, 30.0, -30.0)
 STEP_VALUES_V = (120.0, 100.0, 110.0)
 OMEGA0 = 2.0 * math.pi * SIN_FREQ_HZ
-N_GAMMAS = 5
 
 
 def wye_network() -> Network:
@@ -86,8 +85,6 @@ def run_experiment(
 
     Returns a summary dict; when out_dir is given also writes one CSV per
     run (dae, reduced, baseline_gamma_<k>) plus summary.json there.
-    Trajectories are attached under the non-serialized key
-    "_trajectories" for in-process use.
     """
     if which == "sinusoid":
         excitation = sinusoid_excitation()
@@ -101,28 +98,16 @@ def run_experiment(
     f0 = np.array(WYE_F0)
     oracle = simulate_dae_oracle(network, excitation, f0, cfg)
     reduced_traj = simulate_reduced(reduce(network), excitation, f0, cfg)
-    gammas = draw_gammas(seed, N_GAMMAS)
+    gammas = draw_gammas(seed)
     synth, baseline_runs = run_baseline_sweep(network, OMEGA0, excitation, f0, gammas, cfg)
 
     i_channels = [f"i_{n}" for n in ("1", "2", "3")]
     exact_cmp = compare_trajectories(reduced_traj, oracle, channels=i_channels)
-    baseline_summaries = []
-    initial_max_dev = float(
-        np.max(np.abs(reduced_traj.select(i_channels).data[0] - oracle.select(i_channels).data[0]))
+    baseline_summaries = baseline_errors(baseline_runs, oracle)
+    initial_max_dev = max(
+        float(np.max(np.abs(traj.select(i_channels).data[0] - oracle.select(i_channels).data[0])))
+        for traj in [reduced_traj] + [run for _, run in baseline_runs]
     )
-    for gamma, traj in baseline_runs:
-        cmp = compare_trajectories(traj, oracle, channels=i_channels)
-        initial_max_dev = max(
-            initial_max_dev,
-            float(np.max(np.abs(traj.select(i_channels).data[0] - oracle.select(i_channels).data[0]))),
-        )
-        baseline_summaries.append(
-            {
-                "gamma": gamma,
-                "steady_state_error_rel": cmp["steady_rel"],
-                "transient_max_error_rel": cmp["max_rel"],
-            }
-        )
     steady_errors = [b["steady_state_error_rel"] for b in baseline_summaries]
     transient_errors = [b["transient_max_error_rel"] for b in baseline_summaries]
     observations = {
@@ -142,10 +127,7 @@ def run_experiment(
             compare_trajectories(traj, baseline_runs[0][1], channels=i_channels)["steady_rel"]
             for _, traj in baseline_runs[1:]
         ]
-        summary_pairwise = max(pairwise) if pairwise else 0.0
-        observations["baselines_coincide_with_each_other_in_steady_state"] = (
-            summary_pairwise <= 1e-2
-        )
+        observations["baselines_coincide_with_each_other_in_steady_state"] = max(pairwise) <= 1e-2
     summary = {
         "experiment": which,
         "seed": int(seed),
@@ -162,15 +144,10 @@ def run_experiment(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        trajectory_to_csv(oracle, out / "dae.csv")
-        trajectory_to_csv(reduced_traj, out / "reduced.csv")
+        trajectories = {"dae": oracle, "reduced": reduced_traj}
         for k, (_, traj) in enumerate(baseline_runs):
-            trajectory_to_csv(traj, out / f"baseline_gamma_{k}.csv")
+            trajectories[f"baseline_gamma_{k}"] = traj
+        write_trajectories(trajectories, out)
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)
-    summary["_trajectories"] = {
-        "dae": oracle,
-        "reduced": reduced_traj,
-        "baseline": baseline_runs,
-    }
     return summary

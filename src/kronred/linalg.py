@@ -21,31 +21,32 @@ NULL_TOL = 1e-10
 RCOND_SINGULAR = 1e-13
 
 
-def nullspace_basis(M: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
+def nullspace_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of null(M) via SVD, for a matrix of any rank.
 
-    The numerical rank counts the singular values above tol times the
-    largest. An empty or all-zero M yields the identity.
+    The numerical rank counts the singular values above NULL_TOL times
+    the largest. An empty or all-zero M yields the identity.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     k, n = M.shape
     if k == 0 or not M.any():
         return np.eye(n)
     _, s, vt = np.linalg.svd(M)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > NULL_TOL * s[0]))
     return vt[rank:, :].T.copy()
 
 
 def _check_block_conditioning(block):
-    cond = np.linalg.cond(block)
+    """SingularBlockError unless the block is invertible to working
+    precision; an empty block passes."""
+    cond = np.linalg.cond(block) if block.size else 1.0
     if not np.isfinite(cond) or 1.0 / cond < RCOND_SINGULAR:
         raise SingularBlockError(cond)
-    return cond
 
 
-def schur_complement(M: np.ndarray, interior_idx):
-    """Eliminate the rows/columns in `interior_idx`: M11 - M10 X with
-    X = M00^-1 M01.
+def schur_complement(M: np.ndarray, n0: int):
+    """Eliminate the trailing n0 rows/columns: M11 - M10 X with
+    X = M00^-1 M01, where M00 is the trailing n0 x n0 block.
 
     Works for real or complex square matrices; the general nonsymmetric
     form is used. Returns (Schur complement, X). Raises
@@ -53,31 +54,23 @@ def schur_complement(M: np.ndarray, interior_idx):
     precision.
     """
     M = np.asarray(M)
-    n = M.shape[0]
-    interior = np.asarray(sorted(interior_idx), dtype=int)
-    if interior.size == 0:
-        return M.copy(), np.zeros((0, n), dtype=M.dtype)
-    keep = np.setdiff1d(np.arange(n), interior)
-    M11 = M[np.ix_(keep, keep)]
-    M10 = M[np.ix_(keep, interior)]
-    M01 = M[np.ix_(interior, keep)]
-    M00 = M[np.ix_(interior, interior)]
-    _check_block_conditioning(M00)
-    X = np.linalg.solve(M00, M01)
-    return M11 - M10 @ X, X
+    k = M.shape[0] - n0
+    _check_block_conditioning(M[k:, k:])
+    X = np.linalg.solve(M[k:, k:], M[k:, :k])
+    return M[:k, :k] - M[:k, k:] @ X, X
 
 
-def min_norm_solution(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def min_norm_solution(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum Euclidean-norm x with Ax = b, via the pseudoinverse.
 
     Raises InconsistentSystemError when b is not in range(A) to relative
-    tolerance `tol`.
+    tolerance 1e-9.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     x, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
     residual = np.linalg.norm(A @ x - b)
-    if residual > tol * max(np.linalg.norm(b), 1e-300):
+    if residual > 1e-9 * max(np.linalg.norm(b), 1e-300):
         raise InconsistentSystemError(residual)
     return x
 
@@ -120,11 +113,8 @@ def projection_identity_residual(w: np.ndarray, P: np.ndarray, B0: np.ndarray) -
     _check_block_conditioning(PWP)
     lhs = P @ np.linalg.solve(PWP, P.T.astype(PWP.dtype))
     winv = 1.0 / w
-    if B0.shape[0] == 0:
-        rhs = np.diag(winv)
-    else:
-        B0W = B0 * winv[None, :]
-        G = B0W @ B0.T
-        _check_block_conditioning(G)
-        rhs = np.diag(winv) - B0W.T @ np.linalg.solve(G, B0W)
+    B0W = B0 * winv[None, :]
+    G = B0W @ B0.T
+    _check_block_conditioning(G)
+    rhs = np.diag(winv) - B0W.T @ np.linalg.solve(G, B0W)
     return float(np.max(np.abs(lhs - rhs)))

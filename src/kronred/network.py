@@ -179,6 +179,9 @@ def network_from_dict(obj) -> Network:
     missing = _NETWORK_KEYS - set(obj)
     if missing:
         raise InputFormatError(f"missing network keys: {sorted(missing)}")
+    for key in sorted(_NETWORK_KEYS):
+        if not isinstance(obj[key], list):
+            raise InputFormatError(f"network {key!r} must be a list, got {obj[key]!r}")
     if not all(isinstance(n, str) for n in obj["nodes"]):
         raise InputFormatError("node ids must be strings")
     edges = []

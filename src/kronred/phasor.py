@@ -51,7 +51,6 @@ class AdmittanceMatrix:
 
     Y: np.ndarray
     omega: float
-    n_interior: int
     boundary_nodes: tuple
     interior_nodes: tuple
 
@@ -78,7 +77,6 @@ def admittance(network: Network, omega: float) -> AdmittanceMatrix:
     return AdmittanceMatrix(
         Y=Y,
         omega=omega,
-        n_interior=len(inc.interior_nodes),
         boundary_nodes=inc.boundary_nodes,
         interior_nodes=inc.interior_nodes,
     )
@@ -91,8 +89,7 @@ def kron_reduce(adm: AdmittanceMatrix) -> KronReducedAdmittance:
     recovery map -Y00^-1 Y01 reconstructing interior voltages from
     boundary voltages (the interior rows of Y v = [i1; 0]).
     """
-    nb = adm.Y.shape[0] - adm.n_interior
-    Yr, X = schur_complement(adm.Y, range(nb, adm.Y.shape[0]))
+    Yr, X = schur_complement(adm.Y, len(adm.interior_nodes))
     return KronReducedAdmittance(
         Yr=Yr,
         recovery_map=-X,

@@ -42,7 +42,7 @@ class ReducedModel:
     """Reduced ODE matrices together with the lifting basis P.
 
     Lhat is SPD, Rhat PSD; the model order is E - N0. For the modal
-    strategy Lhat and Rhat are stored exactly diagonal.
+    strategy Lhat and Rhat are diagonal to rounding.
     """
 
     P: np.ndarray
@@ -169,12 +169,6 @@ def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy) -
     return P
 
 
-# Off-diagonal entries below this relative level are stored as exact
-# zeros for the modal strategy, so the independent-circuit form holds in
-# the serialized model too.
-_MODAL_ZERO_TOL = 1e-12
-
-
 def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BASIS) -> ReducedModel:
     """Assemble the exact reduced model of order E - N0."""
     incidence = build_incidence(network)
@@ -184,11 +178,6 @@ def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BA
     Rhat = P.T @ (r[:, None] * P)
     Lhat = 0.5 * (Lhat + Lhat.T)
     Rhat = 0.5 * (Rhat + Rhat.T)
-    if strategy is PStrategy.MODAL_DIAGONALIZING:
-        for M in (Lhat, Rhat):
-            scale = max(np.max(np.abs(np.diag(M)), initial=0.0), 1e-300)
-            off = ~np.eye(M.shape[0], dtype=bool)
-            M[off & (np.abs(M) < _MODAL_ZERO_TOL * scale)] = 0.0
     Bhat = incidence.b1.astype(float) @ P
     return ReducedModel(
         P=P,
@@ -201,17 +190,17 @@ def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BA
     )
 
 
-def embed_initial(P: np.ndarray, f0: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def embed_initial(P: np.ndarray, f0: np.ndarray) -> np.ndarray:
     """Coordinates fhat0 with P fhat0 = f0, for f0 in range(P).
 
     The caller's f0 must satisfy the interior current balance (it lies in
     null(B0) = range(P)); otherwise the least-squares residual exceeds
-    tol * ||f0|| and InconsistentInitialConditionError is raised.
+    1e-8 * ||f0|| and InconsistentInitialConditionError is raised.
     """
     f0 = np.asarray(f0, dtype=float)
     fhat0, _, _, _ = np.linalg.lstsq(P, f0, rcond=None)
     residual = np.linalg.norm(P @ fhat0 - f0)
-    if residual > tol * max(np.linalg.norm(f0), 1e-300):
+    if residual > 1e-8 * max(np.linalg.norm(f0), 1e-300):
         raise InconsistentInitialConditionError(residual)
     return fhat0
 
@@ -232,9 +221,7 @@ def homogeneous_reduce(network: Network, tol: float = 1e-9) -> HomogeneousReduce
     incidence = build_incidence(network)
     B = incidence.matrix.astype(float)
     Ltilde = (B / l[None, :]) @ B.T
-    n0 = len(incidence.interior_nodes)
-    nb = B.shape[0] - n0
-    Lred, _ = schur_complement(Ltilde, range(nb, B.shape[0]))
+    Lred, _ = schur_complement(Ltilde, len(incidence.interior_nodes))
     Lred = 0.5 * (Lred + Lred.T)
     return HomogeneousReducedModel(alpha=alpha, Lred=Lred, boundary_nodes=incidence.boundary_nodes)
 
@@ -253,18 +240,27 @@ def model_to_dict(model: ReducedModel) -> dict:
 
 
 def model_from_dict(obj) -> ReducedModel:
+    """Parse a reduced-model JSON object; the matrix shapes must agree
+    with edge_ids, boundary_nodes and the order (P's column count)."""
     try:
-        return ReducedModel(
-            P=np.asarray(obj["P"], dtype=float),
-            Lhat=np.asarray(obj["Lhat"], dtype=float),
-            Rhat=np.asarray(obj["Rhat"], dtype=float),
-            Bhat=np.asarray(obj["Bhat"], dtype=float),
-            strategy=PStrategy(obj["strategy"]),
-            boundary_nodes=tuple(obj["boundary_nodes"]),
-            edge_ids=tuple(obj["edge_ids"]),
-        )
+        mats = {key: np.asarray(obj[key], dtype=float) for key in ("P", "Lhat", "Rhat", "Bhat")}
+        strategy = PStrategy(obj["strategy"])
+        boundary_nodes = tuple(obj["boundary_nodes"])
+        edge_ids = tuple(obj["edge_ids"])
     except (KeyError, ValueError, TypeError) as exc:
         raise InputFormatError(f"malformed reduced-model JSON: {exc}") from exc
+    n = mats["P"].shape[1] if mats["P"].ndim == 2 else 0
+    nb, E = len(boundary_nodes), len(edge_ids)
+    expected = {"P": (E, n), "Lhat": (n, n), "Rhat": (n, n), "Bhat": (nb, n)}
+    for key, shape in expected.items():  # an empty Lhat's [] parses as shape (0,)
+        if mats[key].shape != shape and not (mats[key].size == 0 and 0 in shape):
+            raise InputFormatError(
+                f"reduced-model {key} has shape {mats[key].shape}, expected {shape}"
+            )
+        mats[key] = mats[key].reshape(shape)
+    return ReducedModel(
+        **mats, strategy=strategy, boundary_nodes=boundary_nodes, edge_ids=edge_ids
+    )
 
 
 def save_model(model: ReducedModel, path) -> None:

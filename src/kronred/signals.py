@@ -95,11 +95,18 @@ _SIGNAL_KEYS = {
 }
 
 
+def _finite(value):
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {value!r}")
+    return x
+
+
 def _signal_from_dict(node, raw):
     if not isinstance(raw, dict) or "type" not in raw:
         raise InputFormatError(f"signal for node {node!r} must have a 'type'")
     kind = raw["type"]
-    if kind not in _SIGNAL_KEYS:
+    if not isinstance(kind, str) or kind not in _SIGNAL_KEYS:
         raise InputFormatError(f"unknown signal type {kind!r} for node {node!r}")
     unknown = set(raw) - _SIGNAL_KEYS[kind]
     if unknown:
@@ -110,15 +117,15 @@ def _signal_from_dict(node, raw):
     try:
         if kind == "sinusoid":
             return Sinusoid(
-                amplitude=float(raw["amplitude_v"]),
-                freq=float(raw["freq_hz"]),
-                phase=math.radians(float(raw["phase_deg"])),
+                amplitude=_finite(raw["amplitude_v"]),
+                freq=_finite(raw["freq_hz"]),
+                phase=math.radians(_finite(raw["phase_deg"])),
             )
         if kind == "step":
-            return Step(value=float(raw["value_v"]), t_step=float(raw["t_step_s"]))
+            return Step(value=_finite(raw["value_v"]), t_step=_finite(raw["t_step_s"]))
         if kind == "constant":
-            return Constant(value=float(raw["value_v"]))
-        return Piecewise(breakpoints=tuple((float(t), float(v)) for t, v in raw["breakpoints"]))
+            return Constant(value=_finite(raw["value_v"]))
+        return Piecewise(breakpoints=tuple((_finite(t), _finite(v)) for t, v in raw["breakpoints"]))
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"bad signal for node {node!r}: {exc}") from exc
 

@@ -90,6 +90,18 @@ class TestValidate:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("key, value", [("edges", 5), ("nodes", 5), ("boundary", 7)])
+    def test_non_list_field_exits_2(self, tmp_path, capsys, key, value):
+        # used to end in a TypeError traceback with exit 1
+        bad = wye_dict()
+        bad[key] = value
+        path = write_json(tmp_path / "bad.json", bad)
+        assert main(["validate", path]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat" and key in diag["message"]
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
@@ -217,6 +229,22 @@ class TestSimulate:
         i0 = [traj.channel(f"i_{n}")[0] for n in ("1", "2", "3")]
         assert np.allclose(i0, [-5.0, -5.0, 10.0], atol=1e-9)
 
+    def test_baseline_report_compares_injections_only(self, manifest_file, tmp_path, capsys):
+        # With the reduced model's CSV as the reference, the baseline's
+        # pseudoflows used to be compared with the reduced model's, which
+        # are other coordinates: a transient error of 2.9 instead of 0.02.
+        assert main(["simulate", manifest_file, "--method", "reduced"]) == 0
+        assert main(["simulate", manifest_file, "--method", "dae"]) == 0
+        reports = []
+        for reference in ("reduced", "dae"):
+            args = ["simulate", manifest_file, "--method", "baseline", "--omega0", "9.42",
+                    "--gamma", "1.0", "--oracle", str(tmp_path / "out" / f"{reference}.csv"),
+                    "--out-dir", str(tmp_path / reference)]
+            assert main(args) == 0
+            reports.append(json.loads((tmp_path / reference / "baseline_summary.json").read_text()))
+        for key in ("steady_state_error_rel", "transient_max_error_rel"):
+            assert reports[0][0][key] == pytest.approx(reports[1][0][key], rel=1e-6)
+
     def test_nan_resistance_exits_2_without_output(self, manifest_file, tmp_path, capsys):
         bad = wye_dict()
         bad["edges"][0]["r_ohm"] = float("nan")
@@ -259,8 +287,19 @@ class TestSimulate:
             # used to write an all-nan CSV and exit 0
             ({"f0": [float("nan"), 0.0, 0.0]}, None, ["--method", "dae"]),
             ({}, {"signals": [1]}, ["--method", "reduced"]),
+            # these ended in a TypeError traceback with exit 1
+            ({"network": 5}, None, ["--method", "dae"]),
+            ({"excitation": 5}, None, ["--method", "dae"]),
+            ({"out_dir": 3}, None, ["--method", "dae"]),
+            ({}, {"signals": {"1": {"type": []}}}, ["--method", "dae"]),
+            # used to run with zero drive and exit 0
+            ({}, {"signals": {"9": {"type": "constant", "value_v": 1.0}}}, ["--method", "reduced"]),
         ],
-        ids=["strategy", "seed-text", "seed-fraction", "f0-text", "f0-nested", "f0-nan", "signals-list"],
+        ids=[
+            "strategy", "seed-text", "seed-fraction", "f0-text", "f0-nested", "f0-nan",
+            "signals-list", "network-int", "excitation-int", "out_dir-int", "type-list",
+            "signal-not-boundary",
+        ],
     )
     def test_bad_manifest_exits_2(
         self, tmp_path, wye_file, capsys, monkeypatch, entries, excitation, flags
@@ -282,6 +321,66 @@ class TestSimulate:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "InputFormat"
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("method", ["reduced", "dae"])
+    @pytest.mark.parametrize(
+        "signal",
+        [
+            {"type": "sinusoid", "amplitude_v": "nan", "freq_hz": 1.5, "phase_deg": 0.0},
+            {"type": "sinusoid", "amplitude_v": 1.0, "freq_hz": "inf", "phase_deg": 0.0},
+            {"type": "step", "value_v": "-inf", "t_step_s": 0.0},
+            {"type": "piecewise", "breakpoints": [[0.0, 1.0], [0.5, float("nan")]]},
+        ],
+        ids=["amplitude-nan", "freq-inf", "step-value-inf", "breakpoint-nan"],
+    )
+    def test_non_finite_signal_exits_2(self, tmp_path, wye_file, capsys, method, signal):
+        # used to write nan rows after t=0 and exit 0
+        excitation = sinusoid_excitation_dict()
+        excitation["signals"]["2"] = signal
+        write_json(tmp_path / "exc.json", excitation)
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "f0": [-5.0, -5.0, 10.0],
+             "solver": {"dt_s": 1e-3, "t_end_s": 0.1}},
+        )
+        assert main(["simulate", manifest, "--method", method]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat"
+        assert "'2'" in diag["message"] and "non-finite" in diag["message"]
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_model_for_another_network_exits_2(self, manifest_file, tmp_path, capsys):
+        # used to end in LinAlgError: Incompatible dimensions, exit 1
+        one_edge = {
+            "nodes": ["1", "2"],
+            "boundary": ["1", "2"],
+            "edges": [{"id": "e1", "from": "1", "to": "2", "r_ohm": 1.0, "l_henry": 1.0}],
+        }
+        network = write_json(tmp_path / "one.json", one_edge)
+        model = tmp_path / "model.json"
+        assert main(["reduce", network, "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", manifest_file, "--method", "reduced", "--model", str(model)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InputFormat"
+        assert not (tmp_path / "out" / "reduced.csv").exists()
+
+    def test_model_with_inconsistent_shapes_exits_2(self, manifest_file, wye_file, tmp_path, capsys):
+        # a 3 x 3 Lhat for an order-2 model used to end in a traceback
+        model = tmp_path / "model.json"
+        assert main(["reduce", wye_file, "--p-strategy", "tree", "--out", str(model)]) == 0
+        obj = json.loads(model.read_text())
+        obj["Lhat"] = np.eye(3).tolist()
+        write_json(model, obj)
+        capsys.readouterr()
+        assert main(["simulate", manifest_file, "--method", "reduced", "--model", str(model)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat" and "Lhat" in diag["message"]
 
     def test_dae_unstable_step_exits_2(self, tmp_path, wye_file, capsys):
         # used to write values up to 7.6e4 and exit 0

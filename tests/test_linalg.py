@@ -60,11 +60,11 @@ class TestNullspaceBasis:
 class TestSchurComplement:
     def test_block_diagonal(self):
         M = np.diag([2.0, 3.0, 5.0, 7.0])
-        assert np.allclose(schur_complement(M, [2, 3])[0], np.diag([2.0, 3.0]))
+        assert np.allclose(schur_complement(M, 2)[0], np.diag([2.0, 3.0]))
 
     def test_two_by_two(self):
         M = np.array([[2.0, -1.0], [-1.0, 2.0]])
-        S, X = schur_complement(M, [1])
+        S, X = schur_complement(M, 1)
         assert np.allclose(S, [[1.5]])
         assert np.allclose(X, [[-0.5]])
 
@@ -74,25 +74,25 @@ class TestSchurComplement:
             [[1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1], [-1, -1, -1, 3]],
             dtype=complex,
         ) / z
-        reduced, _ = schur_complement(L, [3])
+        reduced, _ = schur_complement(L, 1)
         expected = (np.eye(3) - np.ones((3, 3)) / 3.0) / z
         assert np.allclose(reduced, expected)
 
     def test_empty_interior_is_identity_op(self):
         M = np.arange(9.0).reshape(3, 3)
-        S, X = schur_complement(M, [])
+        S, X = schur_complement(M, 0)
         assert np.array_equal(S, M)
         assert X.shape == (0, 3)
 
     def test_singular_block_raises(self):
         with pytest.raises(SingularBlockError):
-            schur_complement(np.diag([1.0, 0.0]), [1])
+            schur_complement(np.diag([1.0, 0.0]), 1)
 
     def test_symmetry_preserved(self, rng):
         for _ in range(20):
             A = rng.normal(size=(6, 6))
             M = A @ A.T + 6 * np.eye(6)
-            S, _ = schur_complement(M, [3, 4, 5])
+            S, _ = schur_complement(M, 3)
             assert np.max(np.abs(S - S.T)) <= 1e-12 * np.max(np.abs(S))
 
 

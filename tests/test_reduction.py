@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from kronred import (
 )
 from kronred.errors import (
     InconsistentInitialConditionError,
+    InputFormatError,
     NotHomogeneousError,
     RankDeficientInputError,
 )
@@ -184,7 +187,7 @@ class TestHomogeneousReduce:
             build_incidence(net).matrix.astype(float)
             @ np.diag(1.0 / net.l_vector())
             @ build_incidence(net).matrix.T.astype(float),
-            [2],
+            1,
         )
         assert np.allclose(hm.Lred, lred_series)
 
@@ -214,7 +217,7 @@ class TestEquivalenceIdentities:
                 B = inc.matrix.astype(float)
                 Wt = (B / w[None, :]) @ B.T
                 nb = inc.b1.shape[0]
-                rhs, _ = schur_complement(Wt, range(nb, B.shape[0]))
+                rhs, _ = schur_complement(Wt, B.shape[0] - nb)
                 scale = max(np.max(np.abs(rhs)), 1e-300)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
@@ -231,3 +234,27 @@ class TestModelSerialization:
         assert clone.strategy == model.strategy
         assert clone.boundary_nodes == model.boundary_nodes
         assert clone.edge_ids == model.edge_ids
+
+    def test_order_zero_round_trip(self):
+        # JSON writes an empty Lhat as [], which used to load with shape (0,)
+        net = validate(Network(("1", "2"), (Edge("e1", "2", "1", 1.0, 1.0),), ("1",)))
+        clone = model_from_dict(json.loads(json.dumps(model_to_dict(reduce(net)))))
+        assert clone.Lhat.shape == clone.Rhat.shape == (0, 0)
+        assert clone.P.shape == clone.Bhat.shape == (1, 0)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("Lhat", np.eye(3).tolist()),
+            ("Rhat", [1.0, 2.0]),
+            ("Bhat", [[1.0, 0.0]]),
+            ("P", [[1.0, 0.0], [0.0, 1.0]]),
+            ("edge_ids", ["e1", "e2"]),
+            ("boundary_nodes", ["1", "2"]),
+        ],
+    )
+    def test_shapes_must_agree_with_ids(self, wye, key, value):
+        obj = model_to_dict(reduce(wye))
+        obj[key] = value
+        with pytest.raises(InputFormatError, match="shape"):
+            model_from_dict(obj)

@@ -32,6 +32,7 @@ from kronred import (
     zero_excitation,
 )
 from kronred.errors import (
+    ConstraintDriftError,
     InconsistentInitialConditionError,
     InputFormatError,
     InsufficientWindowError,
@@ -150,6 +151,19 @@ class TestReducedSimulation:
             scale = max(np.max(np.abs(inj)), 1e-300)
             assert np.max(np.abs(inj.sum(axis=1))) <= 1e-9 * scale
 
+    def test_modal_model_skips_congruence(self, wye, monkeypatch):
+        # A modal pencil is diagonal to rounding, so the modal core must
+        # not pay for a second O(n^3) congruence on it.
+        def congruence(*args):
+            raise AssertionError("congruence computed")
+
+        monkeypatch.setattr(simulate_module, "simultaneous_diagonalization", congruence)
+        f0, cfg = [-5.0, -5.0, 10.0], SolverConfig(dt=1e-3, t_end=0.1)
+        traj = simulate_reduced(reduce(wye, PStrategy.MODAL_DIAGONALIZING), zero_excitation(), f0, cfg)
+        assert np.allclose([traj.channel(f"i_{n}")[0] for n in ("1", "2", "3")], f0)
+        with pytest.raises(AssertionError, match="congruence"):
+            simulate_reduced(reduce(wye), zero_excitation(), f0, cfg)
+
     def test_unforced_energy_nonincreasing(self, rng):
         for _ in range(5):
             net = random_connected_network(rng)
@@ -220,6 +234,53 @@ class TestDaeOracle:
             with pytest.raises(UnstableTimeStepError) as exc_info:
                 run(net, exc, f0, cfg)
             assert exc_info.value.rate == pytest.approx(2.79)
+
+    @pytest.mark.parametrize("r, l, dt", [(1.0, 0.5, 1e-3), (1e3, 1e-3, 1e-6)])
+    def test_dead_end_edge_is_not_drift(self, r, l, dt):
+        # The edge's flow is zero in exact arithmetic, so every sample is
+        # rounding noise and all of it is B0 f; this used to raise
+        # ConstraintDriftError at the first step. The noise scales with
+        # 1/l, and a large r does not damp it (about 3e-13 A for l = 1e-3
+        # with r = 1 or r = 1e3).
+        net = validate(Network(("0", "1"), (Edge("e0", "1", "0", r, l),), ("0",)))
+        exc = Excitation({"0": Sinusoid(64.0, 1.7, -2.75)})
+        traj = simulate_dae_oracle(net, exc, [0.0], SolverConfig(dt=dt, t_end=0.05))
+        assert np.max(np.abs(traj.channel("f_e0"))) <= 5e-15 / l
+
+    def test_drift_raises(self, wye, monkeypatch):
+        # a KCL violation of 1e-6 of the flow scale on the last sample
+        def drifting(*args):
+            steps, f = _rk4_lti(*args)
+            f[-1] += 1e-6 * np.max(np.abs(f[-1])) * np.array([1.0, 0.0, 0.0])
+            return steps, f
+
+        monkeypatch.setattr(simulate_module, "_rk4_lti", drifting)
+        exc = Excitation({"1": Sinusoid(120.0, 1.5, 0.0)})
+        with pytest.raises(ConstraintDriftError):
+            simulate_dae_oracle(wye, exc, [-5.0, -5.0, 10.0], SolverConfig(dt=1e-3, t_end=0.1))
+
+    def test_drift_raises_on_stiff_mixed_network(self, monkeypatch):
+        # One edge with l = 1e-6, the rest with r = 1e3, so the flows are
+        # resistance-limited (about 1e-3 A) over a 10 s run. The rounding
+        # floor of node "m" grows with the small l; a 1e-6 KCL violation
+        # at node "n", which that edge does not meet, must still raise.
+        net = validate(Network(("a", "b", "c", "m", "n"), (
+            Edge("e0", "a", "m", 1e-3, 1e-6), Edge("e1", "m", "n", 1e3, 1.0),
+            Edge("e2", "n", "b", 1e3, 1.0), Edge("e3", "n", "c", 1e3, 1.0),
+        ), ("a", "b", "c")))
+        exc = Excitation({"a": Sinusoid(1.0, 1.0, 0.0)})
+        cfg = SolverConfig(dt=1e-3, t_end=10.0, record_stride=100)
+        traj = simulate_dae_oracle(net, exc, [0.0] * 4, cfg)
+        assert 1e-4 < np.max(np.abs(traj.channel("f_e3"))) < 1e-2
+
+        def drifting(*args):
+            steps, f = _rk4_lti(*args)
+            f[-1] += 1e-6 * np.max(np.abs(f[-1])) * np.array([0.0, 0.0, 0.0, 1.0])
+            return steps, f
+
+        monkeypatch.setattr(simulate_module, "_rk4_lti", drifting)
+        with pytest.raises(ConstraintDriftError):
+            simulate_dae_oracle(net, exc, [0.0] * 4, cfg)
 
     def test_matches_reduced_model(self, wye, rng):
         exc = Excitation(

@@ -6,15 +6,31 @@ unit rows on the co-tree edges (so full column rank E - N0), |P|
 unchanged by edge flips, and the same boundary transfer Bhat Lhat^-1
 Bhat^T as every other strategy. The SVD-based nullbasis and modal bases
 annihilate B0 to rounding, have rank E - N0 and give that same transfer;
-the modal Lhat and Rhat are diagonal.
+the modal Lhat and Rhat are diagonal. Simulated from a consistent
+initial flow, every strategy's reduced model gives the boundary
+injections of the DAE oracle.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kronred import Edge, Network, PStrategy, build_incidence, reduce, validate
+from kronred import (
+    Edge,
+    Excitation,
+    Network,
+    PStrategy,
+    Sinusoid,
+    SolverConfig,
+    build_incidence,
+    reduce,
+    simulate_dae_oracle,
+    simulate_reduced,
+    validate,
+)
 from kronred.reduction import build_P
+
+from conftest import random_consistent_flow
 
 TREE = PStrategy.TREE_ELIMINATION
 MODAL = PStrategy.MODAL_DIAGONALIZING
@@ -193,6 +209,48 @@ def test_svd_basis_invariants(net):
                 scale = np.max(np.diag(M), initial=1.0)
                 assert np.max(np.abs(M[off]), initial=0.0) <= 1e-10 * scale
             assert np.all(np.diag(model.Lhat) > 0)
+
+
+# A triangle with a parallel edge and no interior nodes (N0 = 0), and a
+# network whose only boundary node carries no current, with an edge that
+# dead-ends in an interior node.
+_NO_INTERIOR = validate(Network(("a", "b", "c"), (
+    Edge("e0", "a", "b", 0.6, 0.9), Edge("e1", "b", "c", 1.0, 0.5),
+    Edge("e2", "c", "a", 0.7, 0.7), Edge("e3", "b", "a", 0.5, 1.0),
+), ("a", "b", "c")))
+_ONE_BOUNDARY = validate(Network(("0", "1", "2", "3"), (
+    Edge("e0", "0", "1", 0.6, 0.9), Edge("e1", "1", "2", 1.0, 0.5),
+    Edge("e2", "2", "0", 0.7, 0.7), Edge("e3", "3", "1", 0.5, 1.0),
+), ("0",)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(net=_networks(), seed=st.integers(0, 2**32 - 1))
+@example(net=_NO_INTERIOR, seed=1)
+@example(net=_ONE_BOUNDARY, seed=2)
+def test_reduced_injections_match_oracle(net, seed):
+    # Short horizon, seeded sinusoids on every boundary node. Errors are
+    # relative to the current scale: the oracle's largest edge flow or
+    # injection, or the largest the inputs can drive (|f0| plus the ramp
+    # max|v| t_end / min(l)), since a lone boundary node or an edge that
+    # dead-ends carries no current.
+    rng = np.random.default_rng(seed)
+    f0 = random_consistent_flow(net, rng)
+    amplitudes = rng.uniform(1, 100, size=len(net.boundary))
+    excitation = Excitation({
+        n: Sinusoid(float(a), float(rng.uniform(0.5, 5)), float(rng.uniform(-3, 3)))
+        for n, a in zip(net.boundary, amplitudes)
+    })
+    cfg = SolverConfig(dt=1e-3, t_end=0.05)
+    oracle = simulate_dae_oracle(net, excitation, f0, cfg)
+    channels = oracle.channels_with_prefix("i_")
+    currents = oracle.select(oracle.channels_with_prefix("f_") + channels).data
+    ramp = np.max(amplitudes) * cfg.t_end / np.min(net.l_vector())
+    scale = max(np.max(np.abs(currents)), np.max(np.abs(f0)), ramp)
+    for strategy in PStrategy:
+        reduced = simulate_reduced(reduce(net, strategy), excitation, f0, cfg)
+        deviation = np.max(np.abs(reduced.select(channels).data - oracle.select(channels).data))
+        assert deviation <= 1e-9 * scale
 
 
 def test_k40_grid_invariants():
