@@ -11,7 +11,6 @@ from .network import Edge, IncidenceMatrix, Network, build_incidence, load_netwo
 from .linalg import (
     min_norm_solution,
     nullspace_basis,
-    projection_identity_residual,
     schur_complement,
     simultaneous_diagonalization,
 )
@@ -39,7 +38,6 @@ from .signals import Constant, Excitation, Piecewise, Sinusoid, Step, load_excit
 from .simulate import (
     SolverConfig,
     Trajectory,
-    extract_steady_phasors,
     simulate_dae_oracle,
     simulate_homogeneous,
     simulate_reduced,

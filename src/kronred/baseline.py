@@ -14,7 +14,7 @@ import numpy as np
 
 from .compare import compare_trajectories
 from .errors import NegativeSynthesizedElementError
-from .linalg import min_norm_solution, nullspace_basis
+from .linalg import dense, min_norm_solution, nullspace_basis
 from .network import Edge, Network, build_incidence, validate
 from .phasor import admittance, kron_reduce
 from .reduction import PStrategy, reduce
@@ -81,7 +81,7 @@ def map_initial_condition(Br: np.ndarray, i1_0, gamma: float = 0.0):
     (a single cycle), gamma multiplies the plain ones vector; otherwise
     it scales the first orthonormal null-basis vector.
     """
-    Br = np.asarray(Br, dtype=float)
+    Br = dense(Br).astype(float)
     base = min_norm_solution(Br, np.asarray(i1_0, dtype=float))
     E = Br.shape[1]
     basis = nullspace_basis(Br)
@@ -118,7 +118,7 @@ def run_baseline_sweep(
     """
     synth = heuristic_reduce(network, omega0, allow_unphysical=allow_unphysical)
     inc = build_incidence(network)
-    i1_0 = inc.b1.astype(float) @ np.asarray(f0_full, dtype=float)
+    i1_0 = inc.b1 @ np.asarray(f0_full, dtype=float)
     Br = build_incidence(synth).matrix
     model = reduce(synth, PStrategy.TREE_ELIMINATION)
     gammas = [float(gamma) for gamma in gammas]

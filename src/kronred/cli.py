@@ -24,7 +24,7 @@ from .errors import (
     NotHomogeneousError,
 )
 from .experiment import resolve_seed, run_experiment
-from .network import build_incidence, load_json, load_network
+from .network import build_incidence, json_float, load_json, load_network
 from .phasor import Phasor, admittance, kron_reduce, phasor_solve, recover_interior_phasors
 from .reduction import (
     PStrategy,
@@ -101,9 +101,9 @@ def _load_manifest(path):
     base = manifest_path.parent
     solver = obj.get("solver", {})
     try:
-        dt = float(solver.get("dt_s", 1e-4))
-        t_end = float(solver.get("t_end_s", 10.0))
-        record_stride = float(solver.get("record_stride", 1))
+        dt = json_float(solver.get("dt_s", 1e-4))
+        t_end = json_float(solver.get("t_end_s", 10.0))
+        record_stride = json_float(solver.get("record_stride", 1))
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed solver settings in {path}: {exc}") from exc
     cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=record_stride)
@@ -116,11 +116,13 @@ def _load_manifest(path):
         strategy = PStrategy(obj.get("strategy", "nullbasis"))
     except ValueError as exc:
         raise InputFormatError(f"bad strategy in {path}: {exc}") from exc
+    raw_f0 = obj.get("f0", [0.0] * len(network.edges))
     try:
-        f0 = np.asarray(obj.get("f0", [0.0] * len(network.edges)), dtype=float)
+        f0 = np.asarray(raw_f0, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed f0 in {path}: {exc}") from exc
-    if f0.shape != (len(network.edges),) or not np.all(np.isfinite(f0)):
+    booleans = isinstance(raw_f0, list) and any(isinstance(v, bool) for v in raw_f0)
+    if booleans or f0.shape != (len(network.edges),) or not np.all(np.isfinite(f0)):
         raise InputFormatError(
             f"f0 must list {len(network.edges)} finite edge flows, got {obj.get('f0')!r}"
         )
@@ -156,7 +158,7 @@ def cmd_simulate(args):
         trajectories = {"dae": simulate_dae_oracle(network, excitation, f0, cfg)}
     elif args.method == "homogeneous":
         hmodel = homogeneous_reduce(network, tol=args.homogeneity_tol)
-        i1_0 = build_incidence(network).b1.astype(float) @ f0
+        i1_0 = build_incidence(network).b1 @ f0
         trajectories = {"homogeneous": simulate_homogeneous(hmodel, excitation, i1_0, cfg)}
     else:  # baseline
         if args.omega0 is None:

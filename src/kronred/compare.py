@@ -19,8 +19,11 @@ def compare_trajectories(
 ) -> dict:
     """Error summary of `a` against reference `b` over t >= from_time.
 
-    Channels default to those common to both trajectories (in a's
-    order). Per channel the deviation is normalized by the reference's
+    Channels default to the boundary injections i_<node> common to both
+    trajectories, or to every common channel when they share none (in
+    a's order): other channels, such as a reduced model's pseudoflows
+    fhat_<k>, are coordinates that differ between P strategies. Per
+    channel the deviation is normalized by the reference's
     peak magnitude over the window; the reported numbers are maxima over
     channels:
 
@@ -30,7 +33,8 @@ def compare_trajectories(
       STEADY_FRACTION of the window.
     """
     if channels is None:
-        channels = [c for c in a.channels if c in b.channels]
+        common = [c for c in a.channels if c in b.channels]
+        channels = [c for c in common if c.startswith("i_")] or common
     if not channels:
         raise DimensionMismatchError("no common channels to compare")
     if a.times.shape != b.times.shape or not np.allclose(a.times, b.times, atol=1e-12):

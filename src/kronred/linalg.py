@@ -1,10 +1,15 @@
-"""Dense linear-algebra kernels: null-space bases, Schur complements,
-minimum-norm least squares, and simultaneous diagonalization of an
-SPD/PSD symmetric pencil."""
+"""Linear-algebra kernels: null-space bases (dense SVD), Schur
+complements (sparse or dense LU), minimum-norm least squares, and
+simultaneous diagonalization of an SPD/PSD symmetric pencil."""
 
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
+from scipy import sparse
+from scipy.sparse import linalg as splinalg
 
 from .errors import (
     InconsistentSystemError,
@@ -20,20 +25,38 @@ NULL_TOL = 1e-10
 # rcond threshold below which eliminated blocks are treated as singular.
 RCOND_SINGULAR = 1e-13
 
+# Fill (fraction of nonzero entries) below which a matrix is multiplied
+# or factored as a sparse array. Denser ones go to BLAS and LAPACK, which
+# are faster on them and give the bits of the plain dense computation.
+SPARSE_FILL = 0.1
+
 
 def nullspace_basis(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of null(M) via SVD, for a matrix of any rank.
+    """Orthonormal basis of null(M) via SVD, for a dense or sparse M of
+    any rank.
 
     The numerical rank counts the singular values above NULL_TOL times
     the largest. An empty or all-zero M yields the identity.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(dense(M)).astype(float)
     k, n = M.shape
     if k == 0 or not M.any():
         return np.eye(n)
     _, s, vt = np.linalg.svd(M)
     rank = int(np.sum(s > NULL_TOL * s[0]))
     return vt[rank:, :].T.copy()
+
+
+def dense(A):
+    """A as a numpy array, whether it is dense or scipy.sparse."""
+    return A.toarray() if sparse.issparse(A) else np.asarray(A)
+
+
+def sparse_or_dense(A):
+    """A as a CSR array when fewer than SPARSE_FILL of its entries are
+    nonzero, else as a dense array."""
+    nnz = A.nnz if sparse.issparse(A) else np.count_nonzero(A)
+    return sparse.csr_array(A) if nnz < SPARSE_FILL * np.prod(A.shape) else dense(A)
 
 
 def _check_block_conditioning(block):
@@ -44,20 +67,50 @@ def _check_block_conditioning(block):
         raise SingularBlockError(cond)
 
 
-def schur_complement(M: np.ndarray, n0: int):
+def _sparse_solver(block):
+    """Solve function of the sparse LU (splu) of a square block.
+
+    SingularBlockError when splu finds the block exactly singular, or
+    when its 1-norm reciprocal condition number, estimated by onenormest
+    over the factor's solves, is below n * RCOND_SINGULAR. Since
+    ||A||_2 <= sqrt(n) ||A||_1 and ||A||_1 <= sqrt(n) ||A||_2, kappa_2 <=
+    n kappa_1, so every block that fails the dense test
+    1 / kappa_2 < RCOND_SINGULAR also fails this one.
+    """
+    try:
+        lu = splinalg.splu(sparse.csc_array(block))
+    except RuntimeError:  # "Factor is exactly singular"
+        raise SingularBlockError(math.inf) from None
+    inverse = splinalg.LinearOperator(
+        block.shape, dtype=block.dtype, matvec=lu.solve, matmat=lu.solve,
+        rmatvec=lambda x: lu.solve(x, "H"), rmatmat=lambda x: lu.solve(x, "H"),
+    )
+    cond = splinalg.norm(block, 1) * splinalg.onenormest(inverse)
+    if not 1.0 / cond >= block.shape[0] * RCOND_SINGULAR:
+        raise SingularBlockError(cond)
+    return lu.solve
+
+
+def schur_complement(M, n0: int):
     """Eliminate the trailing n0 rows/columns: M11 - M10 X with
     X = M00^-1 M01, where M00 is the trailing n0 x n0 block.
 
-    Works for real or complex square matrices; the general nonsymmetric
-    form is used. Returns (Schur complement, X). Raises
-    SingularBlockError when the eliminated block is singular to working
-    precision.
+    M is a real or complex square matrix, dense or scipy.sparse (CSR or
+    CSC); the general nonsymmetric form is used. M00 is factored once: by
+    sparse LU when it is sparse (see sparse_or_dense), as a grid's
+    interior block is, and by LAPACK otherwise. Returns the dense Schur
+    complement and X. Raises SingularBlockError when M00 is singular to
+    working precision.
     """
-    M = np.asarray(M)
     k = M.shape[0] - n0
-    _check_block_conditioning(M[k:, k:])
-    X = np.linalg.solve(M[k:, k:], M[k:, :k])
-    return M[:k, :k] - M[:k, k:] @ X, X
+    M00 = sparse_or_dense(M[k:, k:])
+    if sparse.issparse(M00):
+        solve = _sparse_solver(M00)
+    else:
+        _check_block_conditioning(M00)
+        solve = partial(np.linalg.solve, M00)
+    X = solve(dense(M[k:, :k]))
+    return dense(M[:k, :k]) - M[:k, k:] @ X, X
 
 
 def min_norm_solution(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,24 +150,3 @@ def simultaneous_diagonalization(Lp: np.ndarray, Rp: np.ndarray):
     V = Cinv.T @ Q
     return V, d
 
-
-def projection_identity_residual(w: np.ndarray, P: np.ndarray, B0: np.ndarray) -> float:
-    """Max-abs residual between the two weighted-projector expressions.
-
-    Left side: P (P^T W P)^-1 P^T with W = diag(w).
-    Right side: W^-1 - W^-1 B0^T (B0 W^-1 B0^T)^-1 B0 W^-1.
-    A near-zero residual certifies that the two coincide for any basis P
-    of null(B0) and any nonzero complex edge weights w.
-    """
-    w = np.asarray(w)
-    P = np.asarray(P)
-    B0 = np.atleast_2d(np.asarray(B0, dtype=float))
-    PWP = P.T @ (w[:, None] * P)
-    _check_block_conditioning(PWP)
-    lhs = P @ np.linalg.solve(PWP, P.T.astype(PWP.dtype))
-    winv = 1.0 / w
-    B0W = B0 * winv[None, :]
-    G = B0W @ B0.T
-    _check_block_conditioning(G)
-    rhs = np.diag(winv) - B0W.T @ np.linalg.solve(G, B0W)
-    return float(np.max(np.abs(lhs - rhs)))

@@ -1,4 +1,4 @@
-"""RL network definition, validation, and incidence-matrix construction.
+"""RL network definition, validation, and the sparse incidence matrix.
 
 Node rows of the incidence matrix are ordered boundary-first; inside each
 group the order follows the network's node list. Columns follow the edge
@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DisconnectedNetworkError,
@@ -74,41 +76,44 @@ class Network:
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Node-by-edge {0, +-1} matrix with boundary rows first."""
+    """Edge ends as node rows, boundary rows first: edge j runs from row
+    tail[j] to row head[j]. B has +1 at the tail row and -1 at the head
+    row of each column; it and its blocks B1 (boundary rows) and B0
+    (interior rows) are scipy.sparse CSR arrays built from the ends."""
 
-    matrix: np.ndarray  # (N, E) int
+    tail: np.ndarray  # (E,) int
+    head: np.ndarray  # (E,) int
     boundary_nodes: tuple
     interior_nodes: tuple
     edge_ids: tuple
 
     @property
+    def matrix(self):
+        E = len(self.edge_ids)
+        rows = np.concatenate([self.tail, self.head])
+        vals = np.repeat([1.0, -1.0], E)
+        shape = (len(self.boundary_nodes) + len(self.interior_nodes), E)
+        return sparse.csr_array((vals, (rows, np.tile(np.arange(E), 2))), shape=shape)
+
+    def laplacian(self, w):
+        """B diag(w) B^T as a COO array of each edge's four entries in
+        edge order. Densifying it adds up each entry's terms in edge
+        order, as a plain dense product of B, diag(w) and B^T does, so
+        small networks give the same bits as that product."""
+        t, h = self.tail, self.head
+        rows = np.stack([t, h, t, h], axis=1).ravel()
+        cols = np.stack([t, h, h, t], axis=1).ravel()
+        vals = (np.asarray(w)[:, None] * np.array([1, 1, -1, -1])).ravel()
+        n = len(self.boundary_nodes) + len(self.interior_nodes)
+        return sparse.coo_array((vals, (rows, cols)), shape=(n, n))
+
+    @property
     def b1(self):
-        return self.matrix[: len(self.boundary_nodes), :]
+        return self.matrix[: len(self.boundary_nodes)]
 
     @property
     def b0(self):
-        return self.matrix[len(self.boundary_nodes):, :]
-
-
-def _connected_component_count(network):
-    adjacency = {n: set() for n in network.nodes}
-    for e in network.edges:
-        adjacency[e.tail].add(e.head)
-        adjacency[e.head].add(e.tail)
-    seen = set()
-    components = 0
-    for start in network.nodes:
-        if start in seen:
-            continue
-        components += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            for neighbor in adjacency[stack.pop()]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-    return components
+        return self.matrix[len(self.boundary_nodes):]
 
 
 def validate(network: Network) -> Network:
@@ -146,7 +151,10 @@ def validate(network: Network) -> Network:
         if n not in node_set:
             raise NetworkValidationError(f"boundary references unknown node {n!r}")
     if len(network.nodes) > 0:
-        count = _connected_component_count(network)
+        inc = build_incidence(network)
+        n = len(network.nodes)
+        adjacency = sparse.csr_array((np.ones(inc.tail.size), (inc.tail, inc.head)), shape=(n, n))
+        count = int(connected_components(adjacency, directed=False)[0])
         if count != 1:
             raise DisconnectedNetworkError(count)
     return network
@@ -158,11 +166,9 @@ def build_incidence(network: Network) -> IncidenceMatrix:
     boundary_nodes = tuple(n for n in network.nodes if n in bset)
     interior_nodes = tuple(n for n in network.nodes if n not in bset)
     row_of = {n: i for i, n in enumerate(boundary_nodes + interior_nodes)}
-    B = np.zeros((len(network.nodes), len(network.edges)), dtype=int)
-    for j, e in enumerate(network.edges):
-        B[row_of[e.tail], j] = 1
-        B[row_of[e.head], j] = -1
-    return IncidenceMatrix(B, boundary_nodes, interior_nodes, tuple(e.id for e in network.edges))
+    tail = np.array([row_of[e.tail] for e in network.edges], dtype=np.intp)
+    head = np.array([row_of[e.head] for e in network.edges], dtype=np.intp)
+    return IncidenceMatrix(tail, head, boundary_nodes, interior_nodes, tuple(e.id for e in network.edges))
 
 
 _EDGE_KEYS = {"id", "from", "to", "r_ohm", "l_henry"}
@@ -198,7 +204,7 @@ def network_from_dict(obj) -> Network:
         values = []
         for key in ("r_ohm", "l_henry"):
             try:
-                values.append(float(raw[key]))
+                values.append(json_float(raw[key]))
             except (TypeError, ValueError):
                 raise InputFormatError(
                     f"edge {edge_id!r}: {key} must be a number, got {raw[key]!r}"
@@ -211,15 +217,12 @@ def network_from_dict(obj) -> Network:
     )
 
 
-def network_to_dict(network: Network) -> dict:
-    return {
-        "nodes": list(network.nodes),
-        "boundary": list(network.boundary),
-        "edges": [
-            {"id": e.id, "from": e.tail, "to": e.head, "r_ohm": e.r, "l_henry": e.l}
-            for e in network.edges
-        ],
-    }
+def json_float(value) -> float:
+    """float(value) of a JSON value; a boolean is not a number here,
+    although float(True) is 1.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def load_json(path):

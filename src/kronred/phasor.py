@@ -71,11 +71,9 @@ def admittance(network: Network, omega: float) -> AdmittanceMatrix:
     if not (math.isfinite(omega) and omega > 0):
         raise InvalidFrequencyError(f"frequency must be positive and finite, got {omega!r} rad/s")
     inc = build_incidence(network)
-    B = inc.matrix.astype(float)
     y_edge = 1.0 / (network.r_vector() + 1j * omega * network.l_vector())
-    Y = (B * y_edge[None, :]) @ B.T
     return AdmittanceMatrix(
-        Y=Y,
+        Y=inc.laplacian(y_edge).toarray(),
         omega=omega,
         boundary_nodes=inc.boundary_nodes,
         interior_nodes=inc.interior_nodes,
@@ -83,7 +81,7 @@ def admittance(network: Network, omega: float) -> AdmittanceMatrix:
 
 
 def kron_reduce(adm: AdmittanceMatrix) -> KronReducedAdmittance:
-    """Schur-eliminate the interior block of Y.
+    """Schur-eliminate the interior block of Y (see schur_complement).
 
     Returns the boundary admittance Yr = Y11 - Y10 Y00^-1 Y01 and the
     recovery map -Y00^-1 Y01 reconstructing interior voltages from

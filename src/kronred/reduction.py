@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     InconsistentInitialConditionError,
@@ -25,7 +26,7 @@ from .errors import (
     NotHomogeneousError,
     RankDeficientInputError,
 )
-from .linalg import nullspace_basis, schur_complement, simultaneous_diagonalization
+from .linalg import dense, nullspace_basis, schur_complement, simultaneous_diagonalization, sparse_or_dense
 from .network import IncidenceMatrix, Network, build_incidence, load_json
 
 
@@ -83,20 +84,17 @@ def _tree_elimination_basis(incidence: IncidenceMatrix) -> np.ndarray:
     the edge's orientation toward the parent. The entries are therefore
     in {0, +-1} by construction.
 
-    Only the edge ends are used; the incidence columns give them (+1 at
-    the tail, -1 at the head). The BFS and the walks cost O(E * depth)
-    in vectorized steps, one per level, instead of a per-node scan over
-    all edges (O(N0 * E)) and a dense solve. B0 P = 0 is then checked on
-    every call by scattering P's nonzeros onto their edge ends, in
-    O(E * (E - N0)) for the scan of P, and raises if it fails.
+    The BFS and the walks cost O(E * depth) in vectorized steps, one per
+    level, and P is written as (row, column, value) triplets. B0 P = 0
+    is then checked on every call by scattering the triplets onto their
+    edge ends, in O(nnz(P)), and raises if it fails.
     """
-    B = incidence.matrix
     nb = len(incidence.boundary_nodes)
     n0 = len(incidence.interior_nodes)
-    E = B.shape[1]
+    E = len(incidence.edge_ids)
     # Node 0 is the contracted boundary; interior row i is node i + 1.
-    tail = np.maximum(np.argmax(B, axis=0) - nb + 1, 0)
-    head = np.maximum(np.argmin(B, axis=0) - nb + 1, 0)
+    tail = np.maximum(incidence.tail - nb + 1, 0)
+    head = np.maximum(incidence.head - nb + 1, 0)
     depth = np.full(n0 + 1, -1)
     depth[0] = 0
     level = 0
@@ -117,9 +115,9 @@ def _tree_elimination_basis(incidence: IncidenceMatrix) -> np.ndarray:
     is_tree = np.zeros(E, dtype=bool)
     is_tree[parent_edge[1:]] = True
     retained = np.flatnonzero(~is_tree)
-    P = np.zeros((E, len(retained)))
-    cols = np.arange(len(retained))
-    P[retained, cols] = 1.0
+    n = len(retained)
+    cols = np.arange(n)
+    triplets = [(retained, cols, np.ones(n))]
     a, b = tail[retained], head[retained]
     while True:
         open_ = a != b
@@ -130,19 +128,18 @@ def _tree_elimination_basis(incidence: IncidenceMatrix) -> np.ndarray:
         for ends, step, s in ((a, da >= db, -1.0), (b, db >= da, 1.0)):
             moving = ends[step]
             e = parent_edge[moving]
-            P[e, cols[step]] = np.where(tail[e] == moving, s, -s)
+            triplets.append((e, cols[step], np.where(tail[e] == moving, s, -s)))
             ends[step] = tail[e] + head[e] - moving
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
     # B0 P = 0, summed over the edge ends of P's nonzeros (node 0 is the
     # boundary and is skipped); exact, since the sums are small integers.
-    rows, cols = np.nonzero(P)
-    vals = P[rows, cols]
     kcl = np.bincount(
-        np.concatenate([tail[rows], head[rows]]) * P.shape[1] + np.tile(cols, 2),
+        np.concatenate([tail[rows], head[rows]]) * n + np.tile(cols, 2),
         weights=np.concatenate([vals, -vals]),
     )
-    if np.any(kcl[P.shape[1]:]):
+    if np.any(kcl[n:]):
         raise AssertionError("KCL elimination failed to annihilate B0")
-    return P
+    return sparse.coo_array((vals, (rows, cols)), shape=(E, n)).toarray()
 
 
 def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy) -> np.ndarray:
@@ -156,7 +153,7 @@ def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy) -
     if strategy not in (PStrategy.ORTHONORMAL_NULL_BASIS, PStrategy.MODAL_DIAGONALIZING):
         raise ValueError(f"unknown strategy {strategy!r}")
     P = nullspace_basis(incidence.b0)
-    n0, E = incidence.b0.shape
+    n0, E = len(incidence.interior_nodes), len(incidence.edge_ids)
     if P.shape[1] != E - n0:
         raise RankDeficientInputError(
             f"null(B0) has dimension {P.shape[1]}, expected E - N0 = {E - n0}"
@@ -170,20 +167,21 @@ def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy) -
 
 
 def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BASIS) -> ReducedModel:
-    """Assemble the exact reduced model of order E - N0."""
+    """Assemble the exact reduced model of order E - N0.
+
+    A sparse P, as a tree basis is at grid scale (a few nonzeros per
+    column), is multiplied as a sparse array; a dense one, as the SVD
+    bases are, with BLAS (see linalg.sparse_or_dense).
+    """
     incidence = build_incidence(network)
     P = build_P(incidence, network, strategy)
-    l, r = network.l_vector(), network.r_vector()
-    Lhat = P.T @ (l[:, None] * P)
-    Rhat = P.T @ (r[:, None] * P)
-    Lhat = 0.5 * (Lhat + Lhat.T)
-    Rhat = 0.5 * (Rhat + Rhat.T)
-    Bhat = incidence.b1.astype(float) @ P
+    Pm = sparse_or_dense(P)
+    Lhat, Rhat = (Pm.T @ (sparse.diags_array(w) @ Pm) for w in (network.l_vector(), network.r_vector()))
     return ReducedModel(
         P=P,
-        Lhat=Lhat,
-        Rhat=Rhat,
-        Bhat=Bhat,
+        Lhat=dense(0.5 * (Lhat + Lhat.T)),
+        Rhat=dense(0.5 * (Rhat + Rhat.T)),
+        Bhat=dense(incidence.b1 @ Pm),
         strategy=strategy,
         boundary_nodes=incidence.boundary_nodes,
         edge_ids=incidence.edge_ids,
@@ -219,8 +217,7 @@ def homogeneous_reduce(network: Network, tol: float = 1e-9) -> HomogeneousReduce
     if deviation > tol:
         raise NotHomogeneousError(deviation)
     incidence = build_incidence(network)
-    B = incidence.matrix.astype(float)
-    Ltilde = (B / l[None, :]) @ B.T
+    Ltilde = incidence.laplacian(1.0 / l).tocsr()
     Lred, _ = schur_complement(Ltilde, len(incidence.interior_nodes))
     Lred = 0.5 * (Lred + Lred.T)
     return HomogeneousReducedModel(alpha=alpha, Lred=Lred, boundary_nodes=incidence.boundary_nodes)

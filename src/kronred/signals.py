@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError
-from .network import load_json
+from .network import json_float, load_json
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ _SIGNAL_KEYS = {
 
 
 def _finite(value):
-    x = float(value)
+    x = json_float(value)
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {value!r}")
     return x
@@ -138,27 +138,6 @@ def excitation_from_dict(obj) -> Excitation:
     return Excitation(
         signals={str(node): _signal_from_dict(node, raw) for node, raw in obj["signals"].items()}
     )
-
-
-def excitation_to_dict(exc: Excitation) -> dict:
-    signals = {}
-    for node, sig in exc.signals.items():
-        if isinstance(sig, Sinusoid):
-            signals[node] = {
-                "type": "sinusoid",
-                "amplitude_v": sig.amplitude,
-                "freq_hz": sig.freq,
-                "phase_deg": math.degrees(sig.phase),
-            }
-        elif isinstance(sig, Step):
-            signals[node] = {"type": "step", "value_v": sig.value, "t_step_s": sig.t_step}
-        elif isinstance(sig, Constant):
-            signals[node] = {"type": "constant", "value_v": sig.value}
-        elif isinstance(sig, Piecewise):
-            signals[node] = {"type": "piecewise", "breakpoints": [list(bp) for bp in sig.breakpoints]}
-        else:
-            raise TypeError(f"cannot serialize signal {sig!r}")
-    return {"signals": signals}
 
 
 def load_excitation(path) -> Excitation:

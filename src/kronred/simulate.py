@@ -32,14 +32,12 @@ from .errors import (
     ConstraintDriftError,
     InconsistentInitialConditionError,
     InputFormatError,
-    InsufficientWindowError,
     SingularBlockError,
     SolverConfigError,
     UnstableTimeStepError,
 )
 from .linalg import simultaneous_diagonalization
 from .network import Network, build_incidence
-from .phasor import Phasor
 from .reduction import HomogeneousReducedModel, ReducedModel, embed_initial
 from .signals import Excitation
 
@@ -317,12 +315,12 @@ def simulate_dae_oracle(
     incidence = build_incidence(network)
     r, l = network.r_vector(), network.l_vector()
     f0 = np.asarray(f0, dtype=float)
-    drift0 = np.max(np.abs(incidence.b0 @ f0), initial=0.0)
+    B0 = incidence.b0.toarray()  # the oracle keeps its own dense algebra
+    B1 = incidence.b1.toarray()
+    drift0 = np.max(np.abs(B0 @ f0), initial=0.0)
     if drift0 > DRIFT_TOL * max(np.max(np.abs(f0), initial=0.0), 1e-300):
         raise InconsistentInitialConditionError(drift0)
     linv = 1.0 / l
-    B0 = incidence.b0.astype(float)
-    B1 = incidence.b1.astype(float)
     v1 = excitation.evaluate(incidence.boundary_nodes, _stage_grid(cfg))
     B0L = B0 * linv[None, :]
     chol = cho_factor(B0L @ B0.T)
@@ -371,44 +369,6 @@ def simulate_homogeneous(
     )
     channels = tuple(f"i_{n}" for n in model.boundary_nodes)
     return Trajectory(steps * cfg.dt, i1[:, :, 0], channels)
-
-
-def extract_steady_phasors(
-    traj: Trajectory, freq: float, periods: int = 4, channels=None
-):
-    """Single-frequency fit over the trailing `periods` periods.
-
-    Least-squares fit of a*cos(wt) + b*sin(wt) + c per channel, exact for
-    a settled pure tone regardless of sample/period commensurability.
-    Returns (phasors, residuals): one Phasor per channel and the relative
-    non-fundamental energy left after removing the fitted tone, a small
-    value indicating the window is genuinely in steady state.
-    """
-    if channels is None:
-        channels = traj.channels
-    duration = traj.times[-1] - traj.times[0]
-    window = periods / freq
-    if duration < (periods + 2) / freq:
-        raise InsufficientWindowError(
-            f"trajectory covers {duration * freq:.2f} periods, need {periods + 2}"
-        )
-    mask = traj.times >= traj.times[-1] - window * (1 + 1e-12)
-    t = traj.times[mask]
-    w = 2.0 * math.pi * freq
-    design = np.column_stack([np.cos(w * t), np.sin(w * t), np.ones_like(t)])
-    phasors = []
-    residuals = []
-    for name in channels:
-        x = traj.channel(name)[mask]
-        coef, _, _, _ = np.linalg.lstsq(design, x, rcond=None)
-        a, b, _ = coef
-        mag = math.hypot(a, b)
-        phase = math.atan2(-b, a) if mag > 0 else 0.0
-        phasors.append(Phasor(mag, phase))
-        fit = design[:, :2] @ coef[:2]
-        norm = np.linalg.norm(x)
-        residuals.append(float(np.linalg.norm(x - fit - coef[2]) / max(norm, 1e-300)))
-    return phasors, residuals
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -1,0 +1,98 @@
+"""Reference helpers that only the tests use: serializers for networks
+and excitations, the weighted-projector identity, and a steady-state
+phasor fit of a trajectory."""
+
+import math
+
+import numpy as np
+from scipy import sparse
+
+from kronred import Constant, Phasor, Piecewise, Sinusoid, Step
+from kronred.errors import InsufficientWindowError
+
+
+def network_to_dict(network) -> dict:
+    return {
+        "nodes": list(network.nodes),
+        "boundary": list(network.boundary),
+        "edges": [
+            {"id": e.id, "from": e.tail, "to": e.head, "r_ohm": e.r, "l_henry": e.l}
+            for e in network.edges
+        ],
+    }
+
+
+def excitation_to_dict(exc) -> dict:
+    signals = {}
+    for node, sig in exc.signals.items():
+        if isinstance(sig, Sinusoid):
+            signals[node] = {
+                "type": "sinusoid",
+                "amplitude_v": sig.amplitude,
+                "freq_hz": sig.freq,
+                "phase_deg": math.degrees(sig.phase),
+            }
+        elif isinstance(sig, Step):
+            signals[node] = {"type": "step", "value_v": sig.value, "t_step_s": sig.t_step}
+        elif isinstance(sig, Constant):
+            signals[node] = {"type": "constant", "value_v": sig.value}
+        elif isinstance(sig, Piecewise):
+            signals[node] = {"type": "piecewise", "breakpoints": [list(bp) for bp in sig.breakpoints]}
+        else:
+            raise TypeError(f"cannot serialize signal {sig!r}")
+    return {"signals": signals}
+
+
+def projection_identity_residual(w, P, B0) -> float:
+    """Max-abs residual between the two weighted-projector expressions.
+
+    Left side: P (P^T W P)^-1 P^T with W = diag(w).
+    Right side: W^-1 - W^-1 B0^T (B0 W^-1 B0^T)^-1 B0 W^-1.
+    A near-zero residual certifies that the two coincide for any basis P
+    of null(B0) and any nonzero complex edge weights w. B0 may be sparse.
+    """
+    w = np.asarray(w)
+    P = np.asarray(P)
+    B0 = np.atleast_2d(B0.toarray() if sparse.issparse(B0) else np.asarray(B0, dtype=float))
+    PWP = P.T @ (w[:, None] * P)
+    lhs = P @ np.linalg.solve(PWP, P.T.astype(PWP.dtype))
+    winv = 1.0 / w
+    B0W = B0 * winv[None, :]
+    rhs = np.diag(winv) - B0W.T @ np.linalg.solve(B0W @ B0.T, B0W)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def extract_steady_phasors(traj, freq: float, periods: int = 4, channels=None):
+    """Single-frequency fit over the trailing `periods` periods.
+
+    Least-squares fit of a*cos(wt) + b*sin(wt) + c per channel, exact for
+    a settled pure tone regardless of sample/period commensurability.
+    Returns (phasors, residuals): one Phasor per channel and the relative
+    non-fundamental energy left after removing the fitted tone, a small
+    value indicating the window is genuinely in steady state.
+    """
+    if channels is None:
+        channels = traj.channels
+    duration = traj.times[-1] - traj.times[0]
+    window = periods / freq
+    if duration < (periods + 2) / freq:
+        raise InsufficientWindowError(
+            f"trajectory covers {duration * freq:.2f} periods, need {periods + 2}"
+        )
+    mask = traj.times >= traj.times[-1] - window * (1 + 1e-12)
+    t = traj.times[mask]
+    w = 2.0 * math.pi * freq
+    design = np.column_stack([np.cos(w * t), np.sin(w * t), np.ones_like(t)])
+    phasors = []
+    residuals = []
+    for name in channels:
+        x = traj.channel(name)[mask]
+        coef, _, _, _ = np.linalg.lstsq(design, x, rcond=None)
+        a, b, _ = coef
+        mag = math.hypot(a, b)
+        phase = math.atan2(-b, a) if mag > 0 else 0.0
+        phasors.append(Phasor(mag, phase))
+        fit = design[:, :2] @ coef[:2]
+        norm = np.linalg.norm(x)
+        residuals.append(float(np.linalg.norm(x - fit - coef[2]) / max(norm, 1e-300)))
+    return phasors, residuals

@@ -20,11 +20,9 @@ from kronred import (
     admittance,
     build_incidence,
     compare_trajectories,
-    extract_steady_phasors,
     kron_reduce,
     nullspace_basis,
     phasor_solve,
-    projection_identity_residual,
     reduce,
     simulate_dae_oracle,
     simulate_homogeneous,
@@ -42,6 +40,7 @@ from kronred.network import Edge, Network, validate
 from kronred.reduction import build_P, homogeneous_reduce
 
 from conftest import make_net_a, random_connected_network, random_consistent_flow
+from reference import extract_steady_phasors, projection_identity_residual
 
 
 def _report(capsys, number, label, ok, detail):
@@ -134,7 +133,7 @@ def test_criterion_4_boundary_schur_equivalence(capsys, identity_triples):
         inc = build_incidence(net)
         r, l = net.r_vector(), net.l_vector()
         P = nullspace_basis(B0) if B0.shape[0] else np.eye(len(net.edges))
-        B = inc.matrix.astype(float)
+        B = inc.matrix.toarray().astype(float)
         nb = inc.b1.shape[0]
         for w in (l.astype(complex), r + 1j * omega * l):
             PWP = P.T @ (w[:, None] * P)

@@ -39,7 +39,7 @@ class TestHeuristicReduce:
 
     def test_delta_orientation_is_cyclic(self):
         synth = heuristic_reduce(make_balanced_wye(), omega0=1.0)
-        B = build_incidence(synth).matrix.astype(float)
+        B = build_incidence(synth).matrix.toarray().astype(float)
         assert np.array_equal(B, DELTA_INCIDENCE)
         assert np.max(np.abs(B @ np.ones(3))) == 0.0
 

@@ -87,6 +87,19 @@ class TestValidate:
         assert diag["error"] == "InputFormat"
         assert "'e2'" in diag["message"] and key in diag["message"]
 
+    @pytest.mark.parametrize("key", ["r_ohm", "l_henry"])
+    def test_boolean_parameter_exits_2(self, tmp_path, capsys, key):
+        # float(True) is 1.0: used to print "valid" and exit 0
+        bad = wye_dict()
+        bad["edges"][1][key] = True
+        path = write_json(tmp_path / "bad.json", bad)
+        assert main(["validate", path]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat"
+        assert "'e2'" in diag["message"] and key in diag["message"]
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
@@ -275,6 +288,59 @@ class TestSimulate:
         assert main(["simulate", manifest, "--method", "reduced"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == error
 
+    # float(True) is 1.0, and each of these used to run and exit 0
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            {"dt_s": True, "t_end_s": 2.0},
+            {"dt_s": 1e-3, "t_end_s": True},
+            {"dt_s": 1e-3, "t_end_s": 0.1, "record_stride": True},
+        ],
+        ids=["dt_s", "t_end_s", "record_stride"],
+    )
+    def test_boolean_solver_setting_exits_2(self, tmp_path, wye_file, capsys, solver):
+        write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "solver": solver},
+        )
+        assert main(["simulate", manifest, "--method", "reduced"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InputFormat"
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    def test_boolean_f0_exits_2(self, tmp_path, wye_file, capsys):
+        # [true, true, -2] used to be read as the balanced flows [1, 1, -2]
+        write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "f0": [True, True, -2.0],
+             "solver": {"dt_s": 1e-3, "t_end_s": 0.1}},
+        )
+        assert main(["simulate", manifest, "--method", "reduced"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InputFormat"
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    @pytest.mark.parametrize("field", ["amplitude_v", "freq_hz", "phase_deg"])
+    def test_boolean_signal_field_exits_2(self, tmp_path, wye_file, capsys, field):
+        excitation = sinusoid_excitation_dict()
+        excitation["signals"]["2"][field] = True
+        write_json(tmp_path / "exc.json", excitation)
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "solver": {"dt_s": 1e-3, "t_end_s": 0.1}},
+        )
+        assert main(["simulate", manifest, "--method", "reduced"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat"
+        assert "'2'" in diag["message"]
+        assert not list(tmp_path.glob("**/*.csv"))
+
     @pytest.mark.parametrize(
         "entries, excitation, flags",
         [
@@ -456,6 +522,23 @@ class TestCompare:
         report = json.loads(capsys.readouterr().out)
         assert report["max_abs"] == 0.0
         assert report["max_rel"] == 0.0
+
+    def test_default_channels_are_the_shared_injections(self, manifest_file, tmp_path, capsys):
+        # The tree and modal pseudoflows fhat_<k> are different coordinates;
+        # comparing them used to report max_rel 3.5 for equal injections.
+        for strategy in ("tree", "modal"):
+            out = tmp_path / strategy
+            manifest = json.loads((tmp_path / "manifest.json").read_text())
+            manifest.update(strategy=strategy, out_dir=strategy)
+            path = write_json(tmp_path / f"{strategy}.json", manifest)
+            assert main(["simulate", path, "--method", "reduced"]) == 0
+            assert (out / "reduced.csv").exists()
+        capsys.readouterr()
+        assert main(["compare", str(tmp_path / "tree" / "reduced.csv"),
+                     str(tmp_path / "modal" / "reduced.csv")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["channels"] == ["i_1", "i_2", "i_3"]
+        assert report["max_rel"] <= 1e-9
 
     def test_non_numeric_cell_exits_2(self, tmp_path, capsys):
         good = tmp_path / "good.csv"

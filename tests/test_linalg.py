@@ -7,7 +7,6 @@ from kronred import build_incidence
 from kronred.linalg import (
     min_norm_solution,
     nullspace_basis,
-    projection_identity_residual,
     schur_complement,
     simultaneous_diagonalization,
 )
@@ -18,6 +17,7 @@ from kronred.errors import (
 )
 
 from conftest import make_net_b, make_wye, random_connected_network
+from reference import projection_identity_residual
 
 DELTA_INCIDENCE = np.array([[1, 0, -1], [-1, 1, 0], [0, -1, 1]], dtype=float)
 
@@ -87,6 +87,27 @@ class TestSchurComplement:
     def test_singular_block_raises(self):
         with pytest.raises(SingularBlockError):
             schur_complement(np.diag([1.0, 0.0]), 1)
+
+    @pytest.mark.parametrize("eps, singular", [(1e-14, True), (1e-12, False)])
+    def test_near_singular_block_threshold(self, eps, singular):
+        # The trailing block [[1, 1], [1, 1 + eps]] has kappa_2 about 4 / eps,
+        # so 1 / kappa_2 is 2.5e-15 and 2.5e-13 against RCOND_SINGULAR = 1e-13.
+        M = np.array([[2.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0 + eps]])
+        if singular:
+            with pytest.raises(SingularBlockError):
+                schur_complement(M, 2)
+        else:
+            S, X = schur_complement(M, 2)
+            assert np.all(np.isfinite(S)) and np.all(np.isfinite(X))
+
+    def test_near_singular_sparse_block_raises(self):
+        # The same near-singular pair inside a 40 x 40 block that is 3%
+        # nonzero, a block of the size and fill of a grid's interior.
+        M = np.eye(41)
+        M[0, 1] = M[1, 0] = 1.0
+        M[39:, 39:] = [[1.0, 1.0], [1.0, 1.0 + 1e-14]]
+        with pytest.raises(SingularBlockError):
+            schur_complement(M, 40)
 
     def test_symmetry_preserved(self, rng):
         for _ in range(20):

@@ -13,9 +13,10 @@ from kronred.errors import (
     NegativeResistanceError,
     UnknownNodeRefError,
 )
-from kronred.network import load_network, network_from_dict, network_to_dict
+from kronred.network import load_network, network_from_dict
 
 from conftest import make_net_a, make_net_b, make_wye, random_connected_network
+from reference import network_to_dict
 
 
 class TestValidate:
@@ -90,29 +91,29 @@ class TestValidate:
 
 class TestIncidence:
     def test_single_edge(self, net_a):
-        B = build_incidence(net_a).matrix
+        B = build_incidence(net_a).matrix.toarray()
         assert B.tolist() == [[1], [-1]]
 
     def test_wye_interior_row(self, wye):
         inc = build_incidence(wye)
-        assert inc.b0.tolist() == [[-1, -1, -1]]
+        assert inc.b0.toarray().tolist() == [[-1, -1, -1]]
 
     def test_path_graph(self, net_b):
         inc = build_incidence(net_b)
-        assert inc.matrix.tolist() == [[1, 0], [0, -1], [-1, 1]]
-        assert inc.b0.tolist() == [[-1, 1]]
+        assert inc.matrix.toarray().tolist() == [[1, 0], [0, -1], [-1, 1]]
+        assert inc.b0.toarray().tolist() == [[-1, 1]]
 
 
 class TestPartition:
     def test_wye_boundary_block_is_identity(self, wye):
-        assert np.array_equal(build_incidence(wye).b1, np.eye(3))
+        assert np.array_equal(build_incidence(wye).b1.toarray(), np.eye(3))
         assert np.allclose(wye.r_vector(), [0.98, 0.99, 0.58])
         assert np.allclose(wye.l_vector(), [0.55, 0.64, 0.77])
 
     def test_path_blocks(self, net_b):
         inc = build_incidence(net_b)
-        assert inc.b1.tolist() == [[1, 0], [0, -1]]
-        assert inc.b0.tolist() == [[-1, 1]]
+        assert inc.b1.toarray().tolist() == [[1, 0], [0, -1]]
+        assert inc.b0.toarray().tolist() == [[-1, 1]]
 
     def test_no_interior_gives_empty_block(self, net_a):
         assert build_incidence(net_a).b0.shape == (0, 1)
@@ -120,7 +121,7 @@ class TestPartition:
     def test_stacking_reproduces_b(self, rng):
         for _ in range(20):
             inc = build_incidence(random_connected_network(rng))
-            assert np.array_equal(np.vstack([inc.b1, inc.b0]), inc.matrix)
+            assert np.array_equal(np.vstack([inc.b1.toarray(), inc.b0.toarray()]), inc.matrix.toarray())
 
 
 class TestIncidenceProperties:
@@ -134,13 +135,13 @@ class TestIncidenceProperties:
     def test_rank_is_n_minus_1(self, rng):
         for _ in range(100):
             net = random_connected_network(rng, n_max=12)
-            B = build_incidence(net).matrix.astype(float)
+            B = build_incidence(net).matrix.toarray().astype(float)
             assert np.linalg.matrix_rank(B) == len(net.nodes) - 1
 
     def test_interior_rows_independent(self, rng):
         for _ in range(100):
             net = random_connected_network(rng, n_max=12)
-            B0 = build_incidence(net).b0.astype(float)
+            B0 = build_incidence(net).b0.toarray().astype(float)
             assert np.linalg.matrix_rank(B0) == B0.shape[0]
 
 

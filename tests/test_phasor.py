@@ -59,7 +59,7 @@ class TestAdmittance:
         net = make_balanced_wye(r=0.0, l=2.0)
         omega = 3.0
         adm = admittance(net, omega)
-        B = build_incidence(net).matrix.astype(float)
+        B = build_incidence(net).matrix.toarray().astype(float)
         Ltilde = (B / 2.0) @ B.T
         assert np.allclose(adm.Y, Ltilde / (1j * omega))
 

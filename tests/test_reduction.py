@@ -19,7 +19,7 @@ from kronred.errors import (
     NotHomogeneousError,
     RankDeficientInputError,
 )
-from kronred.linalg import projection_identity_residual, schur_complement
+from kronred.linalg import schur_complement
 from kronred.reduction import build_P, model_from_dict, model_to_dict
 
 from conftest import (

@@ -23,7 +23,6 @@ from kronred import (
     build_incidence,
     compare_trajectories,
     embed_initial,
-    extract_steady_phasors,
     reduce,
     simulate_dae_oracle,
     simulate_homogeneous,
@@ -41,7 +40,7 @@ from kronred.errors import (
     UnstableTimeStepError,
 )
 from kronred.reduction import homogeneous_reduce
-from kronred.signals import excitation_from_dict, excitation_to_dict
+from kronred.signals import excitation_from_dict
 from kronred.simulate import (
     _rk4_lti,
     _stage_grid,
@@ -58,6 +57,7 @@ from conftest import (
     random_connected_network,
     random_consistent_flow,
 )
+from reference import excitation_to_dict, extract_steady_phasors
 
 
 class TestSignals:

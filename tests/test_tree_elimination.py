@@ -269,7 +269,7 @@ def test_k40_grid_invariants():
     # Reference transfer: the boundary Schur complement of the 1/l
     # weighted Laplacian, which is what every strategy reproduces (the
     # nullbasis SVD takes seconds at this size).
-    B = inc.matrix.astype(float)
+    B = inc.matrix.toarray().astype(float)
     lap = (B / net.l_vector()) @ B.T
     nb = len(inc.boundary_nodes)
     ref = lap[:nb, :nb] - lap[:nb, nb:] @ np.linalg.solve(lap[nb:, nb:], lap[nb:, :nb])
