@@ -58,7 +58,7 @@ def step_excitation() -> Excitation:
 def resolve_seed(flag_seed=None, manifest_seed=None, default=0):
     """Seed priority: CLI flag, then KRONRED_SEED, then manifest, then default.
 
-    A seed that is not a whole number raises InputFormatError.
+    A boolean seed, or one that is not a whole number, raises InputFormatError.
     """
     env = os.environ.get("KRONRED_SEED")
     sources = (("--seed", flag_seed), ("KRONRED_SEED", env), ("manifest seed", manifest_seed))
@@ -69,7 +69,7 @@ def resolve_seed(flag_seed=None, manifest_seed=None, default=0):
             seed = int(value)
         except (TypeError, ValueError, OverflowError):
             seed = None
-        if seed is None or (isinstance(value, float) and seed != value):
+        if seed is None or isinstance(value, bool) or (isinstance(value, float) and seed != value):
             raise InputFormatError(f"{source} must be an integer, got {value!r}")
         return seed
     return default

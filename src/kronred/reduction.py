@@ -26,7 +26,7 @@ from .errors import (
     NotHomogeneousError,
     RankDeficientInputError,
 )
-from .linalg import dense, nullspace_basis, schur_complement, simultaneous_diagonalization, sparse_or_dense
+from .linalg import dense, nullspace_basis, schur_complement, simultaneous_diagonalization
 from .network import IncidenceMatrix, Network, build_incidence, load_json
 
 
@@ -68,7 +68,7 @@ class HomogeneousReducedModel:
     boundary_nodes: tuple
 
 
-def _tree_elimination_basis(incidence: IncidenceMatrix) -> np.ndarray:
+def _tree_elimination_basis(incidence: IncidenceMatrix) -> sparse.csr_array:
     """Integer basis of null(B0) from a BFS spanning forest (loop analysis).
 
     The boundary nodes are contracted into one root, and a multi-source
@@ -85,9 +85,10 @@ def _tree_elimination_basis(incidence: IncidenceMatrix) -> np.ndarray:
     in {0, +-1} by construction.
 
     The BFS and the walks cost O(E * depth) in vectorized steps, one per
-    level, and P is written as (row, column, value) triplets. B0 P = 0
-    is then checked on every call by scattering the triplets onto their
-    edge ends, in O(nnz(P)), and raises if it fails.
+    level, and P is written as (row, column, value) triplets and
+    returned as a CSR array. B0 P = 0 is then checked on every call by
+    scattering the triplets onto their edge ends, in O(nnz(P)), and
+    raises if it fails.
     """
     nb = len(incidence.boundary_nodes)
     n0 = len(incidence.interior_nodes)
@@ -139,11 +140,12 @@ def _tree_elimination_basis(incidence: IncidenceMatrix) -> np.ndarray:
     )
     if np.any(kcl[n:]):
         raise AssertionError("KCL elimination failed to annihilate B0")
-    return sparse.coo_array((vals, (rows, cols)), shape=(E, n)).toarray()
+    return sparse.csr_array((vals, (rows, cols)), shape=(E, n))
 
 
-def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy) -> np.ndarray:
-    """Basis P with range(P) = null(B0), per the chosen strategy.
+def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy):
+    """Basis P with range(P) = null(B0), per the chosen strategy, in the
+    form it is built in: a CSR array for tree, an ndarray otherwise.
 
     nullbasis and modal start from the orthonormal SVD basis, which must
     have E - N0 columns; RankDeficientInputError otherwise.
@@ -169,19 +171,17 @@ def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy) -
 def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BASIS) -> ReducedModel:
     """Assemble the exact reduced model of order E - N0.
 
-    A sparse P, as a tree basis is at grid scale (a few nonzeros per
-    column), is multiplied as a sparse array; a dense one, as the SVD
-    bases are, with BLAS (see linalg.sparse_or_dense).
+    P is multiplied in the form build_P returns it: sparse for the tree
+    basis, dense for the SVD bases. The model holds dense matrices.
     """
     incidence = build_incidence(network)
     P = build_P(incidence, network, strategy)
-    Pm = sparse_or_dense(P)
-    Lhat, Rhat = (Pm.T @ (sparse.diags_array(w) @ Pm) for w in (network.l_vector(), network.r_vector()))
+    Lhat, Rhat = (P.T @ (sparse.diags_array(w) @ P) for w in (network.l_vector(), network.r_vector()))
     return ReducedModel(
-        P=P,
+        P=dense(P),
         Lhat=dense(0.5 * (Lhat + Lhat.T)),
         Rhat=dense(0.5 * (Rhat + Rhat.T)),
-        Bhat=dense(incidence.b1 @ Pm),
+        Bhat=dense(incidence.b1 @ P),
         strategy=strategy,
         boundary_nodes=incidence.boundary_nodes,
         edge_ids=incidence.edge_ids,
@@ -236,11 +236,22 @@ def model_to_dict(model: ReducedModel) -> dict:
     }
 
 
+def _json_matrix(obj, key) -> np.ndarray:
+    """obj[key] as a float matrix; InputFormatError unless every entry is
+    a finite number (json reads NaN and Infinity, and float(True) is 1.0)."""
+    entries = np.asarray(obj[key], dtype=object)
+    matrix = entries.astype(float)
+    if any(isinstance(v, bool) for v in entries.flat) or not np.all(np.isfinite(matrix)):
+        raise InputFormatError(f"reduced-model {key} must hold finite numbers only")
+    return matrix
+
+
 def model_from_dict(obj) -> ReducedModel:
-    """Parse a reduced-model JSON object; the matrix shapes must agree
-    with edge_ids, boundary_nodes and the order (P's column count)."""
+    """Parse a reduced-model JSON object; every matrix entry must be a
+    finite number, and the matrix shapes must agree with edge_ids,
+    boundary_nodes and the order (P's column count)."""
     try:
-        mats = {key: np.asarray(obj[key], dtype=float) for key in ("P", "Lhat", "Rhat", "Bhat")}
+        mats = {key: _json_matrix(obj, key) for key in ("P", "Lhat", "Rhat", "Bhat")}
         strategy = PStrategy(obj["strategy"])
         boundary_nodes = tuple(obj["boundary_nodes"])
         edge_ids = tuple(obj["edge_ids"])

@@ -348,6 +348,8 @@ class TestSimulate:
             ({"strategy": "bogus"}, None, ["--method", "dae"]),
             ({"seed": "abc"}, None, ["--method", "baseline", "--omega0", "9.4"]),
             ({"seed": 1.5}, None, ["--method", "baseline", "--omega0", "9.4"]),
+            # used to run as seed 1 and exit 0
+            ({"seed": True}, None, ["--method", "baseline", "--omega0", "9.4"]),
             ({"f0": ["a", 1, 2]}, None, ["--method", "reduced"]),
             ({"f0": [[-5.0, -5.0, 10.0]]}, None, ["--method", "reduced"]),
             # used to write an all-nan CSV and exit 0
@@ -362,7 +364,7 @@ class TestSimulate:
             ({}, {"signals": {"9": {"type": "constant", "value_v": 1.0}}}, ["--method", "reduced"]),
         ],
         ids=[
-            "strategy", "seed-text", "seed-fraction", "f0-text", "f0-nested", "f0-nan",
+            "strategy", "seed-text", "seed-fraction", "seed-boolean", "f0-text", "f0-nested", "f0-nan",
             "signals-list", "network-int", "excitation-int", "out_dir-int", "type-list",
             "signal-not-boundary",
         ],
@@ -447,6 +449,32 @@ class TestSimulate:
         assert len(lines) == 1
         diag = json.loads(lines[0])
         assert diag["error"] == "InputFormat" and "Lhat" in diag["message"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # an all-nan reduced.csv with exit 0
+            ("Lhat", [[float("nan"), 0.0], [0.0, 1.0]]),
+            # a LinAlgError traceback with exit 1
+            ("P", [[float("nan"), 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            # read as the identity, exit 0
+            ("Lhat", [[True, False], [False, True]]),
+        ],
+        ids=["Lhat-nan", "P-nan", "Lhat-boolean"],
+    )
+    def test_model_with_bad_entries_exits_2(self, manifest_file, wye_file, tmp_path, capsys, key, value):
+        model = tmp_path / "model.json"
+        assert main(["reduce", wye_file, "--p-strategy", "tree", "--out", str(model)]) == 0
+        obj = json.loads(model.read_text())
+        obj[key] = value
+        write_json(model, obj)
+        capsys.readouterr()
+        assert main(["simulate", manifest_file, "--method", "reduced", "--model", str(model)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat" and key in diag["message"]
+        assert not (tmp_path / "out" / "reduced.csv").exists()
 
     def test_dae_unstable_step_exits_2(self, tmp_path, wye_file, capsys):
         # used to write values up to 7.6e4 and exit 0

@@ -172,8 +172,10 @@ class TestSimultaneousDiagonalization:
         assert np.allclose(d, 0.0)
 
     def test_not_spd_raises(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            simultaneous_diagonalization(-np.eye(2), np.eye(2))
+        # negative definite, indefinite and singular first matrices
+        for Lp in (-np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, 0.0])):
+            with pytest.raises(NotPositiveDefiniteError):
+                simultaneous_diagonalization(Lp, np.eye(2))
 
     def test_random_pencils(self, rng):
         for _ in range(20):

@@ -19,7 +19,7 @@ from kronred.errors import (
     NotHomogeneousError,
     RankDeficientInputError,
 )
-from kronred.linalg import schur_complement
+from kronred.linalg import dense, schur_complement
 from kronred.reduction import build_P, model_from_dict, model_to_dict
 
 from conftest import (
@@ -59,7 +59,7 @@ class TestBuildP:
         for _ in range(15):
             net = random_connected_network(rng)
             inc = build_incidence(net)
-            P = build_P(inc, net, strategy)
+            P = dense(build_P(inc, net, strategy))
             assert P.shape == (len(net.edges), len(net.edges) - net.n_interior)
             assert np.linalg.matrix_rank(P) == P.shape[1]
             if inc.b0.shape[0]:
@@ -69,7 +69,7 @@ class TestBuildP:
         for _ in range(25):
             net = random_connected_network(rng)
             inc = build_incidence(net)
-            P = build_P(inc, net, PStrategy.TREE_ELIMINATION)
+            P = build_P(inc, net, PStrategy.TREE_ELIMINATION).toarray()
             assert np.array_equal(P, np.rint(P))
             if inc.b0.shape[0]:
                 assert not np.any(inc.b0 @ P.astype(int))

@@ -153,16 +153,25 @@ class TestReducedSimulation:
 
     def test_modal_model_skips_congruence(self, wye, monkeypatch):
         # A modal pencil is diagonal to rounding, so the modal core must
-        # not pay for a second O(n^3) congruence on it.
+        # not pay for a second O(n^3) congruence on it, also at grid scale
+        # (order 129, 61 interior nodes), where the O(n) decoupled path
+        # matters most.
         def congruence(*args):
             raise AssertionError("congruence computed")
 
+        rng = np.random.default_rng(69)
+        grid = random_connected_network(rng, n_max=120, e_max=200, min_interior=60)
+        assert len(grid.edges) - grid.n_interior == 129
+        cfg = SolverConfig(dt=1e-3, t_end=0.1)
         monkeypatch.setattr(simulate_module, "simultaneous_diagonalization", congruence)
-        f0, cfg = [-5.0, -5.0, 10.0], SolverConfig(dt=1e-3, t_end=0.1)
-        traj = simulate_reduced(reduce(wye, PStrategy.MODAL_DIAGONALIZING), zero_excitation(), f0, cfg)
-        assert np.allclose([traj.channel(f"i_{n}")[0] for n in ("1", "2", "3")], f0)
-        with pytest.raises(AssertionError, match="congruence"):
-            simulate_reduced(reduce(wye), zero_excitation(), f0, cfg)
+        for net, f0 in ((wye, np.array([-5.0, -5.0, 10.0])), (grid, random_consistent_flow(grid, rng))):
+            model = reduce(net, PStrategy.MODAL_DIAGONALIZING)
+            traj = simulate_reduced(model, zero_excitation(), f0, cfg)
+            inc = build_incidence(net)
+            i0 = [traj.channel(f"i_{n}")[0] for n in inc.boundary_nodes]
+            assert np.allclose(i0, inc.b1 @ f0)
+            with pytest.raises(AssertionError, match="congruence"):
+                simulate_reduced(reduce(net), zero_excitation(), f0, cfg)
 
     def test_unforced_energy_nonincreasing(self, rng):
         for _ in range(5):

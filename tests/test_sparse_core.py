@@ -1,10 +1,11 @@
 """The sparse graph core against dense references.
 
-Kron reduction factors the interior block of Y by sparse LU when it is
-sparse, and reduce multiplies a sparse tree basis as a sparse array.
-Both must agree with plain dense algebra, built here from the edge list
-alone, to 1e-13 relative on random networks whose interior blocks span
-both sides of the sparse/dense switch.
+Kron reduction factors the interior block of Y by sparse LU, and reduce
+multiplies the tree basis as the sparse array build_P returns. Both must
+agree with plain dense algebra, built here from the edge list alone, to
+1e-13 relative on random networks whose interior blocks range from a
+few percent nonzero (grid-like) to mostly nonzero (small and dense),
+since one sparse path serves them all.
 """
 
 import numpy as np

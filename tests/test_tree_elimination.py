@@ -123,7 +123,7 @@ def _tree_edges(network):
 
 def _tree_P(network):
     inc = build_incidence(network)
-    return build_P(inc, network, TREE), inc
+    return build_P(inc, network, TREE).toarray(), inc
 
 
 def _transfer(model):
