@@ -8,12 +8,7 @@ solver, and a frequency-domain synthesis baseline.
 """
 
 from .network import Edge, IncidenceMatrix, Network, build_incidence, load_network, validate
-from .linalg import (
-    min_norm_solution,
-    nullspace_basis,
-    schur_complement,
-    simultaneous_diagonalization,
-)
+from .linalg import nullspace_basis, schur_complement, simultaneous_diagonalization
 from .phasor import (
     AdmittanceMatrix,
     KronReducedAdmittance,
@@ -34,7 +29,7 @@ from .reduction import (
     reduce,
     save_model,
 )
-from .signals import Constant, Excitation, Piecewise, Sinusoid, Step, load_excitation, zero_excitation
+from .signals import Constant, Excitation, Piecewise, Sinusoid, Step, load_excitation
 from .simulate import (
     SolverConfig,
     Trajectory,

@@ -14,10 +14,10 @@ import numpy as np
 
 from .compare import compare_trajectories
 from .errors import NegativeSynthesizedElementError
-from .linalg import dense, min_norm_solution, nullspace_basis
+from .linalg import dense, nullspace_basis
 from .network import Edge, Network, build_incidence, validate
 from .phasor import admittance, kron_reduce
-from .reduction import PStrategy, reduce
+from .reduction import PStrategy, embed_initial, reduce
 from .signals import Excitation
 from .simulate import SolverConfig, simulate_reduced_batch
 
@@ -62,7 +62,9 @@ def heuristic_reduce(
         l = float(z.imag) / omega0
         edge_id = f"d_{nodes[m]}_{nodes[n]}"
         if (r < 0 or l <= 0) and not allow_unphysical:
-            raise NegativeSynthesizedElementError(edge_id, r, l)
+            raise NegativeSynthesizedElementError(
+                f"synthesized edge {edge_id!r} is unphysical (r={r:.6g} ohm, l={l:.6g} H)"
+            )
         edges.append(Edge(edge_id, nodes[m], nodes[n], r, l))
     synth = Network(nodes=tuple(nodes), edges=tuple(edges), boundary=tuple(nodes))
     # validate() enforces r >= 0 and l > 0, so it can only run when the
@@ -82,7 +84,7 @@ def map_initial_condition(Br: np.ndarray, i1_0, gamma: float = 0.0):
     it scales the first orthonormal null-basis vector.
     """
     Br = dense(Br).astype(float)
-    base = min_norm_solution(Br, np.asarray(i1_0, dtype=float))
+    base = embed_initial(Br, i1_0)
     E = Br.shape[1]
     basis = nullspace_basis(Br)
     if basis.shape[1] == 0:

@@ -83,6 +83,9 @@ def cmd_reduce(args):
     return EXIT_OK
 
 
+_SOLVER_KEYS = {"dt_s": "dt", "t_end_s": "t_end", "record_stride": "record_stride"}
+
+
 def _load_manifest(path):
     manifest_path = Path(path)
     obj = load_json(manifest_path)
@@ -100,13 +103,16 @@ def _load_manifest(path):
             raise InputFormatError(f"manifest {key!r} must be a path string, got {obj[key]!r}")
     base = manifest_path.parent
     solver = obj.get("solver", {})
+    if not isinstance(solver, dict):
+        raise InputFormatError(f"manifest 'solver' must be an object, got {solver!r}")
+    unknown = set(solver) - set(_SOLVER_KEYS)
+    if unknown:
+        raise InputFormatError(f"unknown solver keys: {sorted(unknown)}")
     try:
-        dt = json_float(solver.get("dt_s", 1e-4))
-        t_end = json_float(solver.get("t_end_s", 10.0))
-        record_stride = json_float(solver.get("record_stride", 1))
-    except (AttributeError, TypeError, ValueError) as exc:
+        settings = {_SOLVER_KEYS[key]: json_float(value) for key, value in solver.items()}
+    except (TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed solver settings in {path}: {exc}") from exc
-    cfg = SolverConfig(dt=dt, t_end=t_end, record_stride=record_stride)
+    cfg = SolverConfig(**settings)
     network = load_network(base / obj["network"])
     excitation = load_excitation(base / obj["excitation"])
     stray = sorted(set(excitation.signals) - set(network.boundary))
@@ -157,7 +163,7 @@ def cmd_simulate(args):
     elif args.method == "dae":
         trajectories = {"dae": simulate_dae_oracle(network, excitation, f0, cfg)}
     elif args.method == "homogeneous":
-        hmodel = homogeneous_reduce(network, tol=args.homogeneity_tol)
+        hmodel = homogeneous_reduce(network)
         i1_0 = build_incidence(network).b1 @ f0
         trajectories = {"homogeneous": simulate_homogeneous(hmodel, excitation, i1_0, cfg)}
     else:  # baseline
@@ -208,6 +214,17 @@ def _parse_phasor(text):
         return Phasor(float(mag), math.radians(float(deg)))
     except ValueError as exc:
         raise InputFormatError(f"bad phasor {text!r}, expected MAG@DEG") from exc
+
+
+def _finite_float(text):
+    """argparse type for a finite float; anything else is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _complex_json(z):
@@ -278,11 +295,10 @@ def build_parser():
     p.add_argument("--method", choices=["reduced", "dae", "homogeneous", "baseline"], required=True)
     p.add_argument("--model", help="pre-built reduced-model JSON (method=reduced)")
     p.add_argument("--omega0", type=float, help="synthesis frequency rad/s (method=baseline)")
-    p.add_argument("--gamma", type=float, action="append", help="explicit gamma value (repeatable)")
+    p.add_argument("--gamma", type=_finite_float, action="append", help="explicit gamma value (repeatable)")
     p.add_argument("--allow-unphysical", action="store_true")
     p.add_argument("--seed", type=int, help="gamma-draw seed (overrides KRONRED_SEED)")
     p.add_argument("--oracle", help="reference trajectory CSV for the baseline summary")
-    p.add_argument("--homogeneity-tol", type=float, default=1e-9)
     p.add_argument("--out-dir", help="override the manifest's output directory")
     p.set_defaults(func=cmd_simulate)
 

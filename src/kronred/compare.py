@@ -22,10 +22,11 @@ def compare_trajectories(
     Channels default to the boundary injections i_<node> common to both
     trajectories, or to every common channel when they share none (in
     a's order): other channels, such as a reduced model's pseudoflows
-    fhat_<k>, are coordinates that differ between P strategies. Per
-    channel the deviation is normalized by the reference's
-    peak magnitude over the window; the reported numbers are maxima over
-    channels:
+    fhat_<k>, are coordinates that differ between P strategies. A missing
+    channel, or a non-finite value in a compared one, raises
+    InputFormatError. Per channel the deviation is normalized by the
+    reference's peak magnitude over the window; the reported numbers are
+    maxima over channels:
 
     * max_abs — largest absolute deviation;
     * max_rel — largest deviation / reference scale;
@@ -51,6 +52,8 @@ def compare_trajectories(
     for name in channels:
         xa = a.channel(name)[mask]
         xb = b.channel(name)[mask]
+        if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
+            raise InputFormatError(f"channel {name!r} holds a non-finite value")
         diff = np.abs(xa - xb)
         scale = max(float(np.max(np.abs(xb))), 1e-300)
         max_abs = max(max_abs, float(np.max(diff)))

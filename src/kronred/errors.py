@@ -16,27 +16,19 @@ class DisconnectedNetworkError(NetworkValidationError):
 
 
 class NonpositiveInductanceError(NetworkValidationError):
-    def __init__(self, edge_id):
-        self.edge_id = edge_id
-        super().__init__(f"edge {edge_id!r} has non-positive inductance")
+    """An edge has l <= 0."""
 
 
 class NegativeResistanceError(NetworkValidationError):
-    def __init__(self, edge_id):
-        self.edge_id = edge_id
-        super().__init__(f"edge {edge_id!r} has negative resistance")
+    """An edge has r < 0."""
 
 
 class EmptyBoundaryError(NetworkValidationError):
-    def __init__(self):
-        super().__init__("boundary node set is empty")
+    """The boundary node set is empty."""
 
 
 class UnknownNodeRefError(NetworkValidationError):
-    def __init__(self, edge_id, node_id):
-        self.edge_id = edge_id
-        self.node_id = node_id
-        super().__init__(f"edge {edge_id!r} references unknown node {node_id!r}")
+    """An edge references a node that is not in the node list."""
 
 
 class RankDeficientInputError(KronredError):
@@ -50,14 +42,6 @@ class SingularBlockError(KronredError):
             f"matrix block is singular to working precision "
             f"(condition estimate {condition_estimate:.3e})"
         )
-
-
-class InconsistentSystemError(KronredError):
-    """Right-hand side is not in the range of the coefficient matrix."""
-
-    def __init__(self, residual_norm):
-        self.residual_norm = residual_norm
-        super().__init__(f"right-hand side outside range (residual {residual_norm:.3e})")
 
 
 class NotPositiveDefiniteError(KronredError):
@@ -81,36 +65,13 @@ class InconsistentInitialConditionError(KronredError):
 class ConstraintDriftError(KronredError):
     """Interior current balance drifted during integration."""
 
-    def __init__(self, t, norm):
-        self.t = t
-        self.norm = norm
-        super().__init__(f"constraint drift {norm:.3e} at t={t:.6g} s")
-
 
 class NotHomogeneousError(KronredError):
     """Edge r/l ratios are not constant across the network."""
 
-    def __init__(self, max_deviation):
-        self.max_deviation = max_deviation
-        super().__init__(
-            f"network is not homogeneous (max relative ratio deviation {max_deviation:.3e})"
-        )
-
 
 class NegativeSynthesizedElementError(KronredError):
     """Frequency-domain synthesis produced an unphysical circuit element."""
-
-    def __init__(self, edge, r, l):
-        self.edge = edge
-        self.r = r
-        self.l = l
-        super().__init__(
-            f"synthesized edge {edge!r} is unphysical (r={r:.6g} ohm, l={l:.6g} H)"
-        )
-
-
-class InsufficientWindowError(KronredError):
-    """Trajectory is too short for the requested steady-state window."""
 
 
 class InputFormatError(KronredError):

@@ -55,10 +55,11 @@ def step_excitation() -> Excitation:
     )
 
 
-def resolve_seed(flag_seed=None, manifest_seed=None, default=0):
-    """Seed priority: CLI flag, then KRONRED_SEED, then manifest, then default.
+def resolve_seed(flag_seed=None, manifest_seed=None):
+    """Seed priority: CLI flag, then KRONRED_SEED, then manifest, then 0.
 
-    A boolean seed, or one that is not a whole number, raises InputFormatError.
+    A boolean seed, or one that is not a non-negative whole number, raises
+    InputFormatError.
     """
     env = os.environ.get("KRONRED_SEED")
     sources = (("--seed", flag_seed), ("KRONRED_SEED", env), ("manifest seed", manifest_seed))
@@ -71,8 +72,10 @@ def resolve_seed(flag_seed=None, manifest_seed=None, default=0):
             seed = None
         if seed is None or isinstance(value, bool) or (isinstance(value, float) and seed != value):
             raise InputFormatError(f"{source} must be an integer, got {value!r}")
+        if seed < 0:
+            raise InputFormatError(f"{source} must be non-negative, got {value!r}")
         return seed
-    return default
+    return 0
 
 
 def run_experiment(

@@ -1,6 +1,6 @@
 """Linear-algebra kernels: null-space bases (dense SVD), Schur
-complements (sparse LU), minimum-norm least squares, and simultaneous
-diagonalization of an SPD/PSD symmetric pencil."""
+complements (sparse LU), and simultaneous diagonalization of an SPD/PSD
+symmetric pencil."""
 
 from __future__ import annotations
 
@@ -11,11 +11,7 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
 
-from .errors import (
-    InconsistentSystemError,
-    NotPositiveDefiniteError,
-    SingularBlockError,
-)
+from .errors import NotPositiveDefiniteError, SingularBlockError
 
 # Relative singular-value cutoff for numerical rank decisions. The
 # constraint matrices here are small integer incidence blocks, so this
@@ -80,21 +76,6 @@ def schur_complement(M, n0: int):
             raise SingularBlockError(cond)
     X = lu.solve(M[k:, :k].toarray())
     return M[:k, :k].toarray() - M[:k, k:] @ X, X
-
-
-def min_norm_solution(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum Euclidean-norm x with Ax = b, via the pseudoinverse.
-
-    Raises InconsistentSystemError when b is not in range(A) to relative
-    tolerance 1e-9.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x, _, _, _ = np.linalg.lstsq(A, b, rcond=None)
-    residual = np.linalg.norm(A @ x - b)
-    if residual > 1e-9 * max(np.linalg.norm(b), 1e-300):
-        raise InconsistentSystemError(residual)
-    return x
 
 
 def simultaneous_diagonalization(Lp: np.ndarray, Rp: np.ndarray):

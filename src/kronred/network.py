@@ -50,28 +50,11 @@ class Network:
     edges: tuple
     boundary: tuple
 
-    @property
-    def interior(self):
-        bset = set(self.boundary)
-        return tuple(n for n in self.nodes if n not in bset)
-
-    @property
-    def n_interior(self):
-        return len(self.nodes) - len(set(self.boundary))
-
     def r_vector(self):
         return np.array([e.r for e in self.edges], dtype=float)
 
     def l_vector(self):
         return np.array([e.l for e in self.edges], dtype=float)
-
-    def with_flipped_edge(self, edge_id):
-        """Copy with one edge's direction reversed (for invariance tests)."""
-        flipped = tuple(
-            Edge(e.id, e.head, e.tail, e.r, e.l) if e.id == edge_id else e
-            for e in self.edges
-        )
-        return Network(self.nodes, flipped, self.boundary)
 
 
 @dataclass(frozen=True)
@@ -131,10 +114,9 @@ def validate(network: Network) -> Network:
         raise NetworkValidationError("duplicate edge ids")
     node_set = set(network.nodes)
     for e in network.edges:
-        if e.tail not in node_set:
-            raise UnknownNodeRefError(e.id, e.tail)
-        if e.head not in node_set:
-            raise UnknownNodeRefError(e.id, e.head)
+        for node in (e.tail, e.head):
+            if node not in node_set:
+                raise UnknownNodeRefError(f"edge {e.id!r} references unknown node {node!r}")
         if e.tail == e.head:
             raise NetworkValidationError(f"edge {e.id!r} is a self-loop")
         if not math.isfinite(e.r):
@@ -142,21 +124,20 @@ def validate(network: Network) -> Network:
         if not math.isfinite(e.l):
             raise NetworkValidationError(f"edge {e.id!r} has non-finite inductance {e.l!r}")
         if not e.l > 0:
-            raise NonpositiveInductanceError(e.id)
+            raise NonpositiveInductanceError(f"edge {e.id!r} has non-positive inductance")
         if e.r < 0:
-            raise NegativeResistanceError(e.id)
+            raise NegativeResistanceError(f"edge {e.id!r} has negative resistance")
     if not network.boundary:
-        raise EmptyBoundaryError()
+        raise EmptyBoundaryError("boundary node set is empty")
     for n in network.boundary:
         if n not in node_set:
             raise NetworkValidationError(f"boundary references unknown node {n!r}")
-    if len(network.nodes) > 0:
-        inc = build_incidence(network)
-        n = len(network.nodes)
-        adjacency = sparse.csr_array((np.ones(inc.tail.size), (inc.tail, inc.head)), shape=(n, n))
-        count = int(connected_components(adjacency, directed=False)[0])
-        if count != 1:
-            raise DisconnectedNetworkError(count)
+    inc = build_incidence(network)
+    n = len(network.nodes)
+    adjacency = sparse.csr_array((np.ones(inc.tail.size), (inc.tail, inc.head)), shape=(n, n))
+    count = int(connected_components(adjacency, directed=False)[0])
+    if count != 1:
+        raise DisconnectedNetworkError(count)
     return network
 
 

@@ -189,33 +189,35 @@ def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BA
 
 
 def embed_initial(P: np.ndarray, f0: np.ndarray) -> np.ndarray:
-    """Coordinates fhat0 with P fhat0 = f0, for f0 in range(P).
+    """Minimum-norm coordinates fhat0 with P fhat0 = f0, for f0 in range(P).
 
-    The caller's f0 must satisfy the interior current balance (it lies in
-    null(B0) = range(P)); otherwise the least-squares residual exceeds
-    1e-8 * ||f0|| and InconsistentInitialConditionError is raised.
+    For a reduced model's P, f0 must satisfy the interior current balance
+    (it lies in null(B0) = range(P)). InconsistentInitialConditionError
+    when the least-squares residual exceeds 1e-9 * ||f0||.
     """
     f0 = np.asarray(f0, dtype=float)
     fhat0, _, _, _ = np.linalg.lstsq(P, f0, rcond=None)
     residual = np.linalg.norm(P @ fhat0 - f0)
-    if residual > 1e-8 * max(np.linalg.norm(f0), 1e-300):
+    if residual > 1e-9 * max(np.linalg.norm(f0), 1e-300):
         raise InconsistentInitialConditionError(residual)
     return fhat0
 
 
-def homogeneous_reduce(network: Network, tol: float = 1e-9) -> HomogeneousReducedModel:
+def homogeneous_reduce(network: Network) -> HomogeneousReducedModel:
     """Injection-space reduction, valid only when R = alpha L.
 
-    Raises NotHomogeneousError if any edge ratio r/l deviates from the
-    mean ratio by more than tol (relative).
+    Raises NotHomogeneousError unless every edge ratio r/l is within
+    1e-9 (relative) of the mean ratio.
     """
     r = network.r_vector()
     l = network.l_vector()
     ratios = r / l
     alpha = float(np.mean(ratios))
     deviation = float(np.max(np.abs(ratios - alpha))) / max(abs(alpha), 1e-300)
-    if deviation > tol:
-        raise NotHomogeneousError(deviation)
+    if not deviation <= 1e-9:
+        raise NotHomogeneousError(
+            f"network is not homogeneous (max relative ratio deviation {deviation:.3e})"
+        )
     incidence = build_incidence(network)
     Ltilde = incidence.laplacian(1.0 / l).tocsr()
     Lred, _ = schur_complement(Ltilde, len(incidence.interior_nodes))

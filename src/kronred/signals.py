@@ -83,10 +83,6 @@ class Excitation:
         return out
 
 
-def zero_excitation() -> Excitation:
-    return Excitation(signals={})
-
-
 _SIGNAL_KEYS = {
     "sinusoid": {"type", "amplitude_v", "freq_hz", "phase_deg"},
     "step": {"type", "value_v", "t_step_s"},

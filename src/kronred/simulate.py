@@ -91,7 +91,7 @@ class Trajectory:
         try:
             j = self.channels.index(name)
         except ValueError:
-            raise KeyError(f"no channel {name!r}") from None
+            raise InputFormatError(f"no channel {name!r}") from None
         return self.data[:, j]
 
     def channels_with_prefix(self, prefix):
@@ -346,7 +346,9 @@ def simulate_dae_oracle(
     bad = np.any((drift > DRIFT_TOL * scale[:, None]) & (drift > floor), axis=1)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ConstraintDriftError(steps[i] * cfg.dt, float(np.max(drift[i])))
+        raise ConstraintDriftError(
+            f"constraint drift {np.max(drift[i]):.3e} at t={steps[i] * cfg.dt:.6g} s"
+        )
     i1 = f @ B1.T
     v0 = f @ G.T + v1[2 * steps] @ H.T
     channels = (

@@ -1,14 +1,41 @@
-"""Reference helpers that only the tests use: serializers for networks
-and excitations, the weighted-projector identity, and a steady-state
-phasor fit of a trajectory."""
+"""Reference helpers that only the tests use: network queries and an
+edge flip, the zero excitation, serializers for networks and
+excitations, the weighted-projector identity, and a steady-state phasor
+fit of a trajectory."""
 
 import math
 
 import numpy as np
 from scipy import sparse
 
-from kronred import Constant, Phasor, Piecewise, Sinusoid, Step
-from kronred.errors import InsufficientWindowError
+from kronred import Constant, Edge, Excitation, Network, Phasor, Piecewise, Sinusoid, Step
+from kronred.errors import KronredError
+
+
+class InsufficientWindowError(KronredError):
+    """Trajectory is too short for the requested steady-state window."""
+
+
+def interior(network) -> tuple:
+    bset = set(network.boundary)
+    return tuple(n for n in network.nodes if n not in bset)
+
+
+def n_interior(network) -> int:
+    return len(network.nodes) - len(set(network.boundary))
+
+
+def with_flipped_edge(network, edge_id):
+    """Copy with one edge's direction reversed (for invariance tests)."""
+    flipped = tuple(
+        Edge(e.id, e.head, e.tail, e.r, e.l) if e.id == edge_id else e
+        for e in network.edges
+    )
+    return Network(network.nodes, flipped, network.boundary)
+
+
+def zero_excitation() -> Excitation:
+    return Excitation(signals={})
 
 
 def network_to_dict(network) -> dict:

@@ -27,7 +27,6 @@ from kronred import (
     simulate_dae_oracle,
     simulate_homogeneous,
     simulate_reduced,
-    zero_excitation,
 )
 from kronred.experiment import (
     WYE_F0,
@@ -40,7 +39,13 @@ from kronred.network import Edge, Network, validate
 from kronred.reduction import build_P, homogeneous_reduce
 
 from conftest import make_net_a, random_connected_network, random_consistent_flow
-from reference import extract_steady_phasors, projection_identity_residual
+from reference import (
+    extract_steady_phasors,
+    n_interior,
+    projection_identity_residual,
+    with_flipped_edge,
+    zero_excitation,
+)
 
 
 def _report(capsys, number, label, ok, detail):
@@ -139,7 +144,7 @@ def test_criterion_4_boundary_schur_equivalence(capsys, identity_triples):
             PWP = P.T @ (w[:, None] * P)
             lhs = inc.b1 @ P @ np.linalg.solve(PWP, P.T.astype(complex)) @ inc.b1.T
             Wt = (B / w[None, :]) @ B.T
-            if net.n_interior:
+            if n_interior(net):
                 W00 = Wt[nb:, nb:]
                 rhs = Wt[:nb, :nb] - Wt[:nb, nb:] @ np.linalg.solve(W00, Wt[nb:, :nb])
             else:
@@ -244,7 +249,7 @@ def test_criterion_8_structural_invariants(capsys):
     dim_ok = definite_ok = modal_ok = conserve_ok = invert_ok = True
     for _ in range(200):
         net = random_connected_network(rng)
-        E, N0 = len(net.edges), net.n_interior
+        E, N0 = len(net.edges), n_interior(net)
         P = build_P(build_incidence(net), net, PStrategy.ORTHONORMAL_NULL_BASIS)
         dim_ok &= P.shape == (E, E - N0)
         model = reduce(net, PStrategy.MODAL_DIAGONALIZING)
@@ -280,7 +285,7 @@ def test_criterion_8_structural_invariants(capsys):
             simulate_reduced(reduce(net, s), exc, f0, cfg) for s in PStrategy
         ]
         flip_id = net.edges[int(rng.integers(len(net.edges)))].id
-        flipped = validate(net.with_flipped_edge(flip_id))
+        flipped = validate(with_flipped_edge(net, flip_id))
         f0_flip = np.array(
             [-x if e.id == flip_id else x for x, e in zip(f0, net.edges)]
         )

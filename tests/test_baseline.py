@@ -18,6 +18,7 @@ from kronred import (
 from kronred.errors import NegativeSynthesizedElementError
 
 from conftest import make_balanced_wye, make_wye
+from reference import interior
 
 DELTA_INCIDENCE = np.array([[1, 0, -1], [-1, 1, 0], [0, -1, 1]], dtype=float)
 
@@ -32,7 +33,7 @@ class TestHeuristicReduce:
     def test_balanced_wye_gives_balanced_delta(self):
         net = heuristic_reduce(make_balanced_wye(r=1.0, l=1.0), omega0=2.0)
         assert len(net.edges) == 3
-        assert net.interior == ()
+        assert interior(net) == ()
         for e in net.edges:
             assert np.isclose(e.r, 3.0)
             assert np.isclose(e.l, 3.0)

@@ -153,6 +153,15 @@ class TestUsageErrors:
             main(["simulate", manifest_file, "--method", "baseline", "--omega0", "9.4", "--gamma", "abc"])
         assert exc.value.code == 64
 
+    # each used to write all-nan CSVs and exit 0
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma(self, manifest_file, tmp_path, capsys, gamma):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", manifest_file, "--method", "baseline", "--omega0", "9.4", f"--gamma={gamma}"])
+        assert exc.value.code == 64
+        assert f"--gamma: not a finite number: {gamma!r}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/*.csv"))
+
 
 class TestReduce:
     def test_tree_strategy_output(self, wye_file, capsys):
@@ -277,6 +286,8 @@ class TestSimulate:
             ({"record_stride": "ten"}, "InputFormat"),
             # used to run with stride 2
             ({"record_stride": 2.7}, "SolverConfig"),
+            # "dt" is not "dt_s": used to run at the default dt and exit 0
+            ({"dt": 0.5, "t_end_s": 0.1}, "InputFormat"),
         ],
     )
     def test_bad_solver_settings_exit_2(self, tmp_path, wye_file, capsys, solver, error):
@@ -350,6 +361,8 @@ class TestSimulate:
             ({"seed": 1.5}, None, ["--method", "baseline", "--omega0", "9.4"]),
             # used to run as seed 1 and exit 0
             ({"seed": True}, None, ["--method", "baseline", "--omega0", "9.4"]),
+            # ended in a ValueError traceback from default_rng with exit 1
+            ({"seed": -1}, None, ["--method", "baseline", "--omega0", "9.4"]),
             ({"f0": ["a", 1, 2]}, None, ["--method", "reduced"]),
             ({"f0": [[-5.0, -5.0, 10.0]]}, None, ["--method", "reduced"]),
             # used to write an all-nan CSV and exit 0
@@ -364,7 +377,8 @@ class TestSimulate:
             ({}, {"signals": {"9": {"type": "constant", "value_v": 1.0}}}, ["--method", "reduced"]),
         ],
         ids=[
-            "strategy", "seed-text", "seed-fraction", "seed-boolean", "f0-text", "f0-nested", "f0-nan",
+            "strategy", "seed-text", "seed-fraction", "seed-boolean", "seed-negative",
+            "f0-text", "f0-nested", "f0-nan",
             "signals-list", "network-int", "excitation-int", "out_dir-int", "type-list",
             "signal-not-boundary",
         ],
@@ -580,6 +594,33 @@ class TestCompare:
         assert diag["error"] == "InputFormat"
         assert "bad.csv, line 3" in diag["message"]
 
+    def test_non_finite_value_exits_2(self, manifest_file, tmp_path, capsys):
+        # max() skips nan, so an all-nan copy used to report max_rel 0.0
+        assert main(["simulate", manifest_file, "--method", "dae"]) == 0
+        header, *rows = (tmp_path / "out" / "dae.csv").read_text().splitlines()
+        rows = [row.split(",", 1)[0] + ",nan" * header.count(",") for row in rows]
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["compare", str(bad), str(tmp_path / "out" / "dae.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diag = json.loads(captured.err)
+        assert diag["error"] == "InputFormat"
+        assert "'i_1'" in diag["message"] and "non-finite" in diag["message"]
+
+    def test_unknown_channel_exits_2(self, manifest_file, tmp_path, capsys):
+        # used to end in a KeyError traceback with exit 1
+        assert main(["simulate", manifest_file, "--method", "dae"]) == 0
+        capsys.readouterr()
+        path = str(tmp_path / "out" / "dae.csv")
+        assert main(["compare", path, path, "--channels", "i_9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diag = json.loads(captured.err)
+        assert diag["error"] == "InputFormat"
+        assert "'i_9'" in diag["message"]
+
 
 class TestPhasor:
     def test_reduced_admittance_and_solve(self, wye_file, capsys):
@@ -672,3 +713,22 @@ class TestPaperExperiment:
         diag = json.loads(captured.err)
         assert diag["error"] == "InputFormat"
         assert "KRONRED_SEED" in diag["message"]
+
+    # each ended in a ValueError traceback from default_rng with exit 1
+    @pytest.mark.parametrize(
+        "variable, flags, source",
+        [(None, ["--seed", "-1"], "--seed"), ("-2", [], "KRONRED_SEED")],
+        ids=["flag", "variable"],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, monkeypatch, variable, flags, source):
+        monkeypatch.delenv("KRONRED_SEED", raising=False)
+        if variable is not None:
+            monkeypatch.setenv("KRONRED_SEED", variable)
+        code = main(["paper-experiment", "--which", "step", *flags, "--out-dir", str(tmp_path / "exp")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diag = json.loads(captured.err)
+        assert diag["error"] == "InputFormat"
+        assert source in diag["message"]
+        assert not (tmp_path / "exp").exists()

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from kronred import build_incidence
+from kronred import build_incidence, embed_initial
 from kronred.linalg import (
-    min_norm_solution,
     nullspace_basis,
     schur_complement,
     simultaneous_diagonalization,
 )
 from kronred.errors import (
-    InconsistentSystemError,
+    InconsistentInitialConditionError,
     NotPositiveDefiniteError,
     SingularBlockError,
 )
@@ -120,20 +119,20 @@ class TestSchurComplement:
 class TestMinNormSolution:
     def test_identity(self, rng):
         b = rng.normal(size=5)
-        assert np.allclose(min_norm_solution(np.eye(5), b), b)
+        assert np.allclose(embed_initial(np.eye(5), b), b)
 
     def test_delta_incidence(self):
-        x = min_norm_solution(DELTA_INCIDENCE, np.array([-5.0, -5.0, 10.0]))
+        x = embed_initial(DELTA_INCIDENCE, np.array([-5.0, -5.0, 10.0]))
         assert np.allclose(x, [0.0, -5.0, 5.0], atol=1e-12)
 
     def test_inconsistent_raises(self):
-        with pytest.raises(InconsistentSystemError):
-            min_norm_solution(DELTA_INCIDENCE, np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(InconsistentInitialConditionError):
+            embed_initial(DELTA_INCIDENCE, np.array([1.0, 1.0, 1.0]))
 
     def test_orthogonal_to_nullspace(self, rng):
         for _ in range(20):
             A = rng.normal(size=(3, 6))
-            x = min_norm_solution(A, A @ rng.normal(size=6))
+            x = embed_initial(A, A @ rng.normal(size=6))
             N = nullspace_basis(A)
             assert np.max(np.abs(N.T @ x)) <= 1e-12 * max(np.linalg.norm(x), 1.0)
 

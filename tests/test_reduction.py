@@ -30,6 +30,7 @@ from conftest import (
     random_connected_network,
     random_consistent_flow,
 )
+from reference import n_interior
 
 ALL_STRATEGIES = list(PStrategy)
 
@@ -60,7 +61,7 @@ class TestBuildP:
             net = random_connected_network(rng)
             inc = build_incidence(net)
             P = dense(build_P(inc, net, strategy))
-            assert P.shape == (len(net.edges), len(net.edges) - net.n_interior)
+            assert P.shape == (len(net.edges), len(net.edges) - n_interior(net))
             assert np.linalg.matrix_rank(P) == P.shape[1]
             if inc.b0.shape[0]:
                 assert np.max(np.abs(inc.b0 @ P)) <= 1e-9
@@ -117,7 +118,7 @@ class TestReduce:
         for _ in range(10):
             net = random_connected_network(rng)
             model = reduce(net, strategy)
-            assert model.order == len(net.edges) - net.n_interior
+            assert model.order == len(net.edges) - n_interior(net)
             assert np.all(np.linalg.eigvalsh(model.Lhat) > 0)
             assert np.min(np.linalg.eigvalsh(model.Rhat)) >= -1e-10
 
@@ -136,6 +137,15 @@ class TestEmbedLift:
         model = reduce(wye)
         with pytest.raises(InconsistentInitialConditionError):
             embed_initial(model.P, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    def test_small_imbalance_rejected(self, wye, strategy):
+        # A component along B0^T (the wye's all-ones direction), outside
+        # range(P), of 3e-9 relative: the former 1e-8 tolerance let it pass.
+        f0 = np.array([-5.0, -5.0, 10.0])
+        f0 += 3e-9 * np.linalg.norm(f0) * np.ones(3) / np.sqrt(3)
+        with pytest.raises(InconsistentInitialConditionError):
+            embed_initial(reduce(wye, strategy).P, f0)
 
     def test_lift_example(self, wye):
         model = reduce(wye, PStrategy.TREE_ELIMINATION)
