@@ -13,8 +13,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .baseline import baseline_errors, draw_gammas, run_baseline_sweep
 from .compare import compare_trajectories
 from .errors import (
@@ -24,7 +22,7 @@ from .errors import (
     NotHomogeneousError,
 )
 from .experiment import resolve_seed, run_experiment
-from .network import build_incidence, json_float, load_json, load_network
+from .network import build_incidence, json_number, json_object, load_json, load_network
 from .phasor import Phasor, admittance, kron_reduce, phasor_solve, recover_interior_phasors
 from .reduction import (
     PStrategy,
@@ -83,36 +81,21 @@ def cmd_reduce(args):
     return EXIT_OK
 
 
+_MANIFEST_KEYS = {"network", "excitation", "f0", "solver", "strategy", "seed", "out_dir"}
 _SOLVER_KEYS = {"dt_s": "dt", "t_end_s": "t_end", "record_stride": "record_stride"}
 
 
 def _load_manifest(path):
     manifest_path = Path(path)
-    obj = load_json(manifest_path)
-    if not isinstance(obj, dict):
-        raise InputFormatError("manifest JSON root must be an object")
-    known = {"network", "excitation", "f0", "solver", "strategy", "seed", "out_dir"}
-    unknown = set(obj) - known
-    if unknown:
-        raise InputFormatError(f"unknown manifest keys: {sorted(unknown)}")
-    for key in ("network", "excitation"):
-        if key not in obj:
-            raise InputFormatError(f"manifest is missing {key!r}")
+    obj = json_object(load_json(manifest_path), "manifest", _MANIFEST_KEYS, {"network", "excitation"})
     for key in ("network", "excitation", "out_dir"):
         if not isinstance(obj.get(key, "."), str):
             raise InputFormatError(f"manifest {key!r} must be a path string, got {obj[key]!r}")
     base = manifest_path.parent
-    solver = obj.get("solver", {})
-    if not isinstance(solver, dict):
-        raise InputFormatError(f"manifest 'solver' must be an object, got {solver!r}")
-    unknown = set(solver) - set(_SOLVER_KEYS)
-    if unknown:
-        raise InputFormatError(f"unknown solver keys: {sorted(unknown)}")
-    try:
-        settings = {_SOLVER_KEYS[key]: json_float(value) for key, value in solver.items()}
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed solver settings in {path}: {exc}") from exc
-    cfg = SolverConfig(**settings)
+    solver = json_object(obj.get("solver", {}), "solver", _SOLVER_KEYS, ())
+    cfg = SolverConfig(**{
+        _SOLVER_KEYS[key]: json_number(value, f"solver {key}", finite=False) for key, value in solver.items()
+    })
     network = load_network(base / obj["network"])
     excitation = load_excitation(base / obj["excitation"])
     stray = sorted(set(excitation.signals) - set(network.boundary))
@@ -122,16 +105,9 @@ def _load_manifest(path):
         strategy = PStrategy(obj.get("strategy", "nullbasis"))
     except ValueError as exc:
         raise InputFormatError(f"bad strategy in {path}: {exc}") from exc
-    raw_f0 = obj.get("f0", [0.0] * len(network.edges))
-    try:
-        f0 = np.asarray(raw_f0, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed f0 in {path}: {exc}") from exc
-    booleans = isinstance(raw_f0, list) and any(isinstance(v, bool) for v in raw_f0)
-    if booleans or f0.shape != (len(network.edges),) or not np.all(np.isfinite(f0)):
-        raise InputFormatError(
-            f"f0 must list {len(network.edges)} finite edge flows, got {obj.get('f0')!r}"
-        )
+    f0 = json_number(obj.get("f0", [0.0] * len(network.edges)), "manifest f0", scalar=False)
+    if f0.shape != (len(network.edges),):
+        raise InputFormatError(f"f0 must list {len(network.edges)} edge flows, got shape {f0.shape}")
     return {
         "network": network,
         "excitation": excitation,
@@ -209,11 +185,9 @@ def cmd_compare(args):
 
 
 def _parse_phasor(text):
-    try:
-        mag, _, deg = text.partition("@")
-        return Phasor(float(mag), math.radians(float(deg)))
-    except ValueError as exc:
-        raise InputFormatError(f"bad phasor {text!r}, expected MAG@DEG") from exc
+    mag, _, deg = text.partition("@")
+    what = f"--v1 {text!r} (MAG@DEG)"
+    return Phasor(json_number(mag, f"{what} magnitude"), math.radians(json_number(deg, f"{what} angle")))
 
 
 def _finite_float(text):
@@ -306,7 +280,7 @@ def build_parser():
     p.add_argument("traj_a")
     p.add_argument("traj_b")
     p.add_argument("--channels", help="comma-separated channel names")
-    p.add_argument("--from-time", type=float, default=0.0)
+    p.add_argument("--from-time", type=_finite_float, default=0.0)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("phasor", help="steady-state Kron reduction at one frequency")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,14 +159,7 @@ _NETWORK_KEYS = {"nodes", "boundary", "edges"}
 
 def network_from_dict(obj) -> Network:
     """Parse the network JSON object; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise InputFormatError("network JSON root must be an object")
-    unknown = set(obj) - _NETWORK_KEYS
-    if unknown:
-        raise InputFormatError(f"unknown network keys: {sorted(unknown)}")
-    missing = _NETWORK_KEYS - set(obj)
-    if missing:
-        raise InputFormatError(f"missing network keys: {sorted(missing)}")
+    obj = json_object(obj, "network", _NETWORK_KEYS)
     for key in sorted(_NETWORK_KEYS):
         if not isinstance(obj[key], list):
             raise InputFormatError(f"network {key!r} must be a list, got {obj[key]!r}")
@@ -173,24 +167,10 @@ def network_from_dict(obj) -> Network:
         raise InputFormatError("node ids must be strings")
     edges = []
     for raw in obj["edges"]:
-        if not isinstance(raw, dict):
-            raise InputFormatError("each edge must be an object")
-        unknown = set(raw) - _EDGE_KEYS
-        if unknown:
-            raise InputFormatError(f"unknown edge keys: {sorted(unknown)}")
-        missing = _EDGE_KEYS - set(raw)
-        if missing:
-            raise InputFormatError(f"missing edge keys: {sorted(missing)}")
+        raw = json_object(raw, "edge", _EDGE_KEYS)
         edge_id = str(raw["id"])
-        values = []
-        for key in ("r_ohm", "l_henry"):
-            try:
-                values.append(json_float(raw[key]))
-            except (TypeError, ValueError):
-                raise InputFormatError(
-                    f"edge {edge_id!r}: {key} must be a number, got {raw[key]!r}"
-                ) from None
-        edges.append(Edge(edge_id, str(raw["from"]), str(raw["to"]), *values))
+        r, l = (json_number(raw[k], f"edge {edge_id!r}: {k}", finite=False) for k in ("r_ohm", "l_henry"))
+        edges.append(Edge(edge_id, str(raw["from"]), str(raw["to"]), r, l))
     return Network(
         nodes=tuple(obj["nodes"]),
         edges=tuple(edges),
@@ -198,12 +178,39 @@ def network_from_dict(obj) -> Network:
     )
 
 
-def json_float(value) -> float:
-    """float(value) of a JSON value; a boolean is not a number here,
-    although float(True) is 1.0."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+def json_object(obj, what, keys, required=None):
+    """obj if it is a JSON object whose keys are all in keys and include
+    every key in required (default: all of keys); InputFormatError
+    naming what otherwise."""
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{what} must be an object, got {reprlib.repr(obj)}")
+    unknown = set(obj) - set(keys)
+    if unknown:
+        raise InputFormatError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = set(keys if required is None else required) - set(obj)
+    if missing:
+        raise InputFormatError(f"missing {what} keys: {sorted(missing)}")
+    return obj
+
+
+def json_number(value, what, scalar=True, finite=True):
+    """A JSON number as a float or, unless scalar, nested lists of
+    numbers as a float array whose shape the caller checks. A numeric
+    string is read as its number. InputFormatError, naming what, for a
+    boolean, null or other string anywhere in the value, and for NaN or
+    +-inf when finite is set (float(True) is 1.0, and json reads NaN).
+    An integer too large for a float is not a number here either."""
+    entries = np.asarray(value, dtype=object)
+    try:
+        if (scalar and entries.ndim) or any(v is None or isinstance(v, bool) for v in entries.flat):
+            raise TypeError
+        numbers = entries.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        kind = "be a number" if scalar else "hold numbers only"
+        raise InputFormatError(f"{what} must {kind}, got {reprlib.repr(value)}") from None
+    if finite and not np.all(np.isfinite(numbers)):
+        raise InputFormatError(f"{what} has a non-finite value: {reprlib.repr(value)}")
+    return float(numbers) if scalar else numbers
 
 
 def load_json(path):

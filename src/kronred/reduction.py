@@ -27,7 +27,7 @@ from .errors import (
     RankDeficientInputError,
 )
 from .linalg import dense, nullspace_basis, schur_complement, simultaneous_diagonalization
-from .network import IncidenceMatrix, Network, build_incidence, load_json
+from .network import IncidenceMatrix, Network, build_incidence, json_number, json_object, load_json
 
 
 class PStrategy(enum.Enum):
@@ -193,12 +193,13 @@ def embed_initial(P: np.ndarray, f0: np.ndarray) -> np.ndarray:
 
     For a reduced model's P, f0 must satisfy the interior current balance
     (it lies in null(B0) = range(P)). InconsistentInitialConditionError
-    when the least-squares residual exceeds 1e-9 * ||f0||.
+    when the least-squares residual is not within 1e-9 * ||f0||, which
+    includes a non-finite f0.
     """
     f0 = np.asarray(f0, dtype=float)
     fhat0, _, _, _ = np.linalg.lstsq(P, f0, rcond=None)
     residual = np.linalg.norm(P @ fhat0 - f0)
-    if residual > 1e-9 * max(np.linalg.norm(f0), 1e-300):
+    if not residual <= 1e-9 * max(np.linalg.norm(f0), 1e-300):
         raise InconsistentInitialConditionError(residual)
     return fhat0
 
@@ -238,26 +239,20 @@ def model_to_dict(model: ReducedModel) -> dict:
     }
 
 
-def _json_matrix(obj, key) -> np.ndarray:
-    """obj[key] as a float matrix; InputFormatError unless every entry is
-    a finite number (json reads NaN and Infinity, and float(True) is 1.0)."""
-    entries = np.asarray(obj[key], dtype=object)
-    matrix = entries.astype(float)
-    if any(isinstance(v, bool) for v in entries.flat) or not np.all(np.isfinite(matrix)):
-        raise InputFormatError(f"reduced-model {key} must hold finite numbers only")
-    return matrix
+_MODEL_KEYS = {"strategy", "P", "Lhat", "Rhat", "Bhat", "boundary_nodes", "edge_ids"}
 
 
 def model_from_dict(obj) -> ReducedModel:
-    """Parse a reduced-model JSON object; every matrix entry must be a
-    finite number, and the matrix shapes must agree with edge_ids,
-    boundary_nodes and the order (P's column count)."""
+    """Parse a reduced-model JSON object; unknown keys are rejected, every
+    matrix entry must be a finite number, and the matrix shapes must
+    agree with edge_ids, boundary_nodes and the order (P's column count)."""
+    obj = json_object(obj, "reduced-model", _MODEL_KEYS)
+    mats = {k: json_number(obj[k], f"reduced-model {k}", scalar=False) for k in ("P", "Lhat", "Rhat", "Bhat")}
     try:
-        mats = {key: _json_matrix(obj, key) for key in ("P", "Lhat", "Rhat", "Bhat")}
         strategy = PStrategy(obj["strategy"])
         boundary_nodes = tuple(obj["boundary_nodes"])
         edge_ids = tuple(obj["edge_ids"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InputFormatError(f"malformed reduced-model JSON: {exc}") from exc
     n = mats["P"].shape[1] if mats["P"].ndim == 2 else 0
     nb, E = len(boundary_nodes), len(edge_ids)

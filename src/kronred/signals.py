@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError
-from .network import json_float, load_json
+from .network import json_number, json_object, load_json
 
 
 @dataclass(frozen=True)
@@ -91,49 +91,34 @@ _SIGNAL_KEYS = {
 }
 
 
-def _finite(value):
-    x = json_float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {value!r}")
-    return x
-
-
 def _signal_from_dict(node, raw):
-    if not isinstance(raw, dict) or "type" not in raw:
-        raise InputFormatError(f"signal for node {node!r} must have a 'type'")
-    kind = raw["type"]
+    what = f"node {node!r} signal"
+    kind = raw.get("type") if isinstance(raw, dict) else None
     if not isinstance(kind, str) or kind not in _SIGNAL_KEYS:
-        raise InputFormatError(f"unknown signal type {kind!r} for node {node!r}")
-    unknown = set(raw) - _SIGNAL_KEYS[kind]
-    if unknown:
-        raise InputFormatError(f"unknown signal keys for node {node!r}: {sorted(unknown)}")
-    missing = _SIGNAL_KEYS[kind] - set(raw)
-    if missing:
-        raise InputFormatError(f"missing signal keys for node {node!r}: {sorted(missing)}")
+        raise InputFormatError(f"{what} needs a 'type' in {sorted(_SIGNAL_KEYS)}, got {kind!r}")
+    raw = json_object(raw, what, _SIGNAL_KEYS[kind])
+    num = {key: json_number(raw[key], f"{what} {key}", scalar=key != "breakpoints")
+           for key in raw if key != "type"}
     try:
         if kind == "sinusoid":
-            return Sinusoid(
-                amplitude=_finite(raw["amplitude_v"]),
-                freq=_finite(raw["freq_hz"]),
-                phase=math.radians(_finite(raw["phase_deg"])),
-            )
+            return Sinusoid(num["amplitude_v"], num["freq_hz"], math.radians(num["phase_deg"]))
         if kind == "step":
-            return Step(value=_finite(raw["value_v"]), t_step=_finite(raw["t_step_s"]))
+            return Step(value=num["value_v"], t_step=num["t_step_s"])
         if kind == "constant":
-            return Constant(value=_finite(raw["value_v"]))
-        return Piecewise(breakpoints=tuple((_finite(t), _finite(v)) for t, v in raw["breakpoints"]))
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad signal for node {node!r}: {exc}") from exc
+            return Constant(value=num["value_v"])
+        pairs = num["breakpoints"]
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise ValueError("breakpoints must be [t, value] pairs")
+        return Piecewise(breakpoints=tuple(map(tuple, pairs.tolist())))
+    except ValueError as exc:
+        raise InputFormatError(f"bad {what}: {exc}") from exc
 
 
 def excitation_from_dict(obj) -> Excitation:
-    if not (
-        isinstance(obj, dict) and set(obj) == {"signals"} and isinstance(obj["signals"], dict)
-    ):
-        raise InputFormatError('excitation JSON must be {"signals": {...}}')
-    return Excitation(
-        signals={str(node): _signal_from_dict(node, raw) for node, raw in obj["signals"].items()}
-    )
+    signals = json_object(obj, "excitation", {"signals"})["signals"]
+    if not isinstance(signals, dict):
+        raise InputFormatError(f"excitation 'signals' must be an object, got {signals!r}")
+    return Excitation(signals={str(node): _signal_from_dict(node, raw) for node, raw in signals.items()})
 
 
 def load_excitation(path) -> Excitation:

@@ -77,7 +77,16 @@ class TestValidate:
         assert diag["error"] == "NetworkValidation"
         assert "non-finite" in diag["message"]
 
-    @pytest.mark.parametrize("key, value", [("r_ohm", "abc"), ("l_henry", None), ("r_ohm", [1.0])])
+    # 10**400 overflows float(): an OverflowError traceback with exit 1
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("r_ohm", "abc"),
+            ("l_henry", None),
+            ("r_ohm", [1.0]),
+            pytest.param("l_henry", 10**400, id="l_henry-overflow"),
+        ],
+    )
     def test_non_numeric_parameter_exits_2(self, tmp_path, capsys, key, value):
         bad = wye_dict()
         bad["edges"][1][key] = value
@@ -473,8 +482,10 @@ class TestSimulate:
             ("P", [[float("nan"), 0.0], [1.0, 0.0], [0.0, 1.0]]),
             # read as the identity, exit 0
             ("Lhat", [[True, False], [False, True]]),
+            # an unknown key was ignored, exit 0
+            ("Lhat_typo", [[1.0, 0.0], [0.0, 1.0]]),
         ],
-        ids=["Lhat-nan", "P-nan", "Lhat-boolean"],
+        ids=["Lhat-nan", "P-nan", "Lhat-boolean", "unknown-key"],
     )
     def test_model_with_bad_entries_exits_2(self, manifest_file, wye_file, tmp_path, capsys, key, value):
         model = tmp_path / "model.json"
@@ -609,6 +620,18 @@ class TestCompare:
         assert diag["error"] == "InputFormat"
         assert "'i_1'" in diag["message"] and "non-finite" in diag["message"]
 
+    # -inf used to print "from_time": -Infinity, which is not JSON, and exit 0
+    @pytest.mark.parametrize("from_time", ["nan", "inf", "-inf"])
+    def test_non_finite_from_time_is_usage_error(self, tmp_path, capsys, from_time):
+        path = tmp_path / "a.csv"
+        path.write_text("t,x\n0.0,1.0\n0.1,2.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(path), str(path), f"--from-time={from_time}"])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--from-time: not a finite number: {from_time!r}" in captured.err
+
     def test_unknown_channel_exits_2(self, manifest_file, tmp_path, capsys):
         # used to end in a KeyError traceback with exit 1
         assert main(["simulate", manifest_file, "--method", "dae"]) == 0
@@ -648,6 +671,16 @@ class TestPhasor:
 
     def test_wrong_phasor_count_exits_2(self, wye_file, capsys):
         assert main(["phasor", wye_file, "--omega", "1.0", "--v1", "120@0"]) == 2
+
+    # each used to exit 0 with NaN or Infinity, which are not JSON, in stdout
+    @pytest.mark.parametrize("phasor", ["1@nan", "inf@0", "nan@0"])
+    def test_non_finite_phasor_exits_2(self, wye_file, capsys, phasor):
+        args = ["phasor", wye_file, "--omega", "9.42", "--v1", phasor, "--v1", "1@0", "--v1", "1@0"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diag = json.loads(captured.err)
+        assert diag["error"] == "InputFormat" and repr(phasor) in diag["message"]
 
     @pytest.mark.parametrize("omega", ["-1", "0", "nan"])
     def test_bad_omega_exits_2(self, wye_file, capsys, omega):

@@ -135,8 +135,10 @@ class TestEmbedLift:
 
     def test_inconsistent_flow_rejected(self, wye):
         model = reduce(wye)
-        with pytest.raises(InconsistentInitialConditionError):
-            embed_initial(model.P, [1.0, 0.0, 0.0])
+        # a non-finite f0 used to pass: its NaN residual failed "residual > tol"
+        for f0 in ([1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]):
+            with pytest.raises(InconsistentInitialConditionError):
+                embed_initial(model.P, f0)
 
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_small_imbalance_rejected(self, wye, strategy):
