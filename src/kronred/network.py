@@ -168,9 +168,10 @@ def network_from_dict(obj) -> Network:
     edges = []
     for raw in obj["edges"]:
         raw = json_object(raw, "edge", _EDGE_KEYS)
-        edge_id = str(raw["id"])
-        r, l = (json_number(raw[k], f"edge {edge_id!r}: {k}", finite=False) for k in ("r_ohm", "l_henry"))
-        edges.append(Edge(edge_id, str(raw["from"]), str(raw["to"]), r, l))
+        if not all(isinstance(raw[k], str) for k in ("id", "from", "to")):
+            raise InputFormatError(f"edge {raw['id']!r}: id, from and to must be strings")
+        r, l = (json_number(raw[k], f"edge {raw['id']!r}: {k}", finite=False) for k in ("r_ohm", "l_henry"))
+        edges.append(Edge(raw["id"], raw["from"], raw["to"], r, l))
     return Network(
         nodes=tuple(obj["nodes"]),
         edges=tuple(edges),

@@ -248,12 +248,14 @@ def model_from_dict(obj) -> ReducedModel:
     agree with edge_ids, boundary_nodes and the order (P's column count)."""
     obj = json_object(obj, "reduced-model", _MODEL_KEYS)
     mats = {k: json_number(obj[k], f"reduced-model {k}", scalar=False) for k in ("P", "Lhat", "Rhat", "Bhat")}
+    for key in ("boundary_nodes", "edge_ids"):
+        if not (isinstance(obj[key], list) and all(isinstance(v, str) for v in obj[key])):
+            raise InputFormatError(f"reduced-model {key} must be a list of strings")
     try:
         strategy = PStrategy(obj["strategy"])
-        boundary_nodes = tuple(obj["boundary_nodes"])
-        edge_ids = tuple(obj["edge_ids"])
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise InputFormatError(f"malformed reduced-model JSON: {exc}") from exc
+    boundary_nodes, edge_ids = tuple(obj["boundary_nodes"]), tuple(obj["edge_ids"])
     n = mats["P"].shape[1] if mats["P"].ndim == 2 else 0
     nb, E = len(boundary_nodes), len(edge_ids)
     expected = {"P": (E, n), "Lhat": (n, n), "Rhat": (n, n), "Bhat": (nb, n)}

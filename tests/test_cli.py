@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ class TestValidate:
         diag = json.loads(lines[0])
         assert diag["error"] == "InputFormat"
         assert "'e2'" in diag["message"] and key in diag["message"]
+
+    @pytest.mark.parametrize("key, value", [("id", 1), ("from", 1), ("to", 4)])
+    def test_non_string_edge_field_exits_2(self, tmp_path, capsys, key, value):
+        # str() turned each into a string: "valid", exit 0
+        bad = wye_dict()
+        bad["edges"][0][key] = value
+        path = write_json(tmp_path / "bad.json", bad)
+        assert main(["validate", path]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat"
+        assert "id, from and to must be strings" in diag["message"]
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
@@ -484,8 +498,12 @@ class TestSimulate:
             ("Lhat", [[True, False], [False, True]]),
             # an unknown key was ignored, exit 0
             ("Lhat_typo", [[1.0, 0.0], [0.0, 1.0]]),
+            # split into ("1", "2", "3"), exit 0
+            ("boundary_nodes", "123"),
+            # split into ("e", "1"): a shape error that did not name the key
+            ("edge_ids", "e1"),
         ],
-        ids=["Lhat-nan", "P-nan", "Lhat-boolean", "unknown-key"],
+        ids=["Lhat-nan", "P-nan", "Lhat-boolean", "unknown-key", "boundary-nodes-string", "edge-ids-string"],
     )
     def test_model_with_bad_entries_exits_2(self, manifest_file, wye_file, tmp_path, capsys, key, value):
         model = tmp_path / "model.json"
@@ -604,6 +622,41 @@ class TestCompare:
         diag = json.loads(captured.err)
         assert diag["error"] == "InputFormat"
         assert "bad.csv, line 3" in diag["message"]
+
+    # A ragged row used to end in a numpy ValueError traceback with exit 1,
+    # and float() read 1_0 as 10. Line numbers count blank lines.
+    @pytest.mark.parametrize(
+        "body, line",
+        [("0.1,2.0,3.0\n", 3), ("0.1\n", 3), ("0.1,1_0\n", 3), ("\n\n0.1,2.0,3.0\n0.2,4.0\n", 5)],
+        ids=["longer", "shorter", "underscore", "after-blank-lines"],
+    )
+    def test_bad_row_exits_2(self, tmp_path, capsys, body, line):
+        good = tmp_path / "good.csv"
+        good.write_text("t,x\n0.0,1.0\n0.1,2.0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,x\n0.0,1.0\n" + body)
+        assert main(["compare", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat"
+        assert f"bad.csv, line {line}:" in diag["message"]
+
+    def test_header_only_exits_2_without_warning(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("t,x\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["compare", str(path), str(path)]) == 2
+        assert not caught
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat" and "no samples" in diag["message"]
 
     def test_non_finite_value_exits_2(self, manifest_file, tmp_path, capsys):
         # max() skips nan, so an all-nan copy used to report max_rel 0.0

@@ -407,6 +407,28 @@ class TestCsvRoundTrip:
         assert np.array_equal(clone.times, traj.times)
         assert np.array_equal(clone.data, traj.data)
 
+    def test_special_values_across_blocks(self, tmp_path):
+        # 8 values a row: several blocks and a partial last one
+        rows_per_block = simulate_module.CSV_BLOCK_VALUES // 8
+        n = 3 * rows_per_block + 5
+        special = [-0.0, 5e-324, 1e-5, 1e16, 0.1, np.inf, np.nan]
+        rng = np.random.default_rng(3)
+        data = rng.standard_normal((n, 7)) * 10.0 ** rng.integers(-300, 300, (n, 7))
+        data[::9] = special
+        data[n - 1] = special[::-1]
+        traj = Trajectory(np.arange(n) * 1e-3, data, tuple(f"c{k}" for k in range(7)))
+        path = tmp_path / "special.csv"
+        trajectory_to_csv(traj, path)
+        header, *lines = path.read_text().splitlines()
+        assert header == "t," + ",".join(traj.channels)
+        assert len(lines) == n
+        for t, row, line in zip(traj.times, traj.data, lines):
+            assert line.split(",") == [repr(float(v)) for v in (t, *row)]
+        clone = trajectory_from_csv(path)
+        assert clone.channels == traj.channels
+        assert np.array_equal(clone.times.view(np.int64), traj.times.view(np.int64))
+        assert np.array_equal(clone.data.view(np.int64), traj.data.view(np.int64))
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,x\n0.0,1.0\n")
