@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     NotHomogeneousError,
     RankDeficientInputError,
 )
-from .linalg import dense, nullspace_basis, schur_complement, simultaneous_diagonalization
+from .linalg import dense, schur_complement, simultaneous_diagonalization
 from .network import IncidenceMatrix, Network, build_incidence, json_number, json_object, load_json
 
 
@@ -82,7 +83,9 @@ def _tree_elimination_basis(incidence: IncidenceMatrix) -> sparse.csr_array:
     the walks meet or reach the root, and each tree edge on the way gets
     -1 on the tail's walk and +1 on the head's walk, times the sign of
     the edge's orientation toward the parent. The entries are therefore
-    in {0, +-1} by construction.
+    in {0, +-1} by construction. An interior node that the BFS leaves
+    unreached (no boundary, or an interior island; only an unvalidated
+    Network has one) raises RankDeficientInputError.
 
     The BFS and the walks cost O(E * depth) in vectorized steps, one per
     level, and P is written as (row, column, value) triplets and
@@ -108,6 +111,12 @@ def _tree_elimination_basis(incidence: IncidenceMatrix) -> sparse.csr_array:
             break
         level += 1
         depth[reached] = level
+    unreached = int(np.count_nonzero(depth < 0))
+    if unreached:
+        raise RankDeficientInputError(
+            f"{unreached} interior node(s) have no path to a boundary node, so "
+            f"null(B0) has more than E - N0 = {E - n0} dimensions"
+        )
     edges = np.arange(E)
     parent_edge = np.full(n0 + 1, -1)
     for child, other in ((tail, head), (head, tail)):
@@ -144,39 +153,49 @@ def _tree_elimination_basis(incidence: IncidenceMatrix) -> sparse.csr_array:
 
 
 def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy):
-    """Basis P with range(P) = null(B0), per the chosen strategy, in the
-    form it is built in: a CSR array for tree, an ndarray otherwise.
+    """Basis P with range(P) = null(B0), per the chosen strategy.
 
-    nullbasis and modal start from the orthonormal SVD basis, which must
-    have E - N0 columns; RankDeficientInputError otherwise.
+    Every strategy starts from the sparse tree basis T and turns it by an
+    n x n change of basis, so every P has E - N0 columns:
+
+    - tree: T itself, returned as its CSR array.
+    - nullbasis: the Cholesky QR of T, T C^-1 with T^T T = C^T C (C upper
+      triangular), i.e. the Gram-Schmidt orthonormalization of T's
+      columns in edge order. T's co-tree rows form an identity block, so
+      T^T T is SPD with smallest eigenvalue >= 1.
+    - modal: T V, where V diagonalizes the pencil (T^T R T, T^T L T).
+
+    RankDeficientInputError, from the tree basis, when an interior node
+    has no path to a boundary node.
     """
-    if strategy is PStrategy.TREE_ELIMINATION:
-        return _tree_elimination_basis(incidence)
-    if strategy not in (PStrategy.ORTHONORMAL_NULL_BASIS, PStrategy.MODAL_DIAGONALIZING):
+    if not isinstance(strategy, PStrategy):
         raise ValueError(f"unknown strategy {strategy!r}")
-    P = nullspace_basis(incidence.b0)
-    n0, E = len(incidence.interior_nodes), len(incidence.edge_ids)
-    if P.shape[1] != E - n0:
-        raise RankDeficientInputError(
-            f"null(B0) has dimension {P.shape[1]}, expected E - N0 = {E - n0}"
-        )
+    T = _tree_elimination_basis(incidence)
+    if strategy is PStrategy.ORTHONORMAL_NULL_BASIS:
+        C = scipy.linalg.cholesky(dense(T.T @ T))
+        return T @ scipy.linalg.solve_triangular(C, np.eye(C.shape[0]))
     if strategy is PStrategy.MODAL_DIAGONALIZING:
-        Lp = P.T @ (network.l_vector()[:, None] * P)
-        Rp = P.T @ (network.r_vector()[:, None] * P)
-        V, _ = simultaneous_diagonalization(Lp, Rp)
-        P = P @ V
-    return P
+        V, _ = simultaneous_diagonalization(
+            dense(_congruence(T, network.l_vector())), dense(_congruence(T, network.r_vector()))
+        )
+        return T @ V
+    return T
+
+
+def _congruence(P, w):
+    """P^T diag(w) P, sparse for a sparse P."""
+    return P.T @ (sparse.diags_array(w) @ P)
 
 
 def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BASIS) -> ReducedModel:
     """Assemble the exact reduced model of order E - N0.
 
     P is multiplied in the form build_P returns it: sparse for the tree
-    basis, dense for the SVD bases. The model holds dense matrices.
+    basis, dense for nullbasis and modal. The model holds dense matrices.
     """
     incidence = build_incidence(network)
     P = build_P(incidence, network, strategy)
-    Lhat, Rhat = (P.T @ (sparse.diags_array(w) @ P) for w in (network.l_vector(), network.r_vector()))
+    Lhat, Rhat = (_congruence(P, w) for w in (network.l_vector(), network.r_vector()))
     return ReducedModel(
         P=dense(P),
         Lhat=dense(0.5 * (Lhat + Lhat.T)),

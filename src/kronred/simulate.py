@@ -48,13 +48,18 @@ DRIFT_TOL = 1e-7
 # Relative tolerance on t_end / dt being a whole number of steps.
 GRID_RTOL = 1e-9
 
+# Most RK4 steps one run may take: 100 times the paper experiment's 1e5.
+# The stage grid and the sampled excitation are sized 2 * n_steps + 1.
+MAX_STEPS = 10_000_000
+
 # Values per formatted CSV block; bigger blocks are no faster but hold more memory.
 CSV_BLOCK_VALUES = 1024
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step RK4 configuration; t_end must be a whole number of steps."""
+    """Fixed-step RK4 configuration; t_end must be a whole number of steps,
+    and at most MAX_STEPS of them."""
 
     dt: float = 1e-4
     t_end: float = 10.0
@@ -73,6 +78,10 @@ class SolverConfig:
             raise SolverConfigError(f"record_stride must be a positive integer, got {stride!r}")
         object.__setattr__(self, "record_stride", int(stride))
         steps = self.t_end / self.dt
+        if not steps < MAX_STEPS + 0.5:
+            raise SolverConfigError(
+                f"t_end / dt = {steps:.3g} steps, above the limit of {MAX_STEPS}"
+            )
         if abs(steps - round(steps)) > GRID_RTOL * steps:
             raise SolverConfigError(
                 f"t_end={self.t_end!r} is not an integer multiple of dt={self.dt!r}"
@@ -397,27 +406,35 @@ def write_trajectories(trajectories: dict, out_dir) -> list:
 
 
 def trajectory_from_csv(path) -> Trajectory:
-    """Read a trajectory_to_csv file; a bad header, row or cell is an InputFormatError."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "t":
-            raise InputFormatError(f"{path}: first CSV column must be 't'")
-        body = fh.tell()
-        with warnings.catch_warnings():  # an empty body is reported as no samples
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-                if arr.size and arr.shape[1] == len(header):
-                    return Trajectory(arr[:, 0], arr[:, 1:], tuple(header[1:]))
-            except ValueError:
-                pass
-        # Name the bad file line: loadtxt's row numbers, cut from its message, skip blank lines.
-        fh.seek(body)
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                cells = np.loadtxt([line], delimiter=",", comments=None, ndmin=1) if line != "\n" else None
-            except ValueError as exc:
-                raise InputFormatError(f"{path}, line {lineno}: {str(exc).partition(' at row')[0]}") from None
-            if cells is not None and cells.size != len(header):
-                raise InputFormatError(f"{path}, line {lineno}: ragged CSV, {len(header)} columns expected")
+    """Read a trajectory_to_csv file; non-UTF-8 content or a bad header,
+    row or cell is an InputFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _read_csv(fh, path)
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
+def _read_csv(fh, path) -> Trajectory:
+    header = fh.readline().strip().split(",")
+    if header[0] != "t":
+        raise InputFormatError(f"{path}: first CSV column must be 't'")
+    body = fh.tell()
+    with warnings.catch_warnings():  # an empty body is reported as no samples
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            if arr.size and arr.shape[1] == len(header):
+                return Trajectory(arr[:, 0], arr[:, 1:], tuple(header[1:]))
+        except ValueError:  # UnicodeDecodeError too: the scan below meets it again
+            pass
+    # Name the bad file line: loadtxt's row numbers, cut from its message, skip blank lines.
+    fh.seek(body)
+    for lineno, line in enumerate(fh, start=2):
+        try:
+            cells = np.loadtxt([line], delimiter=",", comments=None, ndmin=1) if line != "\n" else None
+        except ValueError as exc:
+            raise InputFormatError(f"{path}, line {lineno}: {str(exc).partition(' at row')[0]}") from None
+        if cells is not None and cells.size != len(header):
+            raise InputFormatError(f"{path}, line {lineno}: ragged CSV, {len(header)} columns expected")
     raise InputFormatError(f"{path}: no samples")

@@ -1,15 +1,17 @@
 """Reference helpers that only the tests use: network queries and an
 edge flip, the zero excitation, serializers for networks and
-excitations, the weighted-projector identity, and a steady-state phasor
-fit of a trajectory."""
+excitations, the weighted-projector identity, SVD-based null-space
+bases, and a steady-state phasor fit of a trajectory."""
 
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 
 from kronred import Constant, Edge, Excitation, Network, Phasor, Piecewise, Sinusoid, Step
 from kronred.errors import KronredError
+from kronred.linalg import nullspace_basis
 
 
 class InsufficientWindowError(KronredError):
@@ -87,6 +89,17 @@ def projection_identity_residual(w, P, B0) -> float:
     B0W = B0 * winv[None, :]
     rhs = np.diag(winv) - B0W.T @ np.linalg.solve(B0W @ B0.T, B0W)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def svd_bases(incidence, network):
+    """Reference bases of null(B0), built without the tree basis: the
+    orthonormal SVD basis Q, and the modal basis Q V, where V from the
+    generalized eigensolve of (Q^T R Q, Q^T L Q) has V^T Q^T L Q V = I.
+    Returns (Q, Q V)."""
+    Q = nullspace_basis(incidence.b0)
+    Lp, Rp = (Q.T @ (w[:, None] * Q) for w in (network.l_vector(), network.r_vector()))
+    _, V = scipy.linalg.eigh(Rp, Lp)
+    return Q, Q @ V
 
 
 def extract_steady_phasors(traj, freq: float, periods: int = 4, channels=None):

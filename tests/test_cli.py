@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kronred import simulate
 from kronred.cli import main
 from kronred.simulate import trajectory_from_csv
 
@@ -644,6 +645,21 @@ class TestCompare:
         assert diag["error"] == "InputFormat"
         assert f"bad.csv, line {line}:" in diag["message"]
 
+    # used to end in a UnicodeDecodeError traceback with exit 1
+    @pytest.mark.parametrize("body", [b"t,x\n0.0,1.0\n0.1,\xff\n", b"t,\xff\n0.0,1.0\n"], ids=["body", "header"])
+    def test_non_utf8_csv_exits_2(self, tmp_path, capsys, body):
+        good = tmp_path / "good.csv"
+        good.write_text("t,x\n0.0,1.0\n0.1,2.0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(body)
+        assert main(["compare", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat" and "bad.csv is not UTF-8 text" in diag["message"]
+
     def test_header_only_exits_2_without_warning(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("t,x\n")
@@ -789,6 +805,24 @@ class TestPaperExperiment:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
+
+    # 1e10 steps used to be sized unchecked: 2e10 + 1 stage times, and as
+    # many excitation samples per boundary node
+    def test_too_many_steps_exit_2_before_any_grid(self, tmp_path, capsys, monkeypatch):
+        def no_grid(cfg):
+            raise AssertionError("stage grid built")
+
+        monkeypatch.setattr(simulate, "_stage_grid", no_grid)
+        code = main(["paper-experiment", "--which", "sinusoid", "--dt", "1e-9",
+                     "--out-dir", str(tmp_path / "exp")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "SolverConfig" and "above the limit" in diag["message"]
+        assert not (tmp_path / "exp").exists()
 
     def test_non_integer_seed_variable_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KRONRED_SEED", "abc")

@@ -83,6 +83,16 @@ class TestBuildP:
             with pytest.raises(RankDeficientInputError):
                 build_P(build_incidence(net), net, strategy)
 
+    def test_unreached_interior_node_raises_in_tree_basis(self, wye):
+        # No boundary, or an interior island: only an unvalidated Network
+        # has either. The tree basis used to index past its depth array.
+        island = Network(
+            wye.nodes + ("5", "6"), wye.edges + (Edge("e4", "5", "6", 1.0, 1.0),), wye.boundary
+        )
+        for net in (Network(wye.nodes, wye.edges, ()), island):
+            with pytest.raises(RankDeficientInputError, match="no path to a boundary node"):
+                build_P(build_incidence(net), net, PStrategy.TREE_ELIMINATION)
+
 
 class TestReduce:
     def test_series_combination(self):

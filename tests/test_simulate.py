@@ -35,11 +35,13 @@ from kronred.errors import (
     InputFormatError,
     KronredError,
     SingularBlockError,
+    SolverConfigError,
     UnstableTimeStepError,
 )
 from kronred.reduction import homogeneous_reduce
 from kronred.signals import excitation_from_dict
 from kronred.simulate import (
+    MAX_STEPS,
     _rk4_lti,
     _stage_grid,
     simulate_reduced_batch,
@@ -487,6 +489,14 @@ class TestSolverConfig:
     def test_integral_float_stride_accepted(self):
         cfg = SolverConfig(dt=1e-3, t_end=1.0, record_stride=10.0)
         assert cfg.record_stride == 10 and isinstance(cfg.record_stride, int)
+
+    def test_step_limit(self):
+        # Checked before any array is sized by n_steps. 1e300 / 1e-300
+        # steps used to end in an OverflowError from round(inf).
+        assert SolverConfig(dt=1.0, t_end=float(MAX_STEPS)).n_steps == MAX_STEPS
+        for dt, t_end in ((1.0, MAX_STEPS + 1.0), (1e-9, 10.0), (1e-300, 1e300)):
+            with pytest.raises(SolverConfigError, match="above the limit"):
+                SolverConfig(dt=dt, t_end=t_end)
 
 
 def _dense_reduced_states(model, exc, f0, cfg):

@@ -4,14 +4,17 @@ and the invariants every other strategy shares.
 The tree invariants hold for any network: entries in {0, +-1}, B0 P = 0,
 unit rows on the co-tree edges (so full column rank E - N0), |P|
 unchanged by edge flips, and the same boundary transfer Bhat Lhat^-1
-Bhat^T as every other strategy. The SVD-based nullbasis and modal bases
-annihilate B0 to rounding, have rank E - N0 and give that same transfer;
-the modal Lhat and Rhat are diagonal. Simulated from a consistent
-initial flow, every strategy's reduced model gives the boundary
-injections of the DAE oracle.
+Bhat^T as every other strategy. The nullbasis and modal bases, turned
+from the tree basis, annihilate B0 to rounding, have rank E - N0 and
+give that same transfer; the modal Lhat and Rhat are diagonal. Against
+the SVD reference bases, nullbasis is orthonormal, both span the same
+space, and modal has the same columns up to sign. Simulated from a
+consistent initial flow, every strategy's reduced model gives the
+boundary injections of the DAE oracle.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,9 +34,10 @@ from kronred import (
 from kronred.reduction import build_P
 
 from conftest import random_consistent_flow
-from reference import interior, n_interior, with_flipped_edge
+from reference import interior, n_interior, svd_bases, with_flipped_edge
 
 TREE = PStrategy.TREE_ELIMINATION
+NULLBASIS = PStrategy.ORTHONORMAL_NULL_BASIS
 MODAL = PStrategy.MODAL_DIAGONALIZING
 
 
@@ -188,11 +192,11 @@ def test_tree_basis_invariants(net, data):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(net=_networks())
-def test_svd_basis_invariants(net):
+def test_derived_basis_invariants(net):
     inc = build_incidence(net)
     E, n0 = len(net.edges), n_interior(net)
     tree = reduce(net, TREE)
-    for strategy in (PStrategy.ORTHONORMAL_NULL_BASIS, MODAL):
+    for strategy in (NULLBASIS, MODAL):
         P = build_P(inc, net, strategy)
         assert P.shape == (E, E - n0)
         assert np.max(np.abs(inc.b0 @ P), initial=0.0) <= 1e-12
@@ -275,3 +279,44 @@ def test_k40_grid_invariants():
     nb = len(inc.boundary_nodes)
     ref = lap[:nb, :nb] - lap[:nb, nb:] @ np.linalg.solve(lap[nb:, nb:], lap[nb:, :nb])
     _assert_rel_close(_transfer(model), ref, 1e-8)
+
+
+@pytest.fixture(scope="module")
+def corner_grid():
+    """A k=30 grid whose only boundary nodes are two opposite corners:
+    the deepest spanning forest the tests build, so the worst-conditioned
+    tree basis (cond(P) about 37), with its SVD reference bases."""
+    net = _grid(30, np.random.default_rng(30), boundary=("n0_0", "n29_29"))
+    inc = build_incidence(net)
+    return net, inc, svd_bases(inc, net)
+
+
+def test_nullbasis_is_orthonormal(corner_grid):
+    net, inc, _ = corner_grid
+    P = build_P(inc, net, NULLBASIS)
+    assert np.max(np.abs(P.T @ P - np.eye(P.shape[1]))) <= 1e-12
+
+
+def test_bases_span_reference_space(corner_grid):
+    net, inc, (Q, _) = corner_grid
+    reference = Q @ Q.T
+    for strategy in (NULLBASIS, MODAL):
+        P = build_P(inc, net, strategy)
+        projector = P @ np.linalg.solve(P.T @ P, P.T)
+        assert np.max(np.abs(projector - reference)) <= 1e-10
+
+
+def test_modal_matches_reference_up_to_sign(corner_grid):
+    # The pencil's eigenvalues are distinct, so each column is unique up
+    # to its sign.
+    net, inc, (_, M) = corner_grid
+    P = build_P(inc, net, MODAL)
+    sign = np.sign(np.sum(P * M, axis=0))
+    assert np.max(np.abs(P - sign * M)) <= 1e-9 * np.max(np.abs(M))
+
+
+def test_transfer_agrees_across_strategies():
+    net = _grid(20, np.random.default_rng(20))
+    tree, *others = (_transfer(reduce(net, strategy)) for strategy in (TREE, NULLBASIS, MODAL))
+    for K in others:
+        _assert_rel_close(K, tree, 1e-12)
