@@ -23,8 +23,8 @@ def compare_trajectories(
     trajectories, or to every common channel when they share none (in
     a's order): other channels, such as a reduced model's pseudoflows
     fhat_<k>, are coordinates that differ between P strategies. A missing
-    channel, or a non-finite value in a compared one, raises
-    InputFormatError. Per channel the deviation is normalized by the
+    channel, a non-finite value in a compared one, or sample times that
+    differ by more than 1e-12 s + 1e-12 |t| raise InputFormatError. Per channel the deviation is normalized by the
     reference's peak magnitude over the window; the reported numbers are
     maxima over channels:
 
@@ -38,7 +38,7 @@ def compare_trajectories(
         channels = [c for c in common if c.startswith("i_")] or common
     if not channels:
         raise DimensionMismatchError("no common channels to compare")
-    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times, atol=1e-12):
+    if a.times.shape != b.times.shape or not np.allclose(a.times, b.times, rtol=1e-12, atol=1e-12):
         raise InputFormatError("trajectories are sampled on different time grids")
     mask = a.times >= from_time
     if not np.any(mask):

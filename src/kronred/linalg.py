@@ -84,8 +84,8 @@ def simultaneous_diagonalization(Lp: np.ndarray, Rp: np.ndarray):
     Lp must be symmetric positive definite and Rp symmetric positive
     semidefinite. One generalized symmetric-definite eigensolve (LAPACK
     sygvd) of the pencil (Rp, Lp), which stays well-posed when Rp is
-    singular. Returns (V, d) with V^T Lp V = I and V^T Rp V = diag(d),
-    d >= 0. NotPositiveDefiniteError when Lp is not SPD.
+    singular. Returns (V, d) with V^T Lp V = I, V^T Rp V = diag(d) and
+    d >= 0, each to rounding. NotPositiveDefiniteError when Lp is not SPD.
     """
     try:
         d, V = scipy.linalg.eigh(Rp, Lp)

@@ -44,7 +44,7 @@ class ReducedModel:
     """Reduced ODE matrices together with the lifting basis P.
 
     Lhat is SPD, Rhat PSD; the model order is E - N0. For the modal
-    strategy Lhat and Rhat are diagonal to rounding.
+    strategy Lhat is exactly I and Rhat exactly diagonal.
     """
 
     P: np.ndarray
@@ -153,49 +153,47 @@ def _tree_elimination_basis(incidence: IncidenceMatrix) -> sparse.csr_array:
 
 
 def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy):
-    """Basis P with range(P) = null(B0), per the chosen strategy.
+    """Basis P of null(B0), per the chosen strategy, and its pencil.
 
-    Every strategy starts from the sparse tree basis T and turns it by an
-    n x n change of basis, so every P has E - N0 columns:
+    The pencil is formed once, sparse, in the tree basis T: Lt = T^T L T,
+    Rt = T^T R T. Each strategy turns T by an n x n change of basis S into
+    P = T S, with E - N0 columns and the pencil (S^T Lt S, S^T Rt S):
 
-    - tree: T itself, returned as its CSR array.
-    - nullbasis: the Cholesky QR of T, T C^-1 with T^T T = C^T C (C upper
-      triangular), i.e. the Gram-Schmidt orthonormalization of T's
-      columns in edge order. T's co-tree rows form an identity block, so
-      T^T T is SPD with smallest eigenvalue >= 1.
-    - modal: T V, where V diagonalizes the pencil (T^T R T, T^T L T).
+    - tree: S = I; P is T's CSR array and the pencil stays sparse.
+    - nullbasis: S = C^-1 from the Cholesky QR of T, T^T T = C^T C (C
+      upper triangular, so S turns the pencil by two BLAS trmm): the
+      Gram-Schmidt orthonormalization of T's columns in edge order. T's
+      co-tree rows form an identity block, so T^T T is SPD.
+    - modal: S = V from simultaneous_diagonalization(Lt, Rt); the pencil
+      is exactly (I, diag(d)), with d clamped at 0 (r >= 0 makes Rt PSD,
+      so a negative d is eigh's rounding on an r = 0 loop).
 
-    RankDeficientInputError, from the tree basis, when an interior node
-    has no path to a boundary node.
+    Returns (P, Lhat, Rhat). RankDeficientInputError, from the tree
+    basis, when an interior node has no path to a boundary node.
     """
     if not isinstance(strategy, PStrategy):
         raise ValueError(f"unknown strategy {strategy!r}")
     T = _tree_elimination_basis(incidence)
+    Lt, Rt = (T.T @ (sparse.diags_array(w) @ T) for w in (network.l_vector(), network.r_vector()))
     if strategy is PStrategy.ORTHONORMAL_NULL_BASIS:
         C = scipy.linalg.cholesky(dense(T.T @ T))
-        return T @ scipy.linalg.solve_triangular(C, np.eye(C.shape[0]))
+        S = scipy.linalg.solve_triangular(C, np.eye(C.shape[0]))
+        trmm = scipy.linalg.blas.dtrmm
+        return T @ S, *(trmm(1.0, S, trmm(1.0, S, dense(M), side=1), trans_a=1) for M in (Lt, Rt))
     if strategy is PStrategy.MODAL_DIAGONALIZING:
-        V, _ = simultaneous_diagonalization(
-            dense(_congruence(T, network.l_vector())), dense(_congruence(T, network.r_vector()))
-        )
-        return T @ V
-    return T
-
-
-def _congruence(P, w):
-    """P^T diag(w) P, sparse for a sparse P."""
-    return P.T @ (sparse.diags_array(w) @ P)
+        V, d = simultaneous_diagonalization(dense(Lt), dense(Rt))
+        return T @ V, np.eye(d.size), np.diag(np.maximum(d, 0.0))
+    return T, Lt, Rt
 
 
 def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BASIS) -> ReducedModel:
     """Assemble the exact reduced model of order E - N0.
 
-    P is multiplied in the form build_P returns it: sparse for the tree
-    basis, dense for nullbasis and modal. The model holds dense matrices.
+    build_P gives P and the pencil (Lhat, Rhat); Bhat = B1 P. The model
+    holds dense matrices, with Lhat and Rhat symmetrized.
     """
     incidence = build_incidence(network)
-    P = build_P(incidence, network, strategy)
-    Lhat, Rhat = (_congruence(P, w) for w in (network.l_vector(), network.r_vector()))
+    P, Lhat, Rhat = build_P(incidence, network, strategy)
     return ReducedModel(
         P=dense(P),
         Lhat=dense(0.5 * (Lhat + Lhat.T)),
@@ -263,8 +261,9 @@ _MODEL_KEYS = {"strategy", "P", "Lhat", "Rhat", "Bhat", "boundary_nodes", "edge_
 
 def model_from_dict(obj) -> ReducedModel:
     """Parse a reduced-model JSON object; unknown keys are rejected, every
-    matrix entry must be a finite number, and the matrix shapes must
-    agree with edge_ids, boundary_nodes and the order (P's column count)."""
+    matrix entry must be a finite number, the matrix shapes must agree
+    with edge_ids, boundary_nodes and the order (P's column count), and
+    Lhat and Rhat must be exactly symmetric."""
     obj = json_object(obj, "reduced-model", _MODEL_KEYS)
     mats = {k: json_number(obj[k], f"reduced-model {k}", scalar=False) for k in ("P", "Lhat", "Rhat", "Bhat")}
     for key in ("boundary_nodes", "edge_ids"):
@@ -284,6 +283,9 @@ def model_from_dict(obj) -> ReducedModel:
                 f"reduced-model {key} has shape {mats[key].shape}, expected {shape}"
             )
         mats[key] = mats[key].reshape(shape)
+    for key in ("Lhat", "Rhat"):
+        if not np.array_equal(mats[key], mats[key].T):
+            raise InputFormatError(f"reduced-model {key} is not symmetric")
     return ReducedModel(
         **mats, strategy=strategy, boundary_nodes=boundary_nodes, edge_ids=edge_ids
     )

@@ -7,9 +7,9 @@ grid so runs are deterministic. Two cores carry out the recurrence:
 * _rk4_modal — decoupled scalar modes z_k' = -d_k z_k + u_k(t), each
   integrated over the whole horizon by one banded LAPACK solve. A
   validated reduced pencil (Lhat, Rhat) is symmetric-definite, so one
-  congruence brings simulate_reduced to this form; a model without
-  interior nodes (the baseline sweep's synthesized network) and
-  simulate_homogeneous are diagonal already.
+  congruence brings simulate_reduced to this form; a modal model, a
+  model without interior nodes (the baseline sweep's synthesized
+  network) and simulate_homogeneous are diagonal already.
 * _rk4_lti — a dense step loop, used only by simulate_dae_oracle: the
   full constrained model, converted to an ODE by solving for interior
   voltages at every stage (index-1 reduction). It shares neither the
@@ -290,17 +290,16 @@ def _modal_form(Lhat, Rhat):
     """(V, W, d) turning Lhat fhat' = -Rhat fhat + b into decoupled modes.
 
     With fhat = V z the model reads z' = -d z + W b, W = V^-1 Lhat^-1.
-    A pencil diagonal to rounding (off-diagonals below 1e-12 of the largest
-    diagonal entry), as in every model without interior nodes and every
-    modal model, is decoupled already and takes V = I, d = r / l; this also
-    covers the unvalidated networks that allow_unphysical synthesis returns
-    (r < 0 or l < 0), for which no congruence exists. Otherwise the pencil
-    of a validated network is symmetric-definite, and the congruence
+    An exactly diagonal pencil (no nonzero off-diagonal entry), as in
+    every modal model and every model without interior nodes, is
+    decoupled already and takes V = I, d = r / l; this also covers the
+    unvalidated networks that allow_unphysical synthesis returns (r < 0
+    or l < 0), for which no congruence exists. Otherwise the pencil of a
+    validated network is symmetric-definite, and the congruence
     V^T Lhat V = I, V^T Rhat V = diag(d) gives W = V^T.
     """
     l, r = np.diag(Lhat), np.diag(Rhat)
-    if all(np.all(np.abs(M - np.diag(d)) < 1e-12 * max(np.max(np.abs(d), initial=0.0), 1e-300))
-           for M, d in ((Lhat, l), (Rhat, r))):
+    if np.array_equal(Lhat, np.diag(l)) and np.array_equal(Rhat, np.diag(r)):
         if np.any(l == 0):
             raise SingularBlockError(math.inf)
         return np.eye(l.size), np.diag(1.0 / l), r / l

@@ -250,7 +250,7 @@ def test_criterion_8_structural_invariants(capsys):
     for _ in range(200):
         net = random_connected_network(rng)
         E, N0 = len(net.edges), n_interior(net)
-        P = build_P(build_incidence(net), net, PStrategy.ORTHONORMAL_NULL_BASIS)
+        P = build_P(build_incidence(net), net, PStrategy.ORTHONORMAL_NULL_BASIS)[0]
         dim_ok &= P.shape == (E, E - N0)
         model = reduce(net, PStrategy.MODAL_DIAGONALIZING)
         definite_ok &= bool(np.all(np.linalg.eigvalsh(model.Lhat) > 0))

@@ -503,8 +503,17 @@ class TestSimulate:
             ("boundary_nodes", "123"),
             # split into ("e", "1"): a shape error that did not name the key
             ("edge_ids", "e1"),
+            # eigh read the lower triangle and z0 both: i_1 -123.3 at 1 s, exit 0
+            ("Lhat", [[1.32, 100.0], [0.77, 1.41]]),
+            # NotPositiveDefinite, exit 2 only because the lower triangle is indefinite
+            ("Lhat", [[1.32, 0.77], [100.0, 1.41]]),
+            # i_1 1.6e71 at 1 s, exit 0
+            ("Rhat", [[1.56, 0.58], [100.0, 1.57]]),
         ],
-        ids=["Lhat-nan", "P-nan", "Lhat-boolean", "unknown-key", "boundary-nodes-string", "edge-ids-string"],
+        ids=[
+            "Lhat-nan", "P-nan", "Lhat-boolean", "unknown-key", "boundary-nodes-string", "edge-ids-string",
+            "Lhat-asymmetric-upper", "Lhat-asymmetric-lower", "Rhat-asymmetric",
+        ],
     )
     def test_model_with_bad_entries_exits_2(self, manifest_file, wye_file, tmp_path, capsys, key, value):
         model = tmp_path / "model.json"

@@ -19,7 +19,7 @@ from kronred.errors import (
     NotHomogeneousError,
     RankDeficientInputError,
 )
-from kronred.linalg import dense, schur_complement
+from kronred.linalg import dense, schur_complement, simultaneous_diagonalization
 from kronred.reduction import build_P, model_from_dict, model_to_dict
 
 from conftest import (
@@ -55,12 +55,35 @@ class TestBuildP:
         assert np.all(np.diag(model.Lhat) > 0)
         assert np.all(np.diag(model.Rhat) >= 0)
 
+    def test_modal_pencil_is_exact(self, rng):
+        # reduce(modal) stores the tree pencil's congruence as
+        # simultaneous_diagonalization defines it: P = T V, Lhat = I and
+        # Rhat = diag(d), bit for bit. One edge in three has r = 0, so Rt
+        # is singular and eigh returns rounding-level negatives in its null
+        # directions for some of these networks; d is clamped at 0 there.
+        negative = 0
+        for _ in range(40):
+            net = random_connected_network(rng)
+            edges = tuple(
+                Edge(e.id, e.tail, e.head, 0.0 if k % 3 == 0 else e.r, e.l)
+                for k, e in enumerate(net.edges)
+            )
+            net = validate(Network(net.nodes, edges, net.boundary))
+            T, Lt, Rt = build_P(build_incidence(net), net, PStrategy.TREE_ELIMINATION)
+            V, d = simultaneous_diagonalization(dense(Lt), dense(Rt))
+            negative += bool(np.any(d < 0))
+            model = reduce(net, PStrategy.MODAL_DIAGONALIZING)
+            assert np.array_equal(model.P, T @ V)
+            assert np.array_equal(model.Lhat, np.eye(d.size))
+            assert np.array_equal(model.Rhat, np.diag(np.maximum(d, 0.0)))
+        assert negative
+
     @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
     def test_annihilates_interior_block(self, rng, strategy):
         for _ in range(15):
             net = random_connected_network(rng)
             inc = build_incidence(net)
-            P = dense(build_P(inc, net, strategy))
+            P = dense(build_P(inc, net, strategy)[0])
             assert P.shape == (len(net.edges), len(net.edges) - n_interior(net))
             assert np.linalg.matrix_rank(P) == P.shape[1]
             if inc.b0.shape[0]:
@@ -70,7 +93,7 @@ class TestBuildP:
         for _ in range(25):
             net = random_connected_network(rng)
             inc = build_incidence(net)
-            P = build_P(inc, net, PStrategy.TREE_ELIMINATION).toarray()
+            P = build_P(inc, net, PStrategy.TREE_ELIMINATION)[0].toarray()
             assert np.array_equal(P, np.rint(P))
             if inc.b0.shape[0]:
                 assert not np.any(inc.b0 @ P.astype(int))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -38,6 +39,7 @@ from kronred.errors import (
     SolverConfigError,
     UnstableTimeStepError,
 )
+from kronred.linalg import simultaneous_diagonalization
 from kronred.reduction import homogeneous_reduce
 from kronred.signals import excitation_from_dict
 from kronred.simulate import (
@@ -158,7 +160,7 @@ class TestReducedSimulation:
             assert np.max(np.abs(inj.sum(axis=1))) <= 1e-9 * scale
 
     def test_modal_model_skips_congruence(self, wye, monkeypatch):
-        # A modal pencil is diagonal to rounding, so the modal core must
+        # A modal pencil is exactly diagonal, so the modal core must
         # not pay for a second O(n^3) congruence on it, also at grid scale
         # (order 129, 61 interior nodes), where the O(n) decoupled path
         # matters most.
@@ -178,6 +180,34 @@ class TestReducedSimulation:
             assert np.allclose(i0, inc.b1 @ f0)
             with pytest.raises(AssertionError, match="congruence"):
                 simulate_reduced(reduce(net), zero_excitation(), f0, cfg)
+
+    def test_nearly_diagonal_pencil_takes_congruence(self, monkeypatch):
+        # A modal model whose pencil is diagonal only to rounding, such as
+        # one assembled as P^T L P from the modal P, is not taken as
+        # decoupled: eigh splits it, and the run matches the exact pencil's.
+        rng = np.random.default_rng(69)
+        net = random_connected_network(rng, n_max=40, e_max=70, min_interior=20)
+        exact = reduce(net, PStrategy.MODAL_DIAGONALIZING)
+        P = exact.P
+        Lhat, Rhat = (P.T @ (w[:, None] * P) for w in (net.l_vector(), net.r_vector()))
+        rounded = dataclasses.replace(exact, Lhat=0.5 * (Lhat + Lhat.T), Rhat=0.5 * (Rhat + Rhat.T))
+        off = ~np.eye(exact.order, dtype=bool)
+        assert 0 < np.max(np.abs(rounded.Lhat[off])) <= 1e-14
+        calls = []
+
+        def congruence(*args):
+            calls.append(args)
+            return simultaneous_diagonalization(*args)
+
+        monkeypatch.setattr(simulate_module, "simultaneous_diagonalization", congruence)
+        exc = Excitation({n: Sinusoid(10.0, 2.0, 0.0) for n in net.boundary})
+        f0 = random_consistent_flow(net, rng)
+        cfg = SolverConfig(dt=1e-3, t_end=0.5)
+        reference = simulate_reduced(exact, exc, f0, cfg)
+        assert not calls
+        traj = simulate_reduced(rounded, exc, f0, cfg)
+        assert len(calls) == 1
+        assert _rel_dev(traj.data, reference.data) <= 1e-12
 
     def test_unforced_energy_nonincreasing(self, rng):
         for _ in range(5):
@@ -384,6 +414,18 @@ class TestCompare:
         report = compare_trajectories(a, b)
         assert np.isclose(report["max_abs"], 0.5)
         assert np.isclose(report["max_rel"], 0.5 / 1.5)
+
+    def test_time_grids_must_agree_to_rounding(self):
+        # numpy's default rtol of 1e-5 let a grid scaled by 1 + 9e-6 pass
+        # as the same grid: 9e-5 s at t = 10 s, almost one default RK4 step
+        t = np.arange(1001) * 1e-2
+        a = Trajectory(t, np.ones((t.size, 1)), ("x",))
+        with pytest.raises(InputFormatError, match="different time grids"):
+            compare_trajectories(Trajectory(t * (1 + 9e-6), a.data, a.channels), a)
+        # summed step by step, the same grid is off by up to 1.7e-13 s
+        summed = np.concatenate([[0.0], np.cumsum(np.full(1000, 1e-2))])
+        report = compare_trajectories(Trajectory(summed, a.data, a.channels), a)
+        assert report["max_rel"] == 0.0
 
     def test_restricts_to_common_channels(self):
         t = np.linspace(0, 1, 5)

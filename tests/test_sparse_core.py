@@ -1,7 +1,7 @@
 """The sparse graph core against dense references.
 
 Kron reduction factors the interior block of Y by sparse LU, and reduce
-multiplies the tree basis as the sparse array build_P returns. Both must
+forms every strategy's pencil from the sparse tree basis. Both must
 agree with plain dense algebra, built here from the edge list alone, to
 1e-13 relative on random networks whose interior blocks range from a
 few percent nonzero (grid-like) to mostly nonzero (small and dense),
@@ -71,12 +71,28 @@ def test_kron_reduce_matches_dense_solve(i):
     assert _rel(reduced.recovery_map, -X) <= REL_TOL
 
 
-@pytest.mark.parametrize("i", range(len(NETWORKS)))
-def test_tree_reduce_matches_dense_products(i):
+# Tree cases keep the plain network index as their id, the id this test
+# had when it covered the tree basis alone.
+@pytest.mark.parametrize(
+    "strategy, i",
+    [
+        pytest.param(s, i, id=str(i) if s is PStrategy.TREE_ELIMINATION else f"{s.value}-{i}")
+        for s in PStrategy for i in range(len(NETWORKS))
+    ],
+)
+def test_tree_reduce_matches_dense_products(strategy, i):
+    # build_P forms every pencil in the tree basis and turns it by its own
+    # change of basis; checked here against P^T L P, P^T R P and B1 P of
+    # the stored P. Largest deviations measured on these networks:
+    # nullbasis 1.1e-15, modal 3.2e-15 (modal's I and diag(d) are not
+    # computed from P at all).
     net = NETWORKS[i]
     B, nb = _dense_incidence(net)
-    model = reduce(net, PStrategy.TREE_ELIMINATION)
+    model = reduce(net, strategy)
     P = model.P
     assert _rel(model.Lhat, P.T @ (net.l_vector()[:, None] * P)) <= REL_TOL
     assert _rel(model.Rhat, P.T @ (net.r_vector()[:, None] * P)) <= REL_TOL
-    assert np.array_equal(model.Bhat, B[:nb] @ P)
+    if strategy is PStrategy.TREE_ELIMINATION:
+        assert np.array_equal(model.Bhat, B[:nb] @ P)
+    else:
+        assert _rel(model.Bhat, B[:nb] @ P) <= REL_TOL

@@ -128,7 +128,7 @@ def _tree_edges(network):
 
 def _tree_P(network):
     inc = build_incidence(network)
-    return build_P(inc, network, TREE).toarray(), inc
+    return build_P(inc, network, TREE)[0].toarray(), inc
 
 
 def _transfer(model):
@@ -197,7 +197,7 @@ def test_derived_basis_invariants(net):
     E, n0 = len(net.edges), n_interior(net)
     tree = reduce(net, TREE)
     for strategy in (NULLBASIS, MODAL):
-        P = build_P(inc, net, strategy)
+        P = build_P(inc, net, strategy)[0]
         assert P.shape == (E, E - n0)
         assert np.max(np.abs(inc.b0 @ P), initial=0.0) <= 1e-12
         if P.size:
@@ -293,7 +293,7 @@ def corner_grid():
 
 def test_nullbasis_is_orthonormal(corner_grid):
     net, inc, _ = corner_grid
-    P = build_P(inc, net, NULLBASIS)
+    P = build_P(inc, net, NULLBASIS)[0]
     assert np.max(np.abs(P.T @ P - np.eye(P.shape[1]))) <= 1e-12
 
 
@@ -301,7 +301,7 @@ def test_bases_span_reference_space(corner_grid):
     net, inc, (Q, _) = corner_grid
     reference = Q @ Q.T
     for strategy in (NULLBASIS, MODAL):
-        P = build_P(inc, net, strategy)
+        P = build_P(inc, net, strategy)[0]
         projector = P @ np.linalg.solve(P.T @ P, P.T)
         assert np.max(np.abs(projector - reference)) <= 1e-10
 
@@ -310,7 +310,7 @@ def test_modal_matches_reference_up_to_sign(corner_grid):
     # The pencil's eigenvalues are distinct, so each column is unique up
     # to its sign.
     net, inc, (_, M) = corner_grid
-    P = build_P(inc, net, MODAL)
+    P = build_P(inc, net, MODAL)[0]
     sign = np.sign(np.sum(P * M, axis=0))
     assert np.max(np.abs(P - sign * M)) <= 1e-9 * np.max(np.abs(M))
 
