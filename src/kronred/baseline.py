@@ -19,7 +19,7 @@ from .network import Edge, Network, build_incidence, validate
 from .phasor import admittance, kron_reduce
 from .reduction import PStrategy, embed_initial, reduce
 from .signals import Excitation
-from .simulate import SolverConfig, simulate_reduced_batch
+from .simulate import SolverConfig, initial_injections, simulate_reduced_batch
 
 # Off-diagonal admittance entries below this relative level are treated
 # as absent branches of the reduced graph.
@@ -119,8 +119,7 @@ def run_baseline_sweep(
     modal solve. Returns (synthesized network, list of (gamma, Trajectory)).
     """
     synth = heuristic_reduce(network, omega0, allow_unphysical=allow_unphysical)
-    inc = build_incidence(network)
-    i1_0 = inc.b1 @ np.asarray(f0_full, dtype=float)
+    i1_0 = initial_injections(build_incidence(network), f0_full)
     Br = build_incidence(synth).matrix
     model = reduce(synth, PStrategy.TREE_ELIMINATION)
     gammas = [float(gamma) for gamma in gammas]

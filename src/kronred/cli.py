@@ -15,12 +15,7 @@ from pathlib import Path
 
 from .baseline import baseline_errors, draw_gammas, run_baseline_sweep
 from .compare import compare_trajectories
-from .errors import (
-    InputFormatError,
-    KronredError,
-    NegativeSynthesizedElementError,
-    NotHomogeneousError,
-)
+from .errors import InputFormatError, KronredError
 from .experiment import resolve_seed, run_experiment
 from .network import build_incidence, json_number, json_object, load_json, load_network
 from .phasor import Phasor, admittance, kron_reduce, phasor_solve, recover_interior_phasors
@@ -35,6 +30,7 @@ from .reduction import (
 from .signals import load_excitation
 from .simulate import (
     SolverConfig,
+    initial_injections,
     simulate_dae_oracle,
     simulate_homogeneous,
     simulate_reduced,
@@ -44,7 +40,6 @@ from .simulate import (
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_MODEL = 3
 EXIT_USAGE = 64
 
 
@@ -140,7 +135,7 @@ def cmd_simulate(args):
         trajectories = {"dae": simulate_dae_oracle(network, excitation, f0, cfg)}
     elif args.method == "homogeneous":
         hmodel = homogeneous_reduce(network)
-        i1_0 = build_incidence(network).b1 @ f0
+        i1_0 = initial_injections(build_incidence(network), f0)
         trajectories = {"homogeneous": simulate_homogeneous(hmodel, excitation, i1_0, cfg)}
     else:  # baseline
         if args.omega0 is None:
@@ -310,12 +305,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotHomogeneousError, NegativeSynthesizedElementError) as exc:
-        _diagnostic(exc)
-        return EXIT_MODEL
     except (KronredError, OSError) as exc:
         _diagnostic(exc)
-        return EXIT_INPUT
+        return getattr(exc, "exit_code", EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 
 class KronredError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; exit_code is the CLI's exit status."""
+    exit_code = 2
 
 
 class NetworkValidationError(KronredError):
@@ -68,10 +69,12 @@ class ConstraintDriftError(KronredError):
 
 class NotHomogeneousError(KronredError):
     """Edge r/l ratios are not constant across the network."""
+    exit_code = 3
 
 
 class NegativeSynthesizedElementError(KronredError):
     """Frequency-domain synthesis produced an unphysical circuit element."""
+    exit_code = 3
 
 
 class InputFormatError(KronredError):

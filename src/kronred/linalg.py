@@ -84,11 +84,15 @@ def simultaneous_diagonalization(Lp: np.ndarray, Rp: np.ndarray):
     Lp must be symmetric positive definite and Rp symmetric positive
     semidefinite. One generalized symmetric-definite eigensolve (LAPACK
     sygvd) of the pencil (Rp, Lp), which stays well-posed when Rp is
-    singular. Returns (V, d) with V^T Lp V = I, V^T Rp V = diag(d) and
-    d >= 0, each to rounding. NotPositiveDefiniteError when Lp is not SPD.
+    singular. Returns (V, d) with V^T Lp V = I, V^T Rp V = diag(d) to
+    rounding, and d >= 0: a d in [-1e-10 max|d|, 0) is eigh's rounding of
+    a zero mode, returned as 0. NotPositiveDefiniteError when Lp is not
+    SPD or a d is below that.
     """
     try:
         d, V = scipy.linalg.eigh(Rp, Lp)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("first pencil matrix is not SPD") from exc
-    return V, d
+    if not np.all(d >= -1e-10 * np.max(np.abs(d), initial=0.0)):
+        raise NotPositiveDefiniteError(f"second pencil matrix is not PSD (eigenvalue {d.min():.3e})")
+    return V, np.maximum(d, 0.0)

@@ -206,7 +206,7 @@ def json_number(value, what, scalar=True, finite=True):
         if (scalar and entries.ndim) or any(v is None or isinstance(v, bool) for v in entries.flat):
             raise TypeError
         numbers = entries.astype(float)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError, RuntimeError):  # numpy allows 32 dimensions
         kind = "be a number" if scalar else "hold numbers only"
         raise InputFormatError(f"{what} must {kind}, got {reprlib.repr(value)}") from None
     if finite and not np.all(np.isfinite(numbers)):
@@ -215,11 +215,13 @@ def json_number(value, what, scalar=True, finite=True):
 
 
 def load_json(path):
-    """Parse a JSON input file; malformed or non-UTF-8 content raises
-    InputFormatError."""
+    """Parse a JSON input file; malformed, too deeply nested or
+    non-UTF-8 content raises InputFormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+    except RecursionError:
+        raise InputFormatError(f"JSON in {path} is nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"malformed JSON in {path} (line {exc.lineno}, column {exc.colno})"

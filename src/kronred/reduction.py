@@ -165,8 +165,7 @@ def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy):
       Gram-Schmidt orthonormalization of T's columns in edge order. T's
       co-tree rows form an identity block, so T^T T is SPD.
     - modal: S = V from simultaneous_diagonalization(Lt, Rt); the pencil
-      is exactly (I, diag(d)), with d clamped at 0 (r >= 0 makes Rt PSD,
-      so a negative d is eigh's rounding on an r = 0 loop).
+      is exactly (I, diag(d)), with d as that returns it (>= 0).
 
     Returns (P, Lhat, Rhat). RankDeficientInputError, from the tree
     basis, when an interior node has no path to a boundary node.
@@ -182,7 +181,7 @@ def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy):
         return T @ S, *(trmm(1.0, S, trmm(1.0, S, dense(M), side=1), trans_a=1) for M in (Lt, Rt))
     if strategy is PStrategy.MODAL_DIAGONALIZING:
         V, d = simultaneous_diagonalization(dense(Lt), dense(Rt))
-        return T @ V, np.eye(d.size), np.diag(np.maximum(d, 0.0))
+        return T @ V, np.eye(d.size), np.diag(d)
     return T, Lt, Rt
 
 
@@ -262,8 +261,9 @@ _MODEL_KEYS = {"strategy", "P", "Lhat", "Rhat", "Bhat", "boundary_nodes", "edge_
 def model_from_dict(obj) -> ReducedModel:
     """Parse a reduced-model JSON object; unknown keys are rejected, every
     matrix entry must be a finite number, the matrix shapes must agree
-    with edge_ids, boundary_nodes and the order (P's column count), and
-    Lhat and Rhat must be exactly symmetric."""
+    with edge_ids, boundary_nodes and the order (P's column count),
+    Lhat and Rhat must be exactly symmetric, and the pencil definite:
+    simultaneous_diagonalization's NotPositiveDefiniteError otherwise."""
     obj = json_object(obj, "reduced-model", _MODEL_KEYS)
     mats = {k: json_number(obj[k], f"reduced-model {k}", scalar=False) for k in ("P", "Lhat", "Rhat", "Bhat")}
     for key in ("boundary_nodes", "edge_ids"):
@@ -286,6 +286,7 @@ def model_from_dict(obj) -> ReducedModel:
     for key in ("Lhat", "Rhat"):
         if not np.array_equal(mats[key], mats[key].T):
             raise InputFormatError(f"reduced-model {key} is not symmetric")
+    simultaneous_diagonalization(mats["Lhat"], mats["Rhat"])
     return ReducedModel(
         **mats, strategy=strategy, boundary_nodes=boundary_nodes, edge_ids=edge_ids
     )

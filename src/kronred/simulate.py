@@ -38,11 +38,11 @@ from .errors import (
     UnstableTimeStepError,
 )
 from .linalg import simultaneous_diagonalization
-from .network import Network, build_incidence
+from .network import IncidenceMatrix, Network, build_incidence
 from .reduction import HomogeneousReducedModel, ReducedModel, embed_initial
 from .signals import Excitation
 
-# Constraint-drift guard for the DAE oracle, relative to the flow scale.
+# Interior current balance of initial flows and the DAE oracle's drift guard, relative to the flow scale.
 DRIFT_TOL = 1e-7
 
 # Relative tolerance on t_end / dt being a whole number of steps.
@@ -139,7 +139,6 @@ def _rk4_lti(A, forcing_stages, y0, dt, n_steps, record_stride):
     # per-stage work out of the loop. Same classical RK4 arithmetic.
     dim = y.size
     I = np.eye(dim)
-    h2 = 0.5 * dt
     h6 = dt / 6.0
     A1 = dt * A
     A2 = A1 @ A1
@@ -221,9 +220,9 @@ def _rk4_decay_factor(d, dt):
 
     RK4's real-axis amplification never drops below 0, so a decaying
     mode is unstable exactly when m > 1, i.e. dt d past about 2.785;
-    that raises UnstableTimeStepError. Modes with d <= 0 (eigh's tiny
-    negative zeros, or the growing modes of an unphysical synthesized
-    network) do not decay in the continuous model either and pass.
+    that raises UnstableTimeStepError. Modes with d <= 0 (zero modes, or
+    the growing modes of an unphysical synthesized network) do not decay
+    in the continuous model either and pass.
     """
     a = -dt * d
     p = a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
@@ -307,6 +306,18 @@ def _modal_form(Lhat, Rhat):
     return V, V.T, d
 
 
+def initial_injections(incidence: IncidenceMatrix, f0) -> np.ndarray:
+    """Boundary injections B1 f0 of an initial flow that balances every
+    interior node: f0 finite and max|B0 f0| <= DRIFT_TOL * max|f0|.
+    InconsistentInitialConditionError otherwise."""
+    f0 = np.asarray(f0, dtype=float)
+    drift = np.max(np.abs(incidence.b0 @ f0), initial=0.0)
+    scale = np.max(np.abs(f0), initial=0.0)
+    if not (math.isfinite(scale) and drift <= DRIFT_TOL * max(scale, 1e-300)):
+        raise InconsistentInitialConditionError(drift if math.isfinite(scale) else scale)
+    return incidence.b1 @ f0
+
+
 def simulate_dae_oracle(
     network: Network, excitation: Excitation, f0, cfg: SolverConfig
 ) -> Trajectory:
@@ -325,13 +336,11 @@ def simulate_dae_oracle(
     computed when that bound fails the test.
     """
     incidence = build_incidence(network)
+    initial_injections(incidence, f0)
     r, l = network.r_vector(), network.l_vector()
     f0 = np.asarray(f0, dtype=float)
     B0 = incidence.b0.toarray()  # the oracle keeps its own dense algebra
     B1 = incidence.b1.toarray()
-    drift0 = np.max(np.abs(B0 @ f0), initial=0.0)
-    if drift0 > DRIFT_TOL * max(np.max(np.abs(f0), initial=0.0), 1e-300):
-        raise InconsistentInitialConditionError(drift0)
     linv = 1.0 / l
     v1 = excitation.evaluate(incidence.boundary_nodes, _stage_grid(cfg))
     B0L = B0 * linv[None, :]

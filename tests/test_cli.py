@@ -26,6 +26,13 @@ def wye_dict(r=(0.98, 0.99, 0.58), l=(0.55, 0.64, 0.77)):
     }
 
 
+def nested(depth, value=1.0):
+    """value inside depth levels of JSON lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def sinusoid_excitation_dict():
     return {
         "signals": {
@@ -144,6 +151,15 @@ class TestValidate:
         path.write_text("{not json")
         assert main(["validate", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "InputFormat"
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # json.load's RecursionError used to end in a traceback with exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["validate", str(path)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InputFormat"
 
     def test_non_utf8_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -399,12 +415,15 @@ class TestSimulate:
             ({}, {"signals": {"1": {"type": []}}}, ["--method", "dae"]),
             # used to run with zero drive and exit 0
             ({}, {"signals": {"9": {"type": "constant", "value_v": 1.0}}}, ["--method", "reduced"]),
+            # numpy's 32-dimension limit: a RuntimeError traceback with exit 1
+            ({"f0": nested(33)}, None, ["--method", "reduced"]),
+            ({}, {"signals": {"1": {"type": "piecewise", "breakpoints": nested(100)}}}, ["--method", "reduced"]),
         ],
         ids=[
             "strategy", "seed-text", "seed-fraction", "seed-boolean", "seed-negative",
             "f0-text", "f0-nested", "f0-nan",
             "signals-list", "network-int", "excitation-int", "out_dir-int", "type-list",
-            "signal-not-boundary",
+            "signal-not-boundary", "f0-deep", "breakpoints-deep",
         ],
     )
     def test_bad_manifest_exits_2(
@@ -509,10 +528,12 @@ class TestSimulate:
             ("Lhat", [[1.32, 0.77], [100.0, 1.41]]),
             # i_1 1.6e71 at 1 s, exit 0
             ("Rhat", [[1.56, 0.58], [100.0, 1.57]]),
+            # numpy's 32-dimension limit: a RuntimeError traceback with exit 1
+            ("Lhat", nested(33)),
         ],
         ids=[
             "Lhat-nan", "P-nan", "Lhat-boolean", "unknown-key", "boundary-nodes-string", "edge-ids-string",
-            "Lhat-asymmetric-upper", "Lhat-asymmetric-lower", "Rhat-asymmetric",
+            "Lhat-asymmetric-upper", "Lhat-asymmetric-lower", "Rhat-asymmetric", "Lhat-deep",
         ],
     )
     def test_model_with_bad_entries_exits_2(self, manifest_file, wye_file, tmp_path, capsys, key, value):
@@ -528,6 +549,88 @@ class TestSimulate:
         diag = json.loads(lines[0])
         assert diag["error"] == "InputFormat" and key in diag["message"]
         assert not (tmp_path / "out" / "reduced.csv").exists()
+
+    @pytest.mark.parametrize(
+        "strategy, key, entries",
+        [
+            # symmetric but indefinite: i_1 7.9e70 at 1 s, exit 0
+            ("tree", "Rhat", {(0, 1): 100.0, (1, 0): 100.0}),
+            # exactly diagonal, so the run skipped the congruence: exit 0
+            ("modal", "Rhat", {(0, 0): -5.0}),
+            ("modal", "Lhat", {(0, 0): -1.0}),
+        ],
+        ids=["tree-Rhat-indefinite", "modal-Rhat-negative", "modal-Lhat-negative"],
+    )
+    def test_model_with_indefinite_pencil_exits_2(
+        self, manifest_file, wye_file, tmp_path, capsys, strategy, key, entries
+    ):
+        model = tmp_path / "model.json"
+        assert main(["reduce", wye_file, "--p-strategy", strategy, "--out", str(model)]) == 0
+        obj = json.loads(model.read_text())
+        for (i, j), value in entries.items():
+            obj[key][i][j] = value
+        write_json(model, obj)
+        capsys.readouterr()
+        assert main(["simulate", manifest_file, "--method", "reduced", "--model", str(model)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NotPositiveDefinite"
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    # (network, unbalanced f0, balanced f0), with r = 2l so that every
+    # method applies. The second network has two interior nodes, 3 and
+    # 4, and its unbalanced f0 puts 1 A through e2 = 3 -> 4 alone.
+    UNBALANCED = {
+        "wye": (wye_dict(r=(1.1, 1.28, 1.54)), [1.0, 0.0, 0.0], [1.0, -1.0, 0.0]),
+        "two-interior": (
+            {
+                "nodes": ["1", "2", "3", "4"],
+                "boundary": ["1", "2"],
+                "edges": [
+                    {"id": f"e{k + 1}", "from": a, "to": b, "r_ohm": 2 * l, "l_henry": l}
+                    for k, (a, b, l) in enumerate(
+                        [("1", "3", 0.5), ("3", "4", 0.6), ("4", "2", 0.7), ("3", "2", 0.8)]
+                    )
+                ],
+            },
+            [0.0, 1.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0, 0.0],
+        ),
+    }
+
+    # homogeneous and baseline used to take B1 f0 unchecked and exit 0
+    @pytest.mark.parametrize("method", ["reduced", "dae", "homogeneous", "baseline"])
+    @pytest.mark.parametrize("case", sorted(UNBALANCED))
+    def test_unbalanced_initial_flow_exits_2(self, tmp_path, capsys, case, method):
+        network, f0, balanced = self.UNBALANCED[case]
+        write_json(tmp_path / "net.json", network)
+        write_json(tmp_path / "exc.json", {"signals": {"1": {"type": "constant", "value_v": 1.0}}})
+        flags = ["--omega0", "9.42", "--gamma", "1.0"] if method == "baseline" else []
+
+        def run(flows):
+            manifest = write_json(
+                tmp_path / "m.json",
+                {"network": "net.json", "excitation": "exc.json", "f0": flows,
+                 "solver": {"dt_s": 1e-3, "t_end_s": 0.1}},
+            )
+            return main(["simulate", manifest, "--method", method, *flags])
+
+        assert run(f0) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "InconsistentInitialCondition"
+        assert not list(tmp_path.glob("**/*.csv"))
+        assert run(balanced) == 0
+
+    def test_homogeneity_is_checked_before_the_initial_flow(self, tmp_path, wye_file, capsys):
+        write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "f0": [1.0, 0.0, 0.0],
+             "solver": {"dt_s": 1e-3, "t_end_s": 0.1}},
+        )
+        assert main(["simulate", manifest, "--method", "homogeneous"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "NotHomogeneous"
 
     def test_dae_unstable_step_exits_2(self, tmp_path, wye_file, capsys):
         # used to write values up to 7.6e4 and exit 0

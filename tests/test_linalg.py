@@ -176,6 +176,21 @@ class TestSimultaneousDiagonalization:
             with pytest.raises(NotPositiveDefiniteError):
                 simultaneous_diagonalization(Lp, np.eye(2))
 
+    def test_rounding_negative_is_clamped(self):
+        # a d within 1e-10 of max|d| below 0 is a zero mode, returned as 0
+        V, d = simultaneous_diagonalization(np.eye(3), np.diag([2.0, -1e-12, 0.0]))
+        assert np.array_equal(d, [0.0, 0.0, 2.0])
+        assert not np.any(np.signbit(d))
+
+    @pytest.mark.parametrize(
+        "Rp",
+        [np.diag([2.0, -3e-10]), np.diag([-5.0, 1.0]), np.array([[1.56, 100.0], [100.0, 1.57]])],
+        ids=["just-below", "negative-diagonal", "indefinite"],
+    )
+    def test_indefinite_second_matrix_raises(self, Rp):
+        with pytest.raises(NotPositiveDefiniteError, match="second"):
+            simultaneous_diagonalization(np.eye(2), Rp)
+
     def test_random_pencils(self, rng):
         for _ in range(20):
             A = rng.normal(size=(5, 5))

@@ -2,15 +2,20 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kronred import (
     Edge,
+    Excitation,
     Network,
     PStrategy,
+    Sinusoid,
+    SolverConfig,
     build_incidence,
     embed_initial,
     homogeneous_reduce,
     reduce,
+    simulate_reduced,
     validate,
 )
 from kronred.errors import (
@@ -33,6 +38,14 @@ from conftest import (
 from reference import n_interior
 
 ALL_STRATEGIES = list(PStrategy)
+
+
+def lossless_every_third_edge(net):
+    """net with r = 0 on edges 0, 3, 6, ..., so Rt can be singular."""
+    edges = tuple(
+        Edge(e.id, e.tail, e.head, 0.0 if k % 3 == 0 else e.r, e.l) for k, e in enumerate(net.edges)
+    )
+    return validate(Network(net.nodes, edges, net.boundary))
 
 
 class TestBuildP:
@@ -59,19 +72,15 @@ class TestBuildP:
         # reduce(modal) stores the tree pencil's congruence as
         # simultaneous_diagonalization defines it: P = T V, Lhat = I and
         # Rhat = diag(d), bit for bit. One edge in three has r = 0, so Rt
-        # is singular and eigh returns rounding-level negatives in its null
-        # directions for some of these networks; d is clamped at 0 there.
+        # is singular and raw eigh returns rounding-level negatives in its
+        # null directions for some of these networks; the congruence
+        # returns d clamped at 0 there.
         negative = 0
         for _ in range(40):
-            net = random_connected_network(rng)
-            edges = tuple(
-                Edge(e.id, e.tail, e.head, 0.0 if k % 3 == 0 else e.r, e.l)
-                for k, e in enumerate(net.edges)
-            )
-            net = validate(Network(net.nodes, edges, net.boundary))
+            net = lossless_every_third_edge(random_connected_network(rng))
             T, Lt, Rt = build_P(build_incidence(net), net, PStrategy.TREE_ELIMINATION)
             V, d = simultaneous_diagonalization(dense(Lt), dense(Rt))
-            negative += bool(np.any(d < 0))
+            negative += bool(np.any(scipy.linalg.eigh(dense(Rt), dense(Lt))[0] < 0))
             model = reduce(net, PStrategy.MODAL_DIAGONALIZING)
             assert np.array_equal(model.P, T @ V)
             assert np.array_equal(model.Lhat, np.eye(d.size))
@@ -279,6 +288,27 @@ class TestModelSerialization:
         assert clone.strategy == model.strategy
         assert clone.boundary_nodes == model.boundary_nodes
         assert clone.edge_ids == model.edge_ids
+
+    def test_written_models_load_and_run_alike(self, rng):
+        # model_from_dict's definiteness check never rejects what reduce
+        # writes, also where eigh rounds a zero mode below 0 (one edge in
+        # three has r = 0), and the loaded model runs alike. Not bit for
+        # bit: reduce's tree Lhat is Fortran-ordered and the loaded one C-
+        # ordered, and eigh rounds the two layouts differently (1.3e-15).
+        cfg = SolverConfig(dt=1e-3, t_end=0.01)
+        negative = 0
+        for _ in range(200):
+            net = lossless_every_third_edge(random_connected_network(rng))
+            exc = Excitation({net.boundary[0]: Sinusoid(10.0, 2.0, 0.0)})
+            f0 = random_consistent_flow(net, rng)
+            for strategy in ALL_STRATEGIES:
+                model = reduce(net, strategy)
+                negative += bool(np.any(scipy.linalg.eigh(model.Rhat, model.Lhat)[0] < 0))
+                clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+                expected = simulate_reduced(model, exc, f0, cfg)
+                loaded = simulate_reduced(clone, exc, f0, cfg)
+                assert np.max(np.abs(loaded.data - expected.data)) <= 1e-12 * np.max(np.abs(expected.data))
+        assert negative
 
     def test_order_zero_round_trip(self):
         # JSON writes an empty Lhat as [], which used to load with shape (0,)

@@ -46,6 +46,7 @@ from kronred.simulate import (
     MAX_STEPS,
     _rk4_lti,
     _stage_grid,
+    initial_injections,
     simulate_reduced_batch,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -241,6 +242,25 @@ class TestDaeOracle:
     def test_inconsistent_initial_flow_rejected(self, wye):
         with pytest.raises(InconsistentInitialConditionError):
             simulate_dae_oracle(wye, zero_excitation(), [1.0, 0.0, 0.0], SolverConfig(dt=1e-3, t_end=0.1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_initial_flow_rejected(self, wye, bad):
+        # both passed the balance check: an all-nan trajectory
+        with pytest.raises(InconsistentInitialConditionError):
+            simulate_dae_oracle(wye, zero_excitation(), [bad, 0.0, 0.0], SolverConfig(dt=1e-3, t_end=0.1))
+
+    def test_initial_balance_rule(self, wye):
+        # B1 f0 for a balanced flow; the rule is max|B0 f0| <= DRIFT_TOL max|f0|
+        inc = build_incidence(wye)
+        assert np.array_equal(initial_injections(inc, [-5.0, -5.0, 10.0]), [-5.0, -5.0, 10.0])
+        initial_injections(inc, [1.0, -1.0, 0.5e-7])
+        with pytest.raises(InconsistentInitialConditionError):
+            initial_injections(inc, [1.0, -1.0, 2e-7])
+        # an inf flow between two boundary nodes shows in no interior
+        # balance, and inf <= DRIFT_TOL * inf
+        net = make_net_a()
+        with pytest.raises(InconsistentInitialConditionError):
+            initial_injections(build_incidence(net), [float("inf")])
 
     def test_no_interior_network(self):
         net = make_net_a(r=1.0, l=1.0)
