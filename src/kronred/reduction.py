@@ -189,14 +189,19 @@ def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BA
     """Assemble the exact reduced model of order E - N0.
 
     build_P gives P and the pencil (Lhat, Rhat); Bhat = B1 P. The model
-    holds dense matrices, with Lhat and Rhat symmetrized.
+    holds dense matrices, with Lhat and Rhat symmetrized. All four are
+    C-ordered, as model_from_dict returns them: BLAS and LAPACK round the
+    two layouts of the same values differently, and a model written and
+    loaded must run as the one in memory. The transpose leads each
+    symmetrizing sum, so the tree pencil (CSC) sums to CSR and densifies
+    C-ordered without a transposing copy.
     """
     incidence = build_incidence(network)
     P, Lhat, Rhat = build_P(incidence, network, strategy)
     return ReducedModel(
         P=dense(P),
-        Lhat=dense(0.5 * (Lhat + Lhat.T)),
-        Rhat=dense(0.5 * (Rhat + Rhat.T)),
+        Lhat=dense(0.5 * (Lhat.T + Lhat)),
+        Rhat=dense(0.5 * (Rhat.T + Rhat)),
         Bhat=dense(incidence.b1 @ P),
         strategy=strategy,
         boundary_nodes=incidence.boundary_nodes,

@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: network queries and an
 edge flip, the zero excitation, serializers for networks and
 excitations, the weighted-projector identity, SVD-based null-space
-bases, and a steady-state phasor fit of a trajectory."""
+bases, a step-by-step RK4 loop, and a steady-state phasor fit of a
+trajectory."""
 
 import math
 
@@ -100,6 +101,41 @@ def svd_bases(incidence, network):
     Lp, Rp = (Q.T @ (w[:, None] * Q) for w in (network.l_vector(), network.r_vector()))
     _, V = scipy.linalg.eigh(Rp, Lp)
     return Q, Q @ V
+
+
+def rk4_lti_steps(A, forcing_stages, y0, dt, n_steps, record_stride):
+    """y' = A y + b(t) stepped one RK4 step at a time, recording y at steps
+    0, stride, 2*stride, ... and n_steps.
+
+    forcing_stages holds b on the half-step grid t_k = k*dt/2, shape
+    (2*n_steps + 1, dim). One step is y <- M y + g_n, with g_n formed for
+    every step from the stage forcing. Returns (record_steps, states).
+    """
+    record_steps = list(range(0, n_steps + 1, record_stride))
+    if record_steps[-1] != n_steps:
+        record_steps.append(n_steps)
+    y = np.asarray(y0, dtype=float).copy()
+    out = np.empty((len(record_steps), y.size))
+    out[0] = y
+    I = np.eye(y.size)
+    h6 = dt / 6.0
+    A1 = dt * A
+    A2 = A1 @ A1
+    M = I + A1 + A2 / 2.0 + (A2 @ A1) / 6.0 + (A2 @ A2) / 24.0
+    F0 = h6 * (I + A1 + A2 / 2.0 + (A1 @ A2) / 4.0)
+    Fm = h6 * (4.0 * I + 2.0 * A1 + A2 / 2.0)
+    g = (
+        forcing_stages[0:-1:2] @ F0.T
+        + forcing_stages[1::2] @ Fm.T
+        + forcing_stages[2::2] @ (h6 * I).T
+    )
+    next_rec = 1
+    for i in range(n_steps):
+        y = M @ y + g[i]
+        if i + 1 == record_steps[next_rec]:
+            out[next_rec] = y
+            next_rec += 1
+    return np.asarray(record_steps), out
 
 
 def extract_steady_phasors(traj, freq: float, periods: int = 4, channels=None):

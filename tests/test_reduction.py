@@ -281,6 +281,9 @@ class TestModelSerialization:
     def test_round_trip(self, wye, strategy):
         model = reduce(wye, strategy)
         clone = model_from_dict(model_to_dict(model))
+        # one layout on both sides, which BLAS would round differently
+        for m in (model, clone):
+            assert all(a.flags.c_contiguous for a in (m.P, m.Lhat, m.Rhat, m.Bhat))
         assert np.array_equal(clone.P, model.P)
         assert np.array_equal(clone.Lhat, model.Lhat)
         assert np.array_equal(clone.Rhat, model.Rhat)
@@ -292,9 +295,7 @@ class TestModelSerialization:
     def test_written_models_load_and_run_alike(self, rng):
         # model_from_dict's definiteness check never rejects what reduce
         # writes, also where eigh rounds a zero mode below 0 (one edge in
-        # three has r = 0), and the loaded model runs alike. Not bit for
-        # bit: reduce's tree Lhat is Fortran-ordered and the loaded one C-
-        # ordered, and eigh rounds the two layouts differently (1.3e-15).
+        # three has r = 0), and the loaded model runs bit for bit alike.
         cfg = SolverConfig(dt=1e-3, t_end=0.01)
         negative = 0
         for _ in range(200):
@@ -307,7 +308,7 @@ class TestModelSerialization:
                 clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
                 expected = simulate_reduced(model, exc, f0, cfg)
                 loaded = simulate_reduced(clone, exc, f0, cfg)
-                assert np.max(np.abs(loaded.data - expected.data)) <= 1e-12 * np.max(np.abs(expected.data))
+                assert np.array_equal(loaded.data, expected.data)
         assert negative
 
     def test_order_zero_round_trip(self):

@@ -65,6 +65,7 @@ from reference import (
     excitation_to_dict,
     extract_steady_phasors,
     n_interior,
+    rk4_lti_steps,
     zero_excitation,
 )
 
@@ -562,16 +563,70 @@ class TestSolverConfig:
 
 
 def _dense_reduced_states(model, exc, f0, cfg):
-    """The reduced model stepped by the dense RK4 loop the oracle uses."""
+    """The reduced model integrated by the oracle's dense RK4 recurrence."""
     A = np.linalg.solve(model.Lhat, -model.Rhat)
     Bu = np.linalg.solve(model.Lhat, model.Bhat.T)
-    forcing = exc.evaluate(model.boundary_nodes, _stage_grid(cfg)) @ Bu.T
+    v1 = exc.evaluate(model.boundary_nodes, _stage_grid(cfg))
     fhat0 = embed_initial(model.P, np.asarray(f0, dtype=float))
-    return _rk4_lti(A, forcing, fhat0, cfg.dt, cfg.n_steps, cfg.record_stride)
+    return _rk4_lti(A, Bu, v1, fhat0, cfg.dt, cfg.n_steps, cfg.record_stride)
 
 
 def _rel_dev(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+class TestOracleRecurrence:
+    """_rk4_lti, one RK4 map per record interval, against the step loop."""
+
+    N_STEPS = 200
+
+    @pytest.mark.parametrize("stride", [1, 7, N_STEPS, N_STEPS + 13])
+    def test_matches_step_loop(self, rng, stride):
+        # random stable systems: a negative definite symmetric part plus a
+        # skew part, so the modes decay and oscillate; stride 7 leaves a
+        # last interval of 4 steps, and a stride past the horizon none
+        for _ in range(5):
+            dim, inputs = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            S = rng.standard_normal((dim, dim))
+            K = rng.standard_normal((dim, dim))
+            A = -(S @ S.T + 0.1 * np.eye(dim)) + (K - K.T)
+            dt = 1.0 / np.max(np.abs(np.linalg.eigvals(A)))
+            B = rng.standard_normal((dim, inputs))
+            u = np.sin(np.outer(np.arange(2 * self.N_STEPS + 1) * dt / 2, rng.uniform(0.1, 3.0, inputs)))
+            y0 = rng.standard_normal(dim)
+            steps, y = _rk4_lti(A, B, u, y0, dt, self.N_STEPS, stride)
+            ref_steps, ref = rk4_lti_steps(A, u @ B.T, y0, dt, self.N_STEPS, stride)
+            assert np.array_equal(steps, ref_steps)
+            assert _rel_dev(y, ref) <= 1e-12
+
+    def test_steady_state_unbiased(self):
+        # RK4 keeps the equilibrium y* = -A^-1 B u of a constant input. A
+        # step map rounded to the grid of I misses it by about eps / (dt d)
+        # of the slowest rate d, 1.7e-12 for the step loop here; powering
+        # M^s - I from M - I holds it to a few eps / (s dt d).
+        c, s = math.cos(0.3), math.sin(0.3)
+        Q = np.array([[c, -s], [s, c]])
+        A = -Q @ np.diag([1.0, 3.0]) @ Q.T
+        B = np.array([[1.0], [0.5]])
+        n_steps = 400_000   # t = 40 s, 40 time constants of the slowest mode
+        u = np.ones((2 * n_steps + 1, 1))
+        _, y = _rk4_lti(A, B, u, np.zeros(2), 1e-4, n_steps, 100)
+        assert _rel_dev(y[-1], -np.linalg.solve(A, B[:, 0])) <= 1e-13
+
+    def test_stride_past_horizon_oracle(self, wye, monkeypatch):
+        # 10 steps recorded at steps 0 and 10 only; with no full record
+        # interval the run raises no power of the step map
+        exc = Excitation({"1": Sinusoid(120.0, 1.5, 0.0), "3": Step(50.0, 0.004)})
+        f0 = [-5.0, -5.0, 10.0]
+        every = simulate_dae_oracle(wye, exc, f0, SolverConfig(dt=1e-3, t_end=0.01))
+
+        def no_power(*args):
+            raise AssertionError("step map powered without a full record interval")
+
+        monkeypatch.setattr(simulate_module, "_step_power", no_power)
+        ends = simulate_dae_oracle(wye, exc, f0, SolverConfig(dt=1e-3, t_end=0.01, record_stride=MAX_STEPS))
+        assert np.array_equal(ends.times, every.times[[0, -1]])
+        assert _rel_dev(ends.data, every.data[[0, -1]]) <= 1e-12
 
 
 class TestModalCore:
@@ -599,9 +654,9 @@ class TestModalCore:
         exc = Excitation({"1": Sinusoid(5.0, 1.0, 0.0), "2": Step(3.0, 0.2)})
         i1_0 = [1.0, 1.0, -2.0]
         cfg = self.CFG
-        forcing = exc.evaluate(hm.boundary_nodes, _stage_grid(cfg)) @ hm.Lred.T
+        v1 = exc.evaluate(hm.boundary_nodes, _stage_grid(cfg))
         A = -hm.alpha * np.eye(3)
-        _, dense = _rk4_lti(A, forcing, i1_0, cfg.dt, cfg.n_steps, cfg.record_stride)
+        _, dense = _rk4_lti(A, hm.Lred, v1, i1_0, cfg.dt, cfg.n_steps, cfg.record_stride)
         traj = simulate_homogeneous(hm, exc, i1_0, cfg)
         assert _rel_dev(traj.data, dense) <= 1e-12
 
