@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -441,11 +442,81 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 
 def write_trajectories(trajectories: dict, out_dir) -> list:
     """Write each named trajectory to <out_dir>/<name>.csv; returns the
-    paths in the dict's order."""
-    paths = [Path(out_dir) / f"{name}.csv" for name in trajectories]
-    for path, traj in zip(paths, trajectories.values()):
-        trajectory_to_csv(traj, path)
-    return paths
+    paths in the dict's order.
+
+    The files are written by up to one process per available CPU (POSIX
+    fork; one process where fork is missing), each file by
+    trajectory_to_csv, so the bytes are those of a one-process write.
+    The calling process writes one group of files itself and reaps every
+    child before returning or raising. Files whose writer failed are
+    written again here, in dict order, so a failure raises what writing
+    the files one by one raises.
+    """
+    jobs = [(traj, Path(out_dir) / f"{name}.csv") for name, traj in trajectories.items()]
+    workers = min(_available_cpus(), len(jobs)) if hasattr(os, "fork") else 1
+    groups = _balanced_groups([traj.times.size * (1 + traj.data.shape[1]) for traj, _ in jobs], workers)
+    children = {}  # pid -> the group it writes
+    failed = set()
+    try:
+        for group in groups[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: this process writes the group below
+                failed.update(group)
+                continue
+            if pid == 0:
+                _write_group_and_exit([jobs[i] for i in group])
+            children[pid] = group
+        for i in groups[0]:
+            try:
+                trajectory_to_csv(*jobs[i])
+            except Exception:  # raised again below, once the children are reaped
+                failed.add(i)
+    finally:
+        for pid, group in children.items():
+            try:
+                ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            except ChildProcessError:  # reaped by the system, as when SIGCHLD is ignored
+                ok = False
+            if not ok:
+                failed.update(group)
+    for i in sorted(failed):
+        trajectory_to_csv(*jobs[i])
+    return [path for _, path in jobs]
+
+
+def _available_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _balanced_groups(sizes, n_groups):
+    """Split the indices of sizes into max(1, n_groups) lists, largest
+    size first, each onto the lightest list so far."""
+    groups = [[] for _ in range(max(1, n_groups))]
+    loads = [0] * len(groups)
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        g = loads.index(min(loads))
+        groups[g].append(i)
+        loads[g] += sizes[i]
+    return groups
+
+
+def _write_group_and_exit(jobs):
+    """A forked writer's whole life: write its files and leave by
+    os._exit, 0 on success and 1 on any exception. It never returns into
+    the caller's code, prints nothing, and neither flushes inherited
+    stdio buffers nor runs atexit handlers. It formats floats and writes
+    files only, so it never enters a BLAS thread pool inherited through
+    the fork."""
+    try:
+        for traj, path in jobs:
+            trajectory_to_csv(traj, path)
+    except BaseException:
+        os._exit(1)
+    os._exit(0)
 
 
 def trajectory_from_csv(path) -> Trajectory:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,28 @@ import pytest
 from kronred import simulate
 from kronred.cli import main
 from kronred.simulate import trajectory_from_csv
+
+
+# Runs kronred.cli.main once per [cpus, argv] in argv[1] (JSON), with
+# that many CPUs seen by the CSV writer, and prints [exit code, whether a
+# child process was left] per run.
+WRITE_RUNS = """
+import json, os, sys
+from kronred import simulate
+from kronred.cli import main
+
+results = []
+for cpus, argv in json.loads(sys.argv[1]):
+    simulate._available_cpus = lambda: cpus
+    code = main(argv)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = True
+    except ChildProcessError:
+        left = False
+    results.append([code, left])
+print(json.dumps(results))
+"""
 
 
 def write_json(path, obj):
@@ -917,6 +943,49 @@ class TestPaperExperiment:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
+
+    def test_failed_write_exits_2_as_one_process_does(self, tmp_path, capsys, monkeypatch):
+        # With 2 CPUs a forked child writes some of the files. A file that
+        # cannot be written (a directory of its name) in the parent's group,
+        # in the child's group, or in both must end in the one diagnostic
+        # line a one-process write gives, with no child output and no child
+        # left. A subprocess, so that a child's writes to fd 2 would show.
+        names = ["dae", "reduced"] + [f"baseline_gamma_{k}" for k in range(5)]
+        run = ["paper-experiment", "--which", "step", "--dt", "1e-3", "--t-end", "0.2"]
+        monkeypatch.setattr(simulate, "_available_cpus", lambda: 1)
+        assert main([*run, "--out-dir", str(tmp_path / "ref")]) == 0
+        capsys.readouterr()
+        sizes = []
+        for name in names:
+            traj = trajectory_from_csv(tmp_path / "ref" / f"{name}.csv")
+            sizes.append(traj.times.size + traj.data.size)
+        parent_group, child_group = simulate._balanced_groups(sizes, 2)
+        cases = {
+            "parent": [names[parent_group[-1]]],
+            "child": [names[child_group[-1]]],
+            "both": [names[parent_group[-1]], names[child_group[-1]]],
+        }
+        runs = []
+        for case, blocked in cases.items():
+            for name in blocked:
+                (tmp_path / case / f"{name}.csv").mkdir(parents=True)
+            runs += [[cpus, [*run, "--out-dir", str(tmp_path / case)]] for cpus in (2, 1)]
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", WRITE_RUNS, json.dumps(runs)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert json.loads(proc.stdout) == [[2, False]] * len(runs)
+        lines = proc.stderr.splitlines()
+        assert len(lines) == len(runs)
+        for (case, blocked), forked, alone in zip(cases.items(), lines[::2], lines[1::2]):
+            assert forked == alone
+            first = min(blocked, key=names.index)
+            assert json.loads(forked) == {
+                "error": "IsADirectory",
+                "message": f"[Errno 21] Is a directory: '{tmp_path / case / first}.csv'",
+            }
 
     # 1e10 steps used to be sized unchecked: 2e10 + 1 stage times, and as
     # many excitation samples per boundary node

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -499,6 +500,80 @@ class TestCsvRoundTrip:
         path.write_text("time,x\n0.0,1.0\n")
         with pytest.raises(InputFormatError):
             trajectory_from_csv(path)
+
+
+def csv_trajectories(rng):
+    """Named trajectories of different widths and lengths, with special values."""
+    out = {}
+    for name, (n, width) in zip("abcdef", [(300, 1), (40, 7), (1200, 3), (5, 40), (700, 2), (1, 5)]):
+        data = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-30, 30, (n, width))
+        data.flat[::11] = np.inf
+        data.flat[5::13] = -0.0
+        out[name] = Trajectory(np.arange(n) * 1e-3, data, tuple(f"c{k}" for k in range(width)))
+    return out
+
+
+class TestParallelCsvWrite:
+    def one_by_one(self, trajectories, out_dir):
+        """Each file's bytes from its own trajectory_to_csv call, in dict order."""
+        out_dir.mkdir()
+        for name, traj in trajectories.items():
+            trajectory_to_csv(traj, out_dir / f"{name}.csv")
+        return [(out_dir / f"{name}.csv").read_bytes() for name in trajectories]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
+    def test_files_match_the_one_process_writer(self, tmp_path, rng, monkeypatch, cpus):
+        trajectories = csv_trajectories(rng)
+        expected = self.one_by_one(trajectories, tmp_path / "ref")
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: cpus)
+        paths = simulate_module.write_trajectories(trajectories, tmp_path)
+        assert paths == [tmp_path / f"{name}.csv" for name in trajectories]
+        assert [p.read_bytes() for p in paths] == expected
+
+    @pytest.mark.parametrize("cpus, n_files", [(16, 1), (1, 6)], ids=["one-file", "one-cpu"])
+    def test_no_fork_for_one_writer(self, tmp_path, rng, monkeypatch, cpus, n_files):
+        def no_fork():
+            raise AssertionError("forked")
+
+        trajectories = dict(list(csv_trajectories(rng).items())[:n_files])
+        expected = self.one_by_one(trajectories, tmp_path / "ref")
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", no_fork)
+        paths = simulate_module.write_trajectories(trajectories, tmp_path)
+        assert [p.read_bytes() for p in paths] == expected
+
+    def test_failed_fork_is_written_here(self, tmp_path, rng, monkeypatch):
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        trajectories = csv_trajectories(rng)
+        expected = self.one_by_one(trajectories, tmp_path / "ref")
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        paths = simulate_module.write_trajectories(trajectories, tmp_path)
+        assert [p.read_bytes() for p in paths] == expected
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD")
+    def test_children_reaped_by_the_system(self, tmp_path, rng, monkeypatch):
+        # with SIGCHLD ignored the kernel reaps the children, and waitpid
+        # waits for them and then raises ChildProcessError
+        trajectories = csv_trajectories(rng)
+        expected = self.one_by_one(trajectories, tmp_path / "ref")
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 2)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            paths = simulate_module.write_trajectories(trajectories, tmp_path)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert [p.read_bytes() for p in paths] == expected
+
+    def test_groups_balance_value_counts(self):
+        # the paper experiment's 7 files, in values per row: dae, reduced, 5 baselines
+        sizes = [8, 6, 7, 7, 7, 7, 7]
+        assert simulate_module._balanced_groups(sizes, 2) == [[0, 4, 6], [2, 3, 5, 1]]
+        assert simulate_module._balanced_groups(sizes, 0) == [[0, 2, 3, 4, 5, 6, 1]]
+        groups = simulate_module._balanced_groups(sizes, 16)
+        assert sorted(i for g in groups for i in g) == list(range(7))
 
 
 class TestRk4Accuracy:
