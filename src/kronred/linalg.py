@@ -21,6 +21,9 @@ NULL_TOL = 1e-10
 # rcond threshold below which eliminated blocks are treated as singular.
 RCOND_SINGULAR = 1e-13
 
+# Least pencil eigenvalue, relative to max|d|, taken as eigh's rounding of a zero mode.
+PSD_RTOL = 1e-10
+
 
 def nullspace_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of null(M) via SVD, for a dense or sparse M of
@@ -85,14 +88,19 @@ def simultaneous_diagonalization(Lp: np.ndarray, Rp: np.ndarray):
     semidefinite. One generalized symmetric-definite eigensolve (LAPACK
     sygvd) of the pencil (Rp, Lp), which stays well-posed when Rp is
     singular. Returns (V, d) with V^T Lp V = I, V^T Rp V = diag(d) to
-    rounding, and d >= 0: a d in [-1e-10 max|d|, 0) is eigh's rounding of
-    a zero mode, returned as 0. NotPositiveDefiniteError when Lp is not
-    SPD or a d is below that.
+    rounding, and d = psd_modes(d) >= 0. NotPositiveDefiniteError when
+    Lp is not SPD or psd_modes rejects d.
     """
     try:
         d, V = scipy.linalg.eigh(Rp, Lp)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("first pencil matrix is not SPD") from exc
-    if not np.all(d >= -1e-10 * np.max(np.abs(d), initial=0.0)):
+    return V, psd_modes(d)
+
+
+def psd_modes(d):
+    """d with each d in [-PSD_RTOL max|d|, 0), eigh's rounding of a zero
+    mode, set to 0; NotPositiveDefiniteError when a d is below that."""
+    if not np.all(d >= -PSD_RTOL * np.max(np.abs(d), initial=0.0)):
         raise NotPositiveDefiniteError(f"second pencil matrix is not PSD (eigenvalue {d.min():.3e})")
-    return V, np.maximum(d, 0.0)
+    return np.maximum(d, 0.0)

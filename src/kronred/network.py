@@ -105,9 +105,9 @@ def validate(network: Network) -> Network:
 
     Raises a :class:`NetworkValidationError` subclass on the first failure:
     duplicate ids, dangling edge endpoints, self-loops, non-finite r or l,
-    l <= 0, r < 0, empty boundary, or a disconnected graph. The boundary
-    may equal the full node set (the reduction then degenerates to the
-    identity).
+    l <= 0, r < 0, an r / l that overflows, empty boundary, or a
+    disconnected graph. The boundary may equal the full node set (the
+    reduction then degenerates to the identity).
     """
     if len(set(network.nodes)) != len(network.nodes):
         raise NetworkValidationError("duplicate node ids")
@@ -128,6 +128,8 @@ def validate(network: Network) -> Network:
             raise NonpositiveInductanceError(f"edge {e.id!r} has non-positive inductance")
         if e.r < 0:
             raise NegativeResistanceError(f"edge {e.id!r} has negative resistance")
+        if not math.isfinite(e.r / e.l):
+            raise NetworkValidationError(f"edge {e.id!r} has a non-finite rate r / l = {e.r / e.l!r}")
     if not network.boundary:
         raise EmptyBoundaryError("boundary node set is empty")
     for n in network.boundary:
@@ -163,8 +165,9 @@ def network_from_dict(obj) -> Network:
     for key in sorted(_NETWORK_KEYS):
         if not isinstance(obj[key], list):
             raise InputFormatError(f"network {key!r} must be a list, got {obj[key]!r}")
-    if not all(isinstance(n, str) for n in obj["nodes"]):
-        raise InputFormatError("node ids must be strings")
+    for key in ("nodes", "boundary"):
+        if not all(isinstance(n, str) for n in obj[key]):
+            raise InputFormatError(f"network {key!r} must list node ids as strings")
     edges = []
     for raw in obj["edges"]:
         raw = json_object(raw, "edge", _EDGE_KEYS)

@@ -14,6 +14,7 @@ injection-space reduction for homogeneous networks (R = alpha L).
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 
@@ -25,9 +26,11 @@ from .errors import (
     InconsistentInitialConditionError,
     InputFormatError,
     NotHomogeneousError,
+    NotPositiveDefiniteError,
     RankDeficientInputError,
+    SingularBlockError,
 )
-from .linalg import dense, schur_complement, simultaneous_diagonalization
+from .linalg import dense, psd_modes, schur_complement, simultaneous_diagonalization
 from .network import IncidenceMatrix, Network, build_incidence, json_number, json_object, load_json
 
 
@@ -58,6 +61,22 @@ class ReducedModel:
     @property
     def order(self):
         return self.P.shape[1]
+
+    @functools.cached_property
+    def modal(self):
+        """(V, W, d) turning Lhat fhat' = -Rhat fhat + b, with fhat = V z, into
+        z' = -d z + W b; computed at most once and kept as long as the model
+        (V is n x n dense, as large as Lhat). An exactly diagonal pencil (modal
+        models, models without interior nodes, allow_unphysical networks with
+        r or l < 0) takes V = I and d = r / l, a zero l being singular; any
+        other is split by simultaneous_diagonalization's V, and W = V^T."""
+        l, r = np.diag(self.Lhat), np.diag(self.Rhat)
+        if np.array_equal(self.Lhat, np.diag(l)) and np.array_equal(self.Rhat, np.diag(r)):
+            if np.any(l == 0):
+                raise SingularBlockError(np.inf)
+            return np.eye(l.size), np.diag(1.0 / l), r / l
+        V, d = simultaneous_diagonalization(self.Lhat, self.Rhat)
+        return V, V.T, d
 
 
 @dataclass(frozen=True)
@@ -267,8 +286,8 @@ def model_from_dict(obj) -> ReducedModel:
     """Parse a reduced-model JSON object; unknown keys are rejected, every
     matrix entry must be a finite number, the matrix shapes must agree
     with edge_ids, boundary_nodes and the order (P's column count),
-    Lhat and Rhat must be exactly symmetric, and the pencil definite:
-    simultaneous_diagonalization's NotPositiveDefiniteError otherwise."""
+    Lhat and Rhat must be exactly symmetric, and the pencil definite, as
+    decided on the model's modal form: NotPositiveDefiniteError otherwise."""
     obj = json_object(obj, "reduced-model", _MODEL_KEYS)
     mats = {k: json_number(obj[k], f"reduced-model {k}", scalar=False) for k in ("P", "Lhat", "Rhat", "Bhat")}
     for key in ("boundary_nodes", "edge_ids"):
@@ -291,10 +310,11 @@ def model_from_dict(obj) -> ReducedModel:
     for key in ("Lhat", "Rhat"):
         if not np.array_equal(mats[key], mats[key].T):
             raise InputFormatError(f"reduced-model {key} is not symmetric")
-    simultaneous_diagonalization(mats["Lhat"], mats["Rhat"])
-    return ReducedModel(
-        **mats, strategy=strategy, boundary_nodes=boundary_nodes, edge_ids=edge_ids
-    )
+    model = ReducedModel(**mats, strategy=strategy, boundary_nodes=boundary_nodes, edge_ids=edge_ids)
+    if not np.all(np.diag(model.Lhat) > 0):  # every SPD matrix has a positive diagonal
+        raise NotPositiveDefiniteError("first pencil matrix is not SPD")
+    psd_modes(model.modal[2])
+    return model
 
 
 def save_model(model: ReducedModel, path) -> None:

@@ -6,10 +6,10 @@ grid so runs are deterministic. Two cores carry out the recurrence:
 
 * _rk4_modal — decoupled scalar modes z_k' = -d_k z_k + u_k(t), each
   integrated over the whole horizon by one banded LAPACK solve. A
-  validated reduced pencil (Lhat, Rhat) is symmetric-definite, so one
-  congruence brings simulate_reduced to this form; a modal model, a
-  model without interior nodes (the baseline sweep's synthesized
-  network) and simulate_homogeneous are diagonal already.
+  validated reduced pencil is symmetric-definite, so one congruence, the
+  model's own ReducedModel.modal, brings simulate_reduced to this form;
+  a modal model, a model without interior nodes (the baseline sweep's
+  synthesized network) and simulate_homogeneous are diagonal already.
 * _rk4_lti — the dense RK4 map, used only by simulate_dae_oracle: the
   full constrained model, converted to an ODE by solving for interior
   voltages at every stage (index-1 reduction). It steps from record to
@@ -37,11 +37,9 @@ from .errors import (
     ConstraintDriftError,
     InconsistentInitialConditionError,
     InputFormatError,
-    SingularBlockError,
     SolverConfigError,
     UnstableTimeStepError,
 )
-from .linalg import simultaneous_diagonalization
 from .network import IncidenceMatrix, Network, build_incidence
 from .reduction import HomogeneousReducedModel, ReducedModel, embed_initial
 from .signals import Excitation
@@ -261,7 +259,8 @@ def _rk4_decay_factor(d, dt):
     in the continuous model either and pass.
     """
     a = -dt * d
-    p = a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
+    with np.errstate(over="ignore"):  # a past about -3e77 takes p to +inf, and m > 1 still decides
+        p = a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
     m = 1.0 + p
     if np.any((d > 0) & (m > 1.0)):
         raise UnstableTimeStepError(dt, float(np.max(dt * d)))
@@ -300,12 +299,12 @@ def simulate_reduced_batch(
     The excitation, the modal basis and the modal forcing are computed
     once; each run only adds its own bidiagonal solves. The pseudoflows
     are fhat = V z, where z' = -d z + W Bhat^T v1 and z0 = W Lhat fhat0
-    (see _modal_form).
+    (see ReducedModel.modal, which the model computes once and keeps).
     """
     if len(f0s) == 0:
         return []
     fhat0 = np.column_stack([embed_initial(model.P, np.asarray(f0, dtype=float)) for f0 in f0s])
-    V, W, d = _modal_form(model.Lhat, model.Rhat)
+    V, W, d = model.modal
     v1 = excitation.evaluate(model.boundary_nodes, _stage_grid(cfg))
     steps, z = _rk4_modal(
         d, (W @ model.Bhat.T) @ v1.T, W @ (model.Lhat @ fhat0),
@@ -319,27 +318,6 @@ def simulate_reduced_batch(
         fhat = z[:, :, r] @ V.T
         runs.append(Trajectory(steps * cfg.dt, np.hstack([fhat, fhat @ model.Bhat.T]), channels))
     return runs
-
-
-def _modal_form(Lhat, Rhat):
-    """(V, W, d) turning Lhat fhat' = -Rhat fhat + b into decoupled modes.
-
-    With fhat = V z the model reads z' = -d z + W b, W = V^-1 Lhat^-1.
-    An exactly diagonal pencil (no nonzero off-diagonal entry), as in
-    every modal model and every model without interior nodes, is
-    decoupled already and takes V = I, d = r / l; this also covers the
-    unvalidated networks that allow_unphysical synthesis returns (r < 0
-    or l < 0), for which no congruence exists. Otherwise the pencil of a
-    validated network is symmetric-definite, and the congruence
-    V^T Lhat V = I, V^T Rhat V = diag(d) gives W = V^T.
-    """
-    l, r = np.diag(Lhat), np.diag(Rhat)
-    if np.array_equal(Lhat, np.diag(l)) and np.array_equal(Rhat, np.diag(r)):
-        if np.any(l == 0):
-            raise SingularBlockError(math.inf)
-        return np.eye(l.size), np.diag(1.0 / l), r / l
-    V, d = simultaneous_diagonalization(Lhat, Rhat)
-    return V, V.T, d
 
 
 def initial_injections(incidence: IncidenceMatrix, f0) -> np.ndarray:

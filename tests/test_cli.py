@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kronred import simulate
 from kronred.cli import main
@@ -196,6 +197,73 @@ class TestValidate:
     def test_directory_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "IsADirectory"
+
+
+# Every command that reads a network, as argv built from the network and
+# a manifest that names it.
+NETWORK_COMMANDS = {
+    "validate": lambda net, manifest: ["validate", net],
+    "reduce-tree": lambda net, manifest: ["reduce", net, "--p-strategy", "tree"],
+    "reduce-nullbasis": lambda net, manifest: ["reduce", net, "--p-strategy", "nullbasis"],
+    "reduce-modal": lambda net, manifest: ["reduce", net, "--p-strategy", "modal"],
+    "phasor": lambda net, manifest: ["phasor", net, "--omega", "9.42"],
+    "simulate-reduced": lambda net, manifest: ["simulate", manifest, "--method", "reduced"],
+    "simulate-dae": lambda net, manifest: ["simulate", manifest, "--method", "dae"],
+    "simulate-homogeneous": lambda net, manifest: ["simulate", manifest, "--method", "homogeneous"],
+    "simulate-baseline": lambda net, manifest: [
+        "simulate", manifest, "--method", "baseline", "--omega0", "9.42", "--gamma", "1.0"
+    ],
+}
+
+
+def run_one_diagnostic(argv, capsys):
+    """main(argv)'s exit code and its stderr, which must be one JSON line."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    return code, json.loads(lines[0])
+
+
+class TestNetworkRules:
+    @pytest.mark.parametrize("command", sorted(NETWORK_COMMANDS))
+    def test_non_string_boundary_id_exits_2(self, manifest_file, tmp_path, capsys, command):
+        # used to end in a TypeError traceback with exit 1
+        bad = wye_dict()
+        bad["boundary"] = ["1", [], "3"]
+        net = write_json(tmp_path / "wye.json", bad)
+        code, diag = run_one_diagnostic(NETWORK_COMMANDS[command](net, manifest_file), capsys)
+        assert code == 2
+        assert diag["error"] == "InputFormat" and "boundary" in diag["message"]
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    @pytest.mark.parametrize("command", sorted(NETWORK_COMMANDS))
+    def test_overflowing_rate_exits_2(self, manifest_file, tmp_path, capsys, command):
+        # r / l = 1e308 / 0.55 is inf: validate passed it, the DAE oracle
+        # ended in a traceback, homogeneous reported deviation nan
+        bad = wye_dict(r=(1e308, 0.99, 0.58))
+        net = write_json(tmp_path / "wye.json", bad)
+        code, diag = run_one_diagnostic(NETWORK_COMMANDS[command](net, manifest_file), capsys)
+        assert code == 2
+        assert diag["error"] == "NetworkValidation" and "'e1'" in diag["message"]
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    @pytest.mark.parametrize("method", ["reduced", "dae"])
+    def test_huge_finite_rate_is_one_stderr_line(self, manifest_file, tmp_path, method):
+        # the RK4 stability test used to print an overflow RuntimeWarning first
+        # (a separate process, so that warnings reach stderr as in a plain run)
+        write_json(tmp_path / "wye.json", wye_dict(r=(1e300, 0.99, 0.58)))
+        assert main(["validate", str(tmp_path / "wye.json")]) == 0
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kronred.cli", "simulate", manifest_file, "--method", method],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "UnstableTimeStep"
 
 
 class TestUsageErrors:
@@ -602,6 +670,25 @@ class TestSimulate:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "NotPositiveDefinite"
         assert not list(tmp_path.glob("**/*.csv"))
+
+    @pytest.mark.parametrize("strategy, expected", [("tree", 1), ("nullbasis", 1), ("modal", 0)])
+    def test_model_run_takes_one_eigensolve(
+        self, manifest_file, wye_file, tmp_path, capsys, monkeypatch, strategy, expected
+    ):
+        # the load's definiteness check is the run's congruence; a modal
+        # pencil is diagonal and takes none (each used to take one more)
+        model = tmp_path / "model.json"
+        assert main(["reduce", wye_file, "--p-strategy", strategy, "--out", str(model)]) == 0
+        calls = []
+        eigh = scipy.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", counted)
+        assert main(["simulate", manifest_file, "--method", "reduced", "--model", str(model)]) == 0
+        assert len(calls) == expected
 
     # (network, unbalanced f0, balanced f0), with r = 2l so that every
     # method applies. The second network has two interior nodes, 3 and

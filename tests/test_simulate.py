@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kronred
+from kronred import reduction as reduction_module
 from kronred import simulate as simulate_module
 from kronred import (
     Constant,
@@ -174,9 +175,13 @@ class TestReducedSimulation:
         grid = random_connected_network(rng, n_max=120, e_max=200, min_interior=60)
         assert len(grid.edges) - n_interior(grid) == 129
         cfg = SolverConfig(dt=1e-3, t_end=0.1)
-        monkeypatch.setattr(simulate_module, "simultaneous_diagonalization", congruence)
-        for net, f0 in ((wye, np.array([-5.0, -5.0, 10.0])), (grid, random_consistent_flow(grid, rng))):
-            model = reduce(net, PStrategy.MODAL_DIAGONALIZING)
+        # build_P's modal branch takes the congruence: build before patching
+        cases = [
+            (net, f0, reduce(net, PStrategy.MODAL_DIAGONALIZING))
+            for net, f0 in ((wye, np.array([-5.0, -5.0, 10.0])), (grid, random_consistent_flow(grid, rng)))
+        ]
+        monkeypatch.setattr(reduction_module, "simultaneous_diagonalization", congruence)
+        for net, f0, model in cases:
             traj = simulate_reduced(model, zero_excitation(), f0, cfg)
             inc = build_incidence(net)
             i0 = [traj.channel(f"i_{n}")[0] for n in inc.boundary_nodes]
@@ -202,7 +207,7 @@ class TestReducedSimulation:
             calls.append(args)
             return simultaneous_diagonalization(*args)
 
-        monkeypatch.setattr(simulate_module, "simultaneous_diagonalization", congruence)
+        monkeypatch.setattr(reduction_module, "simultaneous_diagonalization", congruence)
         exc = Excitation({n: Sinusoid(10.0, 2.0, 0.0) for n in net.boundary})
         f0 = random_consistent_flow(net, rng)
         cfg = SolverConfig(dt=1e-3, t_end=0.5)
