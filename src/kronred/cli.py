@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input/validation error (including an
-unreadable file), 3 model-applicability error (non-homogeneous network,
-unphysical synthesized element), 64 usage error.
+unreadable file and a failed allocation), 3 model-applicability error
+(non-homogeneous network, unphysical synthesized element), 64 usage
+error.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _diagnostic(exc):
-    name = type(exc).__name__
+    name = "Memory" if isinstance(exc, MemoryError) else type(exc).__name__
     if name.endswith("Error"):
         name = name[: -len("Error")]
     payload = {"error": name, "message": str(exc)}
@@ -305,7 +306,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KronredError, OSError) as exc:
+    except (KronredError, OSError, MemoryError) as exc:
         _diagnostic(exc)
         return getattr(exc, "exit_code", EXIT_INPUT)
 

@@ -204,6 +204,16 @@ def build_P(incidence: IncidenceMatrix, network: Network, strategy: PStrategy):
     return T, Lt, Rt
 
 
+def _symmetrized(M):
+    """0.5 M^T + 0.5 M as a dense array, C-ordered for either layout of a
+    dense M; M is halved in place. Halving first keeps entries above half
+    the largest float finite. The sum is the one n x n allocation, as
+    0.5 * (M^T + M) made it: a second one, freed again, raises glibc's
+    dynamic mmap threshold, and later arrays below it then grow the heap."""
+    M *= 0.5
+    return dense(M.T + M)
+
+
 def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BASIS) -> ReducedModel:
     """Assemble the exact reduced model of order E - N0.
 
@@ -219,8 +229,8 @@ def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BA
     P, Lhat, Rhat = build_P(incidence, network, strategy)
     return ReducedModel(
         P=dense(P),
-        Lhat=dense(0.5 * (Lhat.T + Lhat)),
-        Rhat=dense(0.5 * (Rhat.T + Rhat)),
+        Lhat=_symmetrized(Lhat),
+        Rhat=_symmetrized(Rhat),
         Bhat=dense(incidence.b1 @ P),
         strategy=strategy,
         boundary_nodes=incidence.boundary_nodes,

@@ -22,6 +22,8 @@ grid so runs are deterministic. Two cores carry out the recurrence:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import numbers
 import os
@@ -409,58 +411,71 @@ def simulate_homogeneous(
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write `t,<channels>` rows with shortest round-trip float formatting."""
-    rows = max(1, CSV_BLOCK_VALUES // (1 + traj.data.shape[1]))
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(traj.channels) + "\n")
-        for s in range(0, len(traj.times), rows):
-            block = np.column_stack([traj.times[s:s + rows], traj.data[s:s + rows]]).tolist()
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
+    """Write `t,<channels>` rows with shortest round-trip float formatting
+    (Python repr). The rows are formatted by up to one process per
+    available CPU, over row ranges (_write_csv), and the bytes are those
+    of a one-process write."""
+    _write_csv([(traj, path)])
 
 
 def write_trajectories(trajectories: dict, out_dir) -> list:
-    """Write each named trajectory to <out_dir>/<name>.csv; returns the
-    paths in the dict's order.
-
-    The files are written by up to one process per available CPU (POSIX
-    fork; one process where fork is missing), each file by
-    trajectory_to_csv, so the bytes are those of a one-process write.
-    The calling process writes one group of files itself and reaps every
-    child before returning or raising. Files whose writer failed are
-    written again here, in dict order, so a failure raises what writing
-    the files one by one raises.
-    """
+    """Write each named trajectory to <out_dir>/<name>.csv, as
+    trajectory_to_csv writes it; returns the paths in the dict's order.
+    One set of processes formats the rows of every file (_write_csv)."""
     jobs = [(traj, Path(out_dir) / f"{name}.csv") for name, traj in trajectories.items()]
-    workers = min(_available_cpus(), len(jobs)) if hasattr(os, "fork") else 1
-    groups = _balanced_groups([traj.times.size * (1 + traj.data.shape[1]) for traj, _ in jobs], workers)
-    children = {}  # pid -> the group it writes
-    failed = set()
-    try:
-        for group in groups[1:]:
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: this process writes the group below
-                failed.update(group)
-                continue
-            if pid == 0:
-                _write_group_and_exit([jobs[i] for i in group])
-            children[pid] = group
-        for i in groups[0]:
-            try:
-                trajectory_to_csv(*jobs[i])
-            except Exception:  # raised again below, once the children are reaped
-                failed.add(i)
-    finally:
-        for pid, group in children.items():
-            try:
-                ok = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-            except ChildProcessError:  # reaped by the system, as when SIGCHLD is ignored
-                ok = False
-            if not ok:
-                failed.update(group)
-    for i in sorted(failed):
-        trajectory_to_csv(*jobs[i])
+    _write_csv(jobs)
     return [path for _, path in jobs]
+
+
+def _write_csv(jobs):
+    """Write each (trajectory, path) in order, from _workers(total values)
+    processes.
+
+    Every file's rows are cut into one contiguous range per process.
+    Forked child w formats range w of every file, in file order, and
+    sends each range's text here as one message (_forked). This process
+    formats range 0 and is the only one that opens files: each gets its
+    header, range 0, then the children's ranges in order. So the bytes
+    are those of a one-process write, and a file that cannot be written
+    raises what a one-process write raises. A range that does not arrive
+    is formatted here, and so is the rest of that child's work.
+    """
+    n = _workers(sum(traj.times.size * (1 + traj.data.shape[1]) for traj, _ in jobs))
+    blocks = [
+        [_csv_blocks(traj, traj.times.size * w // n, traj.times.size * (w + 1) // n) for w in range(n)]
+        for traj, _ in jobs
+    ]
+
+    def child_ranges(w):
+        for (traj, _), ranges in zip(jobs, blocks):
+            yield "".join([_csv_text(traj, s, e) for s, e in ranges[w]]).encode("ascii")
+
+    with _forked(n, child_ranges) as pipes:
+        for (traj, path), ranges in zip(jobs, blocks):
+            with open(path, "w") as fh:
+                fh.write("t," + ",".join(traj.channels) + "\n")
+                for s, e in ranges[0]:
+                    fh.write(_csv_text(traj, s, e))
+                for pipe, child_range in zip(pipes, ranges[1:]):
+                    text = _receive(pipe)
+                    if text is None:
+                        for s, e in child_range:
+                            fh.write(_csv_text(traj, s, e))
+                    else:
+                        fh.write(text.decode("ascii"))
+
+
+def _csv_blocks(traj, start, stop):
+    """Rows start to stop - 1 as (first, end) blocks of about
+    CSV_BLOCK_VALUES values."""
+    rows = max(1, CSV_BLOCK_VALUES // (1 + traj.data.shape[1]))
+    return [(s, min(s + rows, stop)) for s in range(start, stop, rows)]
+
+
+def _csv_text(traj, first, end):
+    """The CSV lines of rows first to end - 1."""
+    block = np.column_stack([traj.times[first:end], traj.data[first:end]]).tolist()
+    return "".join([",".join(map(repr, row)) + "\n" for row in block])
 
 
 def _available_cpus():
@@ -470,41 +485,198 @@ def _available_cpus():
     return os.cpu_count() or 1
 
 
-def _balanced_groups(sizes, n_groups):
-    """Split the indices of sizes into max(1, n_groups) lists, largest
-    size first, each onto the lightest list so far."""
-    groups = [[] for _ in range(max(1, n_groups))]
-    loads = [0] * len(groups)
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        g = loads.index(min(loads))
-        groups[g].append(i)
-        loads[g] += sizes[i]
-    return groups
+def _workers(size):
+    """Processes for CSV work of the given size (values to write, or
+    bytes to read): one per available CPU, but none beyond one per
+    CSV_BLOCK_VALUES of the size, and one where fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_available_cpus(), size // CSV_BLOCK_VALUES))
 
 
-def _write_group_and_exit(jobs):
-    """A forked writer's whole life: write its files and leave by
-    os._exit, 0 on success and 1 on any exception. It never returns into
-    the caller's code, prints nothing, and neither flushes inherited
-    stdio buffers nor runs atexit handlers. It formats floats and writes
-    files only, so it never enters a BLAS thread pool inherited through
-    the fork."""
+@contextlib.contextmanager
+def _forked(n, messages):
+    """Fork children 1 to n - 1 of this process and yield, in order, the
+    read end of each one's pipe (None where no child could be made).
+
+    Child w sends each bytes object of messages(w) here over its own
+    pipe, length-prefixed, and leaves by os._exit: 0 once all are sent,
+    1 on any exception. It never returns into the caller's code, prints
+    nothing, and neither flushes inherited stdio buffers nor runs atexit
+    handlers. Children format and parse CSV only, so they never enter a
+    BLAS thread pool inherited through the fork.
+
+    _receive(pipe) returns the child's next message, or None from the
+    first one that does not arrive whole: the fork failed, or the child
+    raised (so exits 1) or was killed, and its pipe closed early. Leaving
+    the block closes every pipe, so a child still sending stops, and
+    reaps every child, also when SIGCHLD is ignored.
+    """
+    children = []  # (pid, pipe), or (None, None) where no child could be made
     try:
-        for traj, path in jobs:
-            trajectory_to_csv(traj, path)
-    except BaseException:
-        os._exit(1)
-    os._exit(0)
+        for w in range(1, n):
+            try:
+                r, wfd = os.pipe()
+            except OSError:  # no descriptor to spare: this process does child w's work
+                children.append((None, None))
+                continue
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: likewise
+                os.close(r)
+                os.close(wfd)
+                children.append((None, None))
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    for _, pipe in children:  # a sibling's pipe must close when this process closes it
+                        if pipe is not None:
+                            pipe.close()
+                    with open(wfd, "wb") as out:
+                        for message in messages(w):
+                            out.write(len(message).to_bytes(8, "little"))
+                            out.write(message)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            children.append((pid, open(r, "rb")))
+        yield [pipe for _, pipe in children]
+    finally:
+        for _, pipe in children:
+            if pipe is not None:
+                pipe.close()
+        for pid, _ in children:
+            if pid is not None:
+                try:
+                    os.waitpid(pid, 0)
+                except ChildProcessError:  # reaped by the system, as when SIGCHLD is ignored
+                    pass
+
+
+def _receive(pipe):
+    """The next length-prefixed message on pipe, or None where none
+    arrives whole."""
+    size = _message_size(pipe)
+    message = b"" if size is None else pipe.read(size)
+    return message if len(message) == size else None
+
+
+def _message_size(pipe):
+    """The length prefix of the next message on pipe, or None where none
+    arrives."""
+    head = b"" if pipe is None else pipe.read(8)
+    return int.from_bytes(head, "little") if len(head) == 8 else None
 
 
 def trajectory_from_csv(path) -> Trajectory:
     """Read a trajectory_to_csv file; non-UTF-8 content or a bad header,
-    row or cell is an InputFormatError."""
+    row or cell is an InputFormatError.
+
+    The body is parsed by up to one process per available CPU, over byte
+    ranges (_read_csv_in_ranges), into the arrays the one-process reader,
+    _read_csv, returns. Wherever that does not apply or any range fails,
+    _read_csv reads the file, and gives every diagnostic.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            return _read_csv(fh, path)
+            traj = _read_csv_in_ranges(fh.buffer)
+            return _read_csv(fh, path) if traj is None else traj
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
+def _read_csv_in_ranges(raw):
+    """The trajectory in the binary file raw, read by _workers(body
+    bytes) processes; None, with raw back at its start, where the file
+    cannot be seeked (a FIFO), nothing would fork, or any range fails.
+
+    The header line must end in LF or CRLF (a lone CR is left to
+    _read_csv). The body is cut after LF bytes into one range per
+    process: a UTF-8 multibyte sequence never holds the byte LF, so a cut
+    never splits a character, and a CRLF ends before its cut. This
+    process parses range 0 and forked child w range w, each as _read_csv
+    parses a body (_parse_rows); a child sends its float64 bytes. Every
+    range must hold rows of the header's width.
+
+    Range 0's array is grown in place (realloc) and the children's rows
+    are read into it, so no second copy of the rows is made and freed: a
+    freed block of megabytes raises glibc's dynamic mmap threshold, and
+    later numpy arrays of that size then grow the heap instead.
+    """
+    if not raw.seekable():
+        return None
+    try:
+        line = raw.readline()
+        head = line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n")
+        header = head.decode("utf-8").strip().split(",")
+        size = raw.seek(0, os.SEEK_END)
+        body = len(line)
+        n = _workers(size - body)
+        if b"\r" in head or header[0] != "t" or n == 1:
+            return None
+        cuts = [body]
+        for w in range(1, n):
+            raw.seek(body + (size - body) * w // n)
+            rest = raw.readline((size - body) // n)
+            if not rest.endswith(b"\n"):  # no LF within a range's length
+                return None
+            cuts.append(raw.tell())
+        cuts.append(size)
+        width = len(header)
+
+        def rows(w):
+            return _parse_rows(_ByteRange(raw.fileno(), cuts[w], cuts[w + 1]), width)
+
+        with _forked(n, lambda w: [rows(w).tobytes()]) as pipes:
+            arr = rows(0)
+            sizes = [_message_size(pipe) for pipe in pipes]
+            if None in sizes:
+                return None
+            start = len(arr)
+            arr.resize((start + sum(sizes) // (8 * width), width), refcheck=False)  # loadtxt's array owns its data
+            for pipe, nbytes in zip(pipes, sizes):
+                stop = start + nbytes // (8 * width)
+                if pipe.readinto(memoryview(arr[start:stop]).cast("B")) != nbytes:
+                    return None
+                start = stop
+        return Trajectory(arr[:, 0], arr[:, 1:], tuple(header[1:])) if arr.size else None
+    except (OSError, ValueError):  # UnicodeDecodeError too: _read_csv meets the fault again
+        return None
+    finally:
+        raw.seek(0)
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes start to stop - 1 of the file open as fd, read by pread, which
+    neither reads nor moves the descriptor's offset."""
+
+    def __init__(self, fd, start, stop):
+        self.fd, self.pos, self.stop = fd, start, stop
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        data = os.pread(self.fd, min(len(buffer), self.stop - self.pos), self.pos)
+        buffer[:len(data)] = data
+        self.pos += len(data)
+        return len(data)
+
+
+def _parse_rows(raw, width):
+    """The rows of CSV body bytes in the binary stream raw, decoded and
+    parsed as _read_csv parses a body; ValueError unless each row has
+    width cells."""
+    with warnings.catch_warnings():  # loadtxt warns of a range without rows
+        warnings.simplefilter("ignore", UserWarning)
+        arr = np.loadtxt(io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8"),
+                         delimiter=",", comments=None, ndmin=2)
+    if arr.shape[1] != width:
+        raise ValueError(f"{arr.shape[1]} columns, {width} expected")
+    return arr
 
 
 def _read_csv(fh, path) -> Trajectory:

@@ -1,8 +1,8 @@
 """Reference helpers that only the tests use: network queries and an
 edge flip, the zero excitation, serializers for networks and
 excitations, the weighted-projector identity, SVD-based null-space
-bases, a step-by-step RK4 loop, and a steady-state phasor fit of a
-trajectory."""
+bases, a step-by-step RK4 loop, a one-process row-by-row CSV writer,
+and a steady-state phasor fit of a trajectory."""
 
 import math
 
@@ -136,6 +136,16 @@ def rk4_lti_steps(A, forcing_stages, y0, dt, n_steps, record_stride):
             out[next_rec] = y
             next_rec += 1
     return np.asarray(record_steps), out
+
+
+def write_csv_rows(traj, path):
+    """A trajectory file as the program writes it, one row at a time
+    from this process: `t,<channels>`, then each row's values in
+    Python's shortest round-trip repr."""
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(traj.channels) + "\n")
+        for t, row in zip(traj.times.tolist(), traj.data.tolist()):
+            fh.write(",".join(map(repr, [t, *row])) + "\n")
 
 
 def extract_steady_phasors(traj, freq: float, periods: int = 4, channels=None):

@@ -10,29 +10,33 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kronred import simulate
+from kronred import cli, simulate
 from kronred.cli import main
+from kronred.reduction import load_model
 from kronred.simulate import trajectory_from_csv
 
 
 # Runs kronred.cli.main once per [cpus, argv] in argv[1] (JSON), with
 # that many CPUs seen by the CSV writer, and prints [exit code, whether a
-# child process was left] per run.
+# child process was left, forks] per run.
 WRITE_RUNS = """
 import json, os, sys
 from kronred import simulate
 from kronred.cli import main
 
 results = []
+fork = os.fork
 for cpus, argv in json.loads(sys.argv[1]):
     simulate._available_cpus = lambda: cpus
+    forks = []
+    os.fork = lambda: forks.append(1) or fork()
     code = main(argv)
     try:
         os.waitpid(-1, os.WNOHANG)
         left = True
     except ChildProcessError:
         left = False
-    results.append([code, left])
+    results.append([code, left, len(forks)])
 print(json.dumps(results))
 """
 
@@ -318,6 +322,16 @@ class TestReduce:
         assert main(["reduce", wye_file, "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
         assert np.asarray(obj["P"]).shape == (3, 2)
+
+    # The pencil was symmetrized as 0.5 * (Rhat.T + Rhat), which overflowed
+    # to inf past about 9e307: exit 0 and a file that load_model rejected
+    def test_huge_entry_reduces_to_a_loadable_file(self, tmp_path, capsys):
+        net = write_json(tmp_path / "net.json", wye_dict(r=(1e308, 0.99, 0.58), l=(2.0, 0.64, 0.77)))
+        out = tmp_path / "model.json"
+        assert main(["reduce", net, "--p-strategy", "tree", "--out", str(out)]) == 0
+        model = load_model(out)
+        assert model.Rhat[0, 0] == 1e308  # r1 + r3, rounded
+        assert np.array_equal(model.Rhat, model.Rhat.T)
 
 
 class TestSimulate:
@@ -745,6 +759,26 @@ class TestSimulate:
         assert main(["simulate", manifest, "--method", "homogeneous"]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "NotHomogeneous"
 
+    # numpy's _ArrayMemoryError (a MemoryError) used to end in a traceback
+    # with exit 1, for a manifest SolverConfig accepts: a k=15 grid at
+    # dt_s 1e-4 and t_end_s 500
+    @pytest.mark.parametrize("numpy_error", [False, True], ids=["builtin", "numpy"])
+    def test_failed_allocation_exits_2(self, manifest_file, capsys, monkeypatch, numpy_error):
+        from numpy._core._exceptions import _ArrayMemoryError
+
+        error = _ArrayMemoryError((10**6, 10**6), np.dtype(float)) if numpy_error else MemoryError()
+
+        def out_of_memory(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "simulate_reduced", out_of_memory)
+        assert main(["simulate", manifest_file, "--method", "reduced"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "Memory", "message": str(error)}
+
     def test_dae_unstable_step_exits_2(self, tmp_path, wye_file, capsys):
         # used to write values up to 7.6e4 and exit 0
         write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
@@ -1031,48 +1065,37 @@ class TestPaperExperiment:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == error
 
-    def test_failed_write_exits_2_as_one_process_does(self, tmp_path, capsys, monkeypatch):
-        # With 2 CPUs a forked child writes some of the files. A file that
-        # cannot be written (a directory of its name) in the parent's group,
-        # in the child's group, or in both must end in the one diagnostic
+    def test_failed_write_exits_2_as_one_process_does(self, tmp_path):
+        # With 2 CPUs a forked child formats half the rows of every file.
+        # A file that cannot be written (a directory of its name), the
+        # first, a middle or the last one, must end in the one diagnostic
         # line a one-process write gives, with no child output and no child
         # left. A subprocess, so that a child's writes to fd 2 would show.
         names = ["dae", "reduced"] + [f"baseline_gamma_{k}" for k in range(5)]
-        run = ["paper-experiment", "--which", "step", "--dt", "1e-3", "--t-end", "0.2"]
-        monkeypatch.setattr(simulate, "_available_cpus", lambda: 1)
-        assert main([*run, "--out-dir", str(tmp_path / "ref")]) == 0
-        capsys.readouterr()
-        sizes = []
-        for name in names:
-            traj = trajectory_from_csv(tmp_path / "ref" / f"{name}.csv")
-            sizes.append(traj.times.size + traj.data.size)
-        parent_group, child_group = simulate._balanced_groups(sizes, 2)
-        cases = {
-            "parent": [names[parent_group[-1]]],
-            "child": [names[child_group[-1]]],
-            "both": [names[parent_group[-1]], names[child_group[-1]]],
-        }
+        run = ["paper-experiment", "--which", "step", "--dt", "1e-3", "--t-end", "0.2", "--record-stride", "1"]
+        cases = {"first": names[0], "middle": names[3], "last": names[-1]}
         runs = []
         for case, blocked in cases.items():
-            for name in blocked:
-                (tmp_path / case / f"{name}.csv").mkdir(parents=True)
-            runs += [[cpus, [*run, "--out-dir", str(tmp_path / case)]] for cpus in (2, 1)]
+            (tmp_path / case / f"{blocked}.csv").mkdir(parents=True)
+            runs += [[cpus, [*run, "--out-dir", str(tmp_path / case)]] for cpus in (1, 2)]
         src = str(Path(simulate.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-c", WRITE_RUNS, json.dumps(runs)],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert json.loads(proc.stdout) == [[2, False]] * len(runs)
+        assert json.loads(proc.stdout) == [[2, False, 0], [2, False, 1]] * len(cases)
         lines = proc.stderr.splitlines()
         assert len(lines) == len(runs)
-        for (case, blocked), forked, alone in zip(cases.items(), lines[::2], lines[1::2]):
+        for (case, blocked), alone, forked in zip(cases.items(), lines[::2], lines[1::2]):
             assert forked == alone
-            first = min(blocked, key=names.index)
             assert json.loads(forked) == {
                 "error": "IsADirectory",
-                "message": f"[Errno 21] Is a directory: '{tmp_path / case / first}.csv'",
+                "message": f"[Errno 21] Is a directory: '{tmp_path / case / blocked}.csv'",
             }
+        for case, blocked in cases.items():  # the 2-CPU run wrote the files before the blocked one whole
+            for name in names[:names.index(blocked)]:
+                assert len(trajectory_from_csv(tmp_path / case / f"{name}.csv").times) == 201
 
     # 1e10 steps used to be sized unchecked: 2e10 + 1 stage times, and as
     # many excitation samples per boundary node

@@ -1,13 +1,18 @@
 import dataclasses
+import io
 import math
 import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kronred
 from kronred import reduction as reduction_module
@@ -68,6 +73,7 @@ from reference import (
     extract_steady_phasors,
     n_interior,
     rk4_lti_steps,
+    write_csv_rows,
     zero_excitation,
 )
 
@@ -508,9 +514,10 @@ class TestCsvRoundTrip:
 
 
 def csv_trajectories(rng):
-    """Named trajectories of different widths and lengths, with special values."""
+    """Named trajectories of different widths and lengths, with special
+    values: 19231 values in all, enough for 16 writers."""
     out = {}
-    for name, (n, width) in zip("abcdef", [(300, 1), (40, 7), (1200, 3), (5, 40), (700, 2), (1, 5)]):
+    for name, (n, width) in zip("abcdef", [(300, 1), (40, 7), (4000, 3), (5, 40), (700, 2), (1, 5)]):
         data = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-30, 30, (n, width))
         data.flat[::11] = np.inf
         data.flat[5::13] = -0.0
@@ -518,67 +525,301 @@ def csv_trajectories(rng):
     return out
 
 
-class TestParallelCsvWrite:
-    def one_by_one(self, trajectories, out_dir):
-        """Each file's bytes from its own trajectory_to_csv call, in dict order."""
-        out_dir.mkdir()
-        for name, traj in trajectories.items():
-            trajectory_to_csv(traj, out_dir / f"{name}.csv")
-        return [(out_dir / f"{name}.csv").read_bytes() for name in trajectories]
+def reference_bytes(trajectories, out_dir):
+    """Each file's bytes from the one-process row-by-row writer, in dict order."""
+    out_dir.mkdir()
+    for name, traj in trajectories.items():
+        write_csv_rows(traj, out_dir / f"{name}.csv")
+    return [(out_dir / f"{name}.csv").read_bytes() for name in trajectories]
 
+
+def write_both_ways(trajectories, out_dir):
+    """The bytes of write_trajectories into out_dir/all and of one
+    trajectory_to_csv call per file into out_dir/each."""
+    (out_dir / "all").mkdir()
+    paths = simulate_module.write_trajectories(trajectories, out_dir / "all")
+    assert paths == [out_dir / "all" / f"{name}.csv" for name in trajectories]
+    (out_dir / "each").mkdir()
+    for name, traj in trajectories.items():
+        trajectory_to_csv(traj, out_dir / "each" / f"{name}.csv")
+    return [p.read_bytes() for p in paths], [(out_dir / "each" / f"{name}.csv").read_bytes() for name in trajectories]
+
+
+def count_forks(monkeypatch):
+    """A list that gets one entry per os.fork call of this process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+class TestParallelCsvWrite:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 16])
     def test_files_match_the_one_process_writer(self, tmp_path, rng, monkeypatch, cpus):
         trajectories = csv_trajectories(rng)
-        expected = self.one_by_one(trajectories, tmp_path / "ref")
+        expected = reference_bytes(trajectories, tmp_path / "ref")
         monkeypatch.setattr(simulate_module, "_available_cpus", lambda: cpus)
+        forks = count_forks(monkeypatch)
         paths = simulate_module.write_trajectories(trajectories, tmp_path)
+        assert len(forks) == cpus - 1  # one set of children for every file
         assert paths == [tmp_path / f"{name}.csv" for name in trajectories]
         assert [p.read_bytes() for p in paths] == expected
+        for (name, traj), p, want in zip(trajectories.items(), paths, expected):
+            trajectory_to_csv(traj, p)
+            assert p.read_bytes() == want
 
-    @pytest.mark.parametrize("cpus, n_files", [(16, 1), (1, 6)], ids=["one-file", "one-cpu"])
-    def test_no_fork_for_one_writer(self, tmp_path, rng, monkeypatch, cpus, n_files):
+    @pytest.mark.parametrize("missing", [False, True], ids=["one-cpu", "no-fork"])
+    def test_no_fork_for_one_writer(self, tmp_path, rng, monkeypatch, missing):
         def no_fork():
             raise AssertionError("forked")
 
-        trajectories = dict(list(csv_trajectories(rng).items())[:n_files])
-        expected = self.one_by_one(trajectories, tmp_path / "ref")
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: cpus)
+        trajectories = csv_trajectories(rng)
+        expected = reference_bytes(trajectories, tmp_path / "ref")
+        if missing:
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 1)
+            monkeypatch.setattr(os, "fork", no_fork)
+        assert write_both_ways(trajectories, tmp_path) == (expected, expected)
+
+    def test_no_fork_below_one_block_per_writer(self, tmp_path, rng, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        trajectories = {"d": csv_trajectories(rng)["d"]}  # 205 values
+        expected = reference_bytes(trajectories, tmp_path / "ref")
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 16)
         monkeypatch.setattr(os, "fork", no_fork)
-        paths = simulate_module.write_trajectories(trajectories, tmp_path)
-        assert [p.read_bytes() for p in paths] == expected
+        assert write_both_ways(trajectories, tmp_path) == (expected, expected)
 
     def test_failed_fork_is_written_here(self, tmp_path, rng, monkeypatch):
         def failing_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         trajectories = csv_trajectories(rng)
-        expected = self.one_by_one(trajectories, tmp_path / "ref")
+        expected = reference_bytes(trajectories, tmp_path / "ref")
         monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 3)
         monkeypatch.setattr(os, "fork", failing_fork)
-        paths = simulate_module.write_trajectories(trajectories, tmp_path)
-        assert [p.read_bytes() for p in paths] == expected
+        assert write_both_ways(trajectories, tmp_path) == (expected, expected)
+
+    # A child that raises leaves by os._exit(1), its pipe closed before the
+    # message of the failing file; this process formats the rest.
+    @pytest.mark.parametrize("failing", ["a", "c", "f"])
+    def test_failed_child_is_written_here(self, tmp_path, rng, monkeypatch, failing):
+        trajectories = csv_trajectories(rng)
+        expected = reference_bytes(trajectories, tmp_path / "ref")
+        parent, text = os.getpid(), simulate_module._csv_text
+
+        def child_fails(traj, first, end):
+            if os.getpid() != parent and traj is trajectories[failing]:
+                raise RuntimeError("child fails")
+            return text(traj, first, end)
+
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(simulate_module, "_csv_text", child_fails)
+        written, each = write_both_ways(trajectories, tmp_path)
+        assert written == expected
+        assert each[list(trajectories).index(failing)] == expected[list(trajectories).index(failing)]
 
     @pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD")
     def test_children_reaped_by_the_system(self, tmp_path, rng, monkeypatch):
         # with SIGCHLD ignored the kernel reaps the children, and waitpid
         # waits for them and then raises ChildProcessError
         trajectories = csv_trajectories(rng)
-        expected = self.one_by_one(trajectories, tmp_path / "ref")
+        expected = reference_bytes(trajectories, tmp_path / "ref")
         monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 2)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
-            paths = simulate_module.write_trajectories(trajectories, tmp_path)
+            written = write_both_ways(trajectories, tmp_path)
+            back = trajectory_from_csv(tmp_path / "all" / "c.csv")
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert [p.read_bytes() for p in paths] == expected
+        assert written == (expected, expected)
+        assert np.array_equal(back.data.view(np.int64), trajectories["c"].data.view(np.int64))
 
-    def test_groups_balance_value_counts(self):
-        # the paper experiment's 7 files, in values per row: dae, reduced, 5 baselines
-        sizes = [8, 6, 7, 7, 7, 7, 7]
-        assert simulate_module._balanced_groups(sizes, 2) == [[0, 4, 6], [2, 3, 5, 1]]
-        assert simulate_module._balanced_groups(sizes, 0) == [[0, 2, 3, 4, 5, 6, 1]]
-        groups = simulate_module._balanced_groups(sizes, 16)
-        assert sorted(i for g in groups for i in g) == list(range(7))
+
+def serial_read(path):
+    """trajectory_from_csv's one-process reader, _read_csv, on path:
+    (times, data, channels), or the InputFormatError text it gives."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            traj = simulate_module._read_csv(fh, path)
+    except InputFormatError as exc:
+        return str(exc)
+    except UnicodeDecodeError as exc:
+        return f"{path} is not UTF-8 text: {exc.reason}"
+    return traj.times.tobytes(), traj.data.tobytes(), traj.channels
+
+
+def parallel_read(path):
+    """As serial_read, through trajectory_from_csv."""
+    try:
+        traj = trajectory_from_csv(path)
+    except InputFormatError as exc:
+        return str(exc)
+    return traj.times.tobytes(), traj.data.tobytes(), traj.channels
+
+
+@st.composite
+def csv_files(draw, fault, end):
+    """The bytes of a trajectory CSV, about 8-14 kB, with line end `end`:
+    blank lines, maybe no trailing newline, special values, non-ASCII
+    channel names maybe, and `fault`: a line of spaces, a bad cell, a
+    ragged row or a non-UTF-8 byte in one of three byte ranges, a header
+    one channel longer than every row, or rows one cell short from the
+    middle on."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(300, 400)) // width
+    data = rng.standard_normal((n, width + 1)) * 10.0 ** rng.integers(-300, 300, (n, width + 1))
+    data.flat[rng.integers(0, data.size, 6)] = rng.choice([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324], 6)
+    name = draw(st.sampled_from(["c", "\u00e9"]))
+    lines = ["t," + ",".join(f"{name}{k}" for k in range(width + (fault == "header")))]
+    lines += [",".join(map(repr, row)) for row in data.tolist()]
+    third = draw(st.integers(0, 2))  # the range, of three, the fault falls in
+    row = 1 + (2 * third + 1) * n // 6
+    cells = lines[row].split(",")
+    if fault == "spaces":
+        lines[row] = "   "
+    elif fault == "cell":
+        lines[row] = ",".join(cells[:-1] + ["abc"])
+    elif fault == "ragged":
+        lines[row] = ",".join(cells + ["1.5"] if draw(st.booleans()) else cells[:-1])
+    elif fault == "tail":
+        lines[n // 2:] = [line.rsplit(",", 1)[0] for line in lines[n // 2:]]
+    for blank in draw(st.lists(st.integers(1, n), max_size=3)):
+        lines.insert(blank, "")
+    raw = (end.join(lines) + (end if draw(st.booleans()) else "")).encode("utf-8")
+    if fault == "utf8":
+        cut = raw.index(b",", len(raw) * (2 * third + 1) // 6)
+        raw = raw[:cut] + b"\xff" + raw[cut:]
+    return raw
+
+
+class TestParallelCsvRead:
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("fault", [None, "spaces", "cell", "ragged", "utf8", "header", "tail"])
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_ranges_read_as_the_serial_reader(self, tmp_path_factory, fault, end, data):
+        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        path.write_bytes(data.draw(csv_files(fault, end)))
+        expected = serial_read(path)
+        for cpus in (1, 2, 3):
+            with mock.patch.object(simulate_module, "_available_cpus", lambda: cpus), \
+                    mock.patch.object(simulate_module, "_read_csv", wraps=simulate_module._read_csv) as serial:
+                assert parallel_read(path) == expected
+            # only a lone-CR file or a fault takes the serial reader past one CPU
+            assert serial.called == (cpus == 1 or fault is not None or end == "\r")
+
+    # The header is the first line by universal newlines, as _read_csv
+    # reads it: here it ends at the lone CR, and a line of spaces follows.
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_header_ended_by_a_lone_cr(self, tmp_path, rng, monkeypatch, cpus):
+        traj = csv_trajectories(rng)["c"]
+        write_csv_rows(traj, tmp_path / "c.csv")
+        path = tmp_path / "cr.csv"
+        path.write_bytes((tmp_path / "c.csv").read_bytes().replace(b"\n", b"\r   \n", 1))
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: cpus)
+        expected = serial_read(path)
+        assert expected.endswith("line 2: could not convert string '   ' to float64")
+        assert parallel_read(path) == expected
+
+    def test_width_is_checked_in_every_range(self, tmp_path, monkeypatch):
+        # Two ranges. Past the cut, rows have 4 cells in the bytes of 2: each
+        # range parses, and only the width test keeps the 4-cell rows from
+        # passing as twice as many 2-cell rows.
+        body = b"1.5,   2.5\n" * 2000
+        cut = body.index(b"\n", len(body) // 2) + 1
+        path = tmp_path / "wide.csv"
+        path.write_bytes(b"t,x\n" + body[:cut] + body[cut:].replace(b"1.5,   2.5", b"1.5,2,3,45"))
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 2)
+        expected = serial_read(path)
+        assert "ragged CSV, 2 columns expected" in expected
+        assert parallel_read(path) == expected
+
+    def test_a_message_cut_short_is_not_received(self):
+        r, w = os.pipe()
+        os.write(w, (3).to_bytes(8, "little") + b"abc" + (10).to_bytes(8, "little") + b"12345")
+        os.close(w)
+        with open(r, "rb") as pipe:
+            assert simulate_module._receive(pipe) == b"abc"
+            assert simulate_module._receive(pipe) is None
+            assert simulate_module._receive(pipe) is None
+        assert simulate_module._receive(None) is None
+
+    def test_special_values_in_every_range(self, tmp_path, rng, monkeypatch):
+        traj = csv_trajectories(rng)["c"]
+        path = tmp_path / "c.csv"
+        write_csv_rows(traj, path)
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 16)
+        forks = count_forks(monkeypatch)
+        back = trajectory_from_csv(path)
+        assert len(forks) == 15
+        assert back.channels == traj.channels
+        assert np.array_equal(back.times.view(np.int64), traj.times.view(np.int64))
+        assert np.array_equal(back.data.view(np.int64), traj.data.view(np.int64))
+
+    @pytest.mark.parametrize("case", ["one-cpu", "no-fork", "failed-fork", "failed-child"])
+    def test_serial_fallbacks(self, tmp_path, rng, monkeypatch, case):
+        def no_fork():
+            raise AssertionError("forked")
+
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        traj = csv_trajectories(rng)["c"]
+        path = tmp_path / "c.csv"
+        write_csv_rows(traj, path)
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 1 if case == "one-cpu" else 3)
+        if case == "one-cpu":
+            monkeypatch.setattr(os, "fork", no_fork)
+        elif case == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "failed-fork":
+            monkeypatch.setattr(os, "fork", failing_fork)
+        else:
+            parent, parse = os.getpid(), simulate_module._parse_rows
+
+            def child_fails(data, width):
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return parse(data, width)
+
+            monkeypatch.setattr(simulate_module, "_parse_rows", child_fails)
+        back = trajectory_from_csv(path)
+        assert np.array_equal(back.times.view(np.int64), traj.times.view(np.int64))
+        assert np.array_equal(back.data.view(np.int64), traj.data.view(np.int64))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    def test_fifo_is_left_to_the_serial_reader(self, tmp_path, rng, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        def feed():
+            try:
+                fifo.write_bytes(text)
+            except BrokenPipeError:  # the reader stops at its first seek
+                pass
+
+        traj = csv_trajectories(rng)["c"]
+        write_csv_rows(traj, tmp_path / "c.csv")
+        text = (tmp_path / "c.csv").read_bytes()
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        errors = []
+        for read in (serial_read, parallel_read):
+            feeder = threading.Thread(target=feed)
+            feeder.start()
+            try:
+                with pytest.raises(io.UnsupportedOperation) as caught:
+                    read(fifo)
+                errors.append(str(caught.value))
+            finally:
+                feeder.join(timeout=10)
+            assert not feeder.is_alive()
+        assert errors[0] == errors[1]
 
 
 class TestRk4Accuracy:
