@@ -70,8 +70,13 @@ def admittance(network: Network, omega: float) -> AdmittanceMatrix:
     """Nodal admittance Y = B (R + jwL)^-1 B^T at frequency omega (rad/s)."""
     if not (math.isfinite(omega) and omega > 0):
         raise InvalidFrequencyError(f"frequency must be positive and finite, got {omega!r} rad/s")
+    with np.errstate(over="ignore"):
+        x = omega * network.l_vector()
+    if not np.all(np.isfinite(x)):
+        edge = network.edges[int(np.argmin(np.isfinite(x)))].id
+        raise InvalidFrequencyError(f"omega * l of edge {edge!r} overflows at {omega!r} rad/s")
     inc = build_incidence(network)
-    y_edge = 1.0 / (network.r_vector() + 1j * omega * network.l_vector())
+    y_edge = 1.0 / (network.r_vector() + 1j * x)
     return AdmittanceMatrix(
         Y=inc.laplacian(y_edge).toarray(),
         omega=omega,

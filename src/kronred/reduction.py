@@ -244,13 +244,16 @@ def embed_initial(P: np.ndarray, f0: np.ndarray) -> np.ndarray:
     For a reduced model's P, f0 must satisfy the interior current balance
     (it lies in null(B0) = range(P)). InconsistentInitialConditionError
     when the least-squares residual is not within 1e-9 * ||f0||, which
-    includes a non-finite f0.
+    includes a non-finite f0. Both 2-norms are taken of vectors divided
+    by max|f0|, so that their sums of squares cannot overflow.
     """
     f0 = np.asarray(f0, dtype=float)
     fhat0, _, _, _ = np.linalg.lstsq(P, f0, rcond=None)
-    residual = np.linalg.norm(P @ fhat0 - f0)
-    if not residual <= 1e-9 * max(np.linalg.norm(f0), 1e-300):
-        raise InconsistentInitialConditionError(residual)
+    scale = float(np.max(np.abs(f0), initial=0.0))
+    scale = scale if 0.0 < scale < np.inf else 1.0
+    residual = float(np.linalg.norm((P @ fhat0 - f0) / scale))
+    if not residual <= 1e-9 * max(np.linalg.norm(f0 / scale), 1e-300):
+        raise InconsistentInitialConditionError(residual * scale)  # Python floats: inf, not a warning
     return fhat0
 
 

@@ -73,13 +73,21 @@ class Excitation:
     signals: dict
 
     def evaluate(self, boundary_nodes, t):
-        """Stack signal values for the given node order; shape (len(t), nb)."""
+        """Stack signal values for the given node order; shape (len(t), nb).
+        InputFormatError, naming the earliest time and its first node,
+        where a value is not finite, as where a sinusoid's phase 2 pi f t
+        overflows."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros((t.size, len(boundary_nodes)))
-        for j, node in enumerate(boundary_nodes):
-            sig = self.signals.get(node)
-            if sig is not None:
-                out[:, j] = sig(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, node in enumerate(boundary_nodes):
+                sig = self.signals.get(node)
+                if sig is not None:
+                    out[:, j] = sig(t)
+        finite = np.isfinite(out)
+        if not finite.all():
+            k, j = np.unravel_index(finite.argmin(), finite.shape)
+            raise InputFormatError(f"node {boundary_nodes[j]!r} signal is non-finite at t={t[k]:.6g} s")
         return out
 
 

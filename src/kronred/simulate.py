@@ -27,6 +27,9 @@ import io
 import math
 import numbers
 import os
+import re
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,6 +61,11 @@ MAX_STEPS = 10_000_000
 
 # Values per formatted CSV block; bigger blocks are no faster but hold more memory.
 CSV_BLOCK_VALUES = 1024
+
+# Least CSV work per process: values to format, and body bytes to parse. Timed
+# with 1 and 2 CPUs, a forked child costs more than it saves below about these.
+CSV_WRITE_VALUES_PER_PROCESS = 5_000
+CSV_READ_BYTES_PER_PROCESS = 350_000
 
 
 @dataclass(frozen=True)
@@ -307,9 +315,13 @@ def simulate_reduced_batch(
         return []
     fhat0 = np.column_stack([embed_initial(model.P, np.asarray(f0, dtype=float)) for f0 in f0s])
     V, W, d = model.modal
+    with np.errstate(over="ignore", invalid="ignore"):  # an inductance near the largest float
+        z0 = W @ (model.Lhat @ fhat0)
+    if not np.all(np.isfinite(z0)):
+        raise InputFormatError("the initial flux Lhat fhat0 of the reduced model overflows")
     v1 = excitation.evaluate(model.boundary_nodes, _stage_grid(cfg))
     steps, z = _rk4_modal(
-        d, (W @ model.Bhat.T) @ v1.T, W @ (model.Lhat @ fhat0),
+        d, (W @ model.Bhat.T) @ v1.T, z0,
         cfg.dt, cfg.n_steps, cfg.record_stride,
     )
     channels = tuple(f"fhat_{k}" for k in range(model.order)) + tuple(
@@ -428,8 +440,8 @@ def write_trajectories(trajectories: dict, out_dir) -> list:
 
 
 def _write_csv(jobs):
-    """Write each (trajectory, path) in order, from _workers(total values)
-    processes.
+    """Write each (trajectory, path) in order, from _workers(total values,
+    CSV_WRITE_VALUES_PER_PROCESS) processes.
 
     Every file's rows are cut into one contiguous range per process.
     Forked child w formats range w of every file, in file order, and
@@ -440,7 +452,8 @@ def _write_csv(jobs):
     raises what a one-process write raises. A range that does not arrive
     is formatted here, and so is the rest of that child's work.
     """
-    n = _workers(sum(traj.times.size * (1 + traj.data.shape[1]) for traj, _ in jobs))
+    values = sum(traj.times.size * (1 + traj.data.shape[1]) for traj, _ in jobs)
+    n = _workers(values, CSV_WRITE_VALUES_PER_PROCESS)
     blocks = [
         [_csv_blocks(traj, traj.times.size * w // n, traj.times.size * (w + 1) // n) for w in range(n)]
         for traj, _ in jobs
@@ -485,13 +498,13 @@ def _available_cpus():
     return os.cpu_count() or 1
 
 
-def _workers(size):
+def _workers(size, per_process):
     """Processes for CSV work of the given size (values to write, or
     bytes to read): one per available CPU, but none beyond one per
-    CSV_BLOCK_VALUES of the size, and one where fork is missing."""
+    per_process of the size, and one where fork is missing."""
     if not hasattr(os, "fork"):
         return 1
-    return max(1, min(_available_cpus(), size // CSV_BLOCK_VALUES))
+    return max(1, min(_available_cpus(), size // per_process))
 
 
 @contextlib.contextmanager
@@ -573,80 +586,78 @@ def _message_size(pipe):
 
 def trajectory_from_csv(path) -> Trajectory:
     """Read a trajectory_to_csv file; non-UTF-8 content or a bad header,
-    row or cell is an InputFormatError.
-
-    The body is parsed by up to one process per available CPU, over byte
-    ranges (_read_csv_in_ranges), into the arrays the one-process reader,
-    _read_csv, returns. Wherever that does not apply or any range fails,
-    _read_csv reads the file, and gives every diagnostic.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            traj = _read_csv_in_ranges(fh.buffer)
-            return _read_csv(fh, path) if traj is None else traj
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    row or cell is an InputFormatError. The body is parsed over byte
+    ranges by up to one process per available CPU (_parse_csv), a FIFO or
+    a pipe from a copy; only a failed parse reads the file again, line by
+    line, for the diagnostic (_csv_fault)."""
+    with open(path, "rb") as given, _seekable(given) as raw:
+        try:
+            return _parse_csv(raw)
+        except ValueError:  # UnicodeDecodeError too
+            raise _csv_fault(raw, path) from None
 
 
-def _read_csv_in_ranges(raw):
-    """The trajectory in the binary file raw, read by _workers(body
-    bytes) processes; None, with raw back at its start, where the file
-    cannot be seeked (a FIFO), nothing would fork, or any range fails.
+def _seekable(fh):
+    """fh, or, where it cannot be seeked, an unnamed temporary file
+    holding the bytes it has left."""
+    if fh.seekable():
+        return fh
+    copy = tempfile.TemporaryFile()
+    shutil.copyfileobj(fh, copy)
+    copy.seek(0)
+    return copy
 
-    The header line must end in LF or CRLF (a lone CR is left to
-    _read_csv). The body is cut after LF bytes into one range per
-    process: a UTF-8 multibyte sequence never holds the byte LF, so a cut
-    never splits a character, and a CRLF ends before its cut. This
-    process parses range 0 and forked child w range w, each as _read_csv
-    parses a body (_parse_rows); a child sends its float64 bytes. Every
-    range must hold rows of the header's width.
+
+def _parse_csv(raw):
+    """The trajectory in the seekable binary file raw, parsed by
+    _workers(body bytes, CSV_READ_BYTES_PER_PROCESS) processes;
+    ValueError where any part of it does not parse.
+
+    The header is the first line by universal newlines. The body is cut
+    after an LF byte into one range per process (a UTF-8 multibyte
+    sequence never holds LF, and a CRLF ends before its cut); where a
+    range's length holds no LF, as in a lone-CR file, the range before
+    runs on. This process parses range 0, and forked child w parses range
+    w (_parse_rows) and sends its rows as float64 bytes; a range whose
+    child does not deliver them all is parsed here.
 
     Range 0's array is grown in place (realloc) and the children's rows
     are read into it, so no second copy of the rows is made and freed: a
     freed block of megabytes raises glibc's dynamic mmap threshold, and
     later numpy arrays of that size then grow the heap instead.
     """
-    if not raw.seekable():
-        return None
-    try:
-        line = raw.readline()
-        head = line[:-2] if line.endswith(b"\r\n") else line.removesuffix(b"\n")
-        header = head.decode("utf-8").strip().split(",")
-        size = raw.seek(0, os.SEEK_END)
-        body = len(line)
-        n = _workers(size - body)
-        if b"\r" in head or header[0] != "t" or n == 1:
-            return None
-        cuts = [body]
-        for w in range(1, n):
-            raw.seek(body + (size - body) * w // n)
-            rest = raw.readline((size - body) // n)
-            if not rest.endswith(b"\n"):  # no LF within a range's length
-                return None
+    first = re.match(rb"([^\r\n]*)(\r\n?|\n)?", raw.readline())
+    header = first[1].decode("utf-8").strip().split(",")
+    if header[0] != "t":
+        raise ValueError("the first column is not t")
+    body, size = first.end(), raw.seek(0, os.SEEK_END)
+    n = _workers(size - body, CSV_READ_BYTES_PER_PROCESS)
+    cuts = [body]
+    for w in range(1, n):
+        raw.seek(body + (size - body) * w // n)
+        if raw.readline((size - body) // n).endswith(b"\n"):
             cuts.append(raw.tell())
-        cuts.append(size)
-        width = len(header)
+    cuts.append(size)
+    width = len(header)
 
-        def rows(w):
-            return _parse_rows(_ByteRange(raw.fileno(), cuts[w], cuts[w + 1]), width)
+    def rows(w):
+        return _parse_rows(_ByteRange(raw.fileno(), cuts[w], cuts[w + 1]), width)
 
-        with _forked(n, lambda w: [rows(w).tobytes()]) as pipes:
-            arr = rows(0)
-            sizes = [_message_size(pipe) for pipe in pipes]
-            if None in sizes:
-                return None
-            start = len(arr)
-            arr.resize((start + sum(sizes) // (8 * width), width), refcheck=False)  # loadtxt's array owns its data
-            for pipe, nbytes in zip(pipes, sizes):
-                stop = start + nbytes // (8 * width)
-                if pipe.readinto(memoryview(arr[start:stop]).cast("B")) != nbytes:
-                    return None
-                start = stop
-        return Trajectory(arr[:, 0], arr[:, 1:], tuple(header[1:])) if arr.size else None
-    except (OSError, ValueError):  # UnicodeDecodeError too: _read_csv meets the fault again
-        return None
-    finally:
-        raw.seek(0)
+    with _forked(len(cuts) - 1, lambda w: [rows(w).tobytes()]) as pipes:
+        arr = rows(0)
+        sizes = [_message_size(pipe) for pipe in pipes]
+        here = {w: rows(w) for w, nbytes in enumerate(sizes, 1) if nbytes is None}
+        counts = [len(here[w]) if w in here else nbytes // (8 * width) for w, nbytes in enumerate(sizes, 1)]
+        start = len(arr)
+        arr.resize((start + sum(counts), width), refcheck=False)  # loadtxt's array owns its data
+        for w, (pipe, count) in enumerate(zip(pipes, counts), 1):
+            part = arr[start:start + count]
+            if w in here or pipe.readinto(part) != part.nbytes:
+                part[...] = here[w] if w in here else rows(w)
+            start += count
+    if not arr.size:
+        raise ValueError("no samples")
+    return Trajectory(arr[:, 0], arr[:, 1:], tuple(header[1:]))
 
 
 class _ByteRange(io.RawIOBase):
@@ -667,38 +678,36 @@ class _ByteRange(io.RawIOBase):
 
 
 def _parse_rows(raw, width):
-    """The rows of CSV body bytes in the binary stream raw, decoded and
-    parsed as _read_csv parses a body; ValueError unless each row has
-    width cells."""
+    """The rows of CSV body bytes in the binary stream raw, decoded as
+    UTF-8 with universal newlines and parsed by np.loadtxt, blank lines
+    skipped (a range without rows is 0 x 1); ValueError unless each row
+    has width cells."""
     with warnings.catch_warnings():  # loadtxt warns of a range without rows
         warnings.simplefilter("ignore", UserWarning)
         arr = np.loadtxt(io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8"),
                          delimiter=",", comments=None, ndmin=2)
-    if arr.shape[1] != width:
+    if arr.size and arr.shape[1] != width:
         raise ValueError(f"{arr.shape[1]} columns, {width} expected")
     return arr
 
 
-def _read_csv(fh, path) -> Trajectory:
-    header = fh.readline().strip().split(",")
-    if header[0] != "t":
-        raise InputFormatError(f"{path}: first CSV column must be 't'")
-    body = fh.tell()
-    with warnings.catch_warnings():  # an empty body is reported as no samples
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            if arr.size and arr.shape[1] == len(header):
-                return Trajectory(arr[:, 0], arr[:, 1:], tuple(header[1:]))
-        except ValueError:  # UnicodeDecodeError too: the scan below meets it again
-            pass
-    # Name the bad file line: loadtxt's row numbers, cut from its message, skip blank lines.
-    fh.seek(body)
-    for lineno, line in enumerate(fh, start=2):
-        try:
-            cells = np.loadtxt([line], delimiter=",", comments=None, ndmin=1) if line != "\n" else None
-        except ValueError as exc:
-            raise InputFormatError(f"{path}, line {lineno}: {str(exc).partition(' at row')[0]}") from None
-        if cells is not None and cells.size != len(header):
-            raise InputFormatError(f"{path}, line {lineno}: ragged CSV, {len(header)} columns expected")
-    raise InputFormatError(f"{path}: no samples")
+def _csv_fault(raw, path) -> InputFormatError:
+    """The error for the CSV file raw (binary, seekable) that did not
+    parse: non-UTF-8 bytes, a first column not named t, the first bad
+    line (universal newlines, blank lines counted), or no samples."""
+    raw.seek(0)
+    try:
+        with io.TextIOWrapper(raw, encoding="utf-8") as fh:  # closes raw
+            header = fh.readline().strip().split(",")
+            if header[0] != "t":
+                return InputFormatError(f"{path}: first CSV column must be 't'")
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    cells = np.loadtxt([line], delimiter=",", comments=None, ndmin=1) if line != "\n" else None
+                except ValueError as exc:  # loadtxt's row number, cut from its message, would skip blank lines
+                    return InputFormatError(f"{path}, line {lineno}: {str(exc).partition(' at row')[0]}")
+                if cells is not None and cells.size != len(header):
+                    return InputFormatError(f"{path}, line {lineno}: ragged CSV, {len(header)} columns expected")
+    except UnicodeDecodeError as exc:
+        return InputFormatError(f"{path} is not UTF-8 text: {exc.reason}")
+    return InputFormatError(f"{path}: no samples")

@@ -1,17 +1,19 @@
 """Reference helpers that only the tests use: network queries and an
 edge flip, the zero excitation, serializers for networks and
 excitations, the weighted-projector identity, SVD-based null-space
-bases, a step-by-step RK4 loop, a one-process row-by-row CSV writer,
-and a steady-state phasor fit of a trajectory."""
+bases, a step-by-step RK4 loop, a one-process row-by-row CSV writer
+and whole-file CSV reader, and a steady-state phasor fit of a
+trajectory."""
 
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg
 from scipy import sparse
 
-from kronred import Constant, Edge, Excitation, Network, Phasor, Piecewise, Sinusoid, Step
-from kronred.errors import KronredError
+from kronred import Constant, Edge, Excitation, Network, Phasor, Piecewise, Sinusoid, Step, Trajectory
+from kronred.errors import InputFormatError, KronredError
 from kronred.linalg import nullspace_basis
 
 
@@ -146,6 +148,40 @@ def write_csv_rows(traj, path):
         fh.write("t," + ",".join(traj.channels) + "\n")
         for t, row in zip(traj.times.tolist(), traj.data.tolist()):
             fh.write(",".join(map(repr, [t, *row])) + "\n")
+
+
+def read_csv_rows(path):
+    """A trajectory file read as the program reads it, by one np.loadtxt
+    call over the whole body in this process: UTF-8 with universal
+    newlines, `t,<channels>`, then rows, blank lines skipped. A file that
+    does not parse raises the program's InputFormatError: non-UTF-8
+    bytes, a first column not named t, the first bad line (blank lines
+    counted), or no samples. Needs a seekable file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            if header[0] != "t":
+                raise InputFormatError(f"{path}: first CSV column must be 't'")
+            body = fh.tell()
+            with warnings.catch_warnings():  # an empty body is reported as no samples
+                warnings.simplefilter("ignore", UserWarning)
+                try:
+                    arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                    if arr.size and arr.shape[1] == len(header):
+                        return Trajectory(arr[:, 0], arr[:, 1:], tuple(header[1:]))
+                except ValueError:  # UnicodeDecodeError too: the scan below meets it again
+                    pass
+            fh.seek(body)
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    cells = np.loadtxt([line], delimiter=",", comments=None, ndmin=1) if line != "\n" else None
+                except ValueError as exc:
+                    raise InputFormatError(f"{path}, line {lineno}: {str(exc).partition(' at row')[0]}") from None
+                if cells is not None and cells.size != len(header):
+                    raise InputFormatError(f"{path}, line {lineno}: ragged CSV, {len(header)} columns expected")
+            raise InputFormatError(f"{path}: no samples")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def extract_steady_phasors(traj, freq: float, periods: int = 4, channels=None):

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kronred import cli, simulate
 from kronred.cli import main
@@ -17,8 +23,9 @@ from kronred.simulate import trajectory_from_csv
 
 
 # Runs kronred.cli.main once per [cpus, argv] in argv[1] (JSON), with
-# that many CPUs seen by the CSV writer, and prints [exit code, whether a
-# child process was left, forks] per run.
+# that many CPUs seen by the CSV writer and a process per CSV_BLOCK_VALUES
+# values to write, and prints [exit code, whether a child process was
+# left, forks] per run.
 WRITE_RUNS = """
 import json, os, sys
 from kronred import simulate
@@ -26,6 +33,7 @@ from kronred.cli import main
 
 results = []
 fork = os.fork
+simulate.CSV_WRITE_VALUES_PER_PROCESS = simulate.CSV_BLOCK_VALUES
 for cpus, argv in json.loads(sys.argv[1]):
     simulate._available_cpus = lambda: cpus
     forks = []
@@ -584,6 +592,34 @@ class TestSimulate:
         assert "'2'" in diag["message"] and "non-finite" in diag["message"]
         assert not list(tmp_path.glob("*.csv"))
 
+    # 2 pi f overflows, so 2 pi f t is NaN or inf: the runs used to print
+    # RuntimeWarnings, write NaN rows and exit 0
+    @pytest.mark.parametrize("method", ["reduced", "dae", "homogeneous", "baseline"])
+    def test_overflowing_phase_exits_2(self, tmp_path, capsys, method):
+        write_json(tmp_path / "wye.json", wye_dict(r=(1.1, 1.28, 1.54)))  # r = 2 l: homogeneous
+        excitation = sinusoid_excitation_dict()
+        excitation["signals"]["2"]["freq_hz"] = 1e308
+        write_json(tmp_path / "exc.json", excitation)
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "f0": [-5.0, -5.0, 10.0],
+             "solver": {"dt_s": 1e-3, "t_end_s": 0.02}},
+        )
+        flags = ["--omega0", "9.42", "--gamma", "1.0"] if method == "baseline" else []
+        code, diag = run_one_diagnostic(["simulate", manifest, "--method", method, *flags], capsys)
+        assert code == 2
+        assert diag == {"error": "InputFormat", "message": "node '2' signal is non-finite at t=0 s"}
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    # Lhat fhat0 = 1e308 * -5 overflowed: the run printed RuntimeWarnings
+    # and wrote inf and NaN rows with exit 0 (the DAE oracle runs)
+    def test_overflowing_flux_exits_2(self, manifest_file, tmp_path, capsys):
+        write_json(tmp_path / "wye.json", wye_dict(l=(1e308, 0.64, 0.77)))
+        code, diag = run_one_diagnostic(["simulate", manifest_file, "--method", "reduced"], capsys)
+        assert code == 2
+        assert diag == {"error": "InputFormat", "message": "the initial flux Lhat fhat0 of the reduced model overflows"}
+        assert not list(tmp_path.glob("**/*.csv"))
+
     def test_model_for_another_network_exits_2(self, manifest_file, tmp_path, capsys):
         # used to end in LinAlgError: Incompatible dimensions, exit 1
         one_edge = {
@@ -933,6 +969,30 @@ class TestCompare:
         diag = json.loads(lines[0])
         assert diag["error"] == "InputFormat" and "no samples" in diag["message"]
 
+    # process substitution, <(cat a.csv): used to exit 2 with
+    # UnsupportedOperation, "underlying stream is not seekable"
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe_is_read(self, manifest_file, tmp_path, capsys):
+        assert main(["simulate", manifest_file, "--method", "dae"]) == 0
+        path = tmp_path / "out" / "dae.csv"
+        r, w = os.pipe()
+
+        def feed():
+            with open(w, "wb") as pipe:
+                pipe.write(path.read_bytes())
+
+        feeder = threading.Thread(target=feed)
+        feeder.start()
+        try:
+            capsys.readouterr()
+            assert main(["compare", f"/dev/fd/{r}", str(path)]) == 0
+        finally:
+            feeder.join(timeout=10)
+            os.close(r)
+        assert not feeder.is_alive()
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["max_abs"] == 0.0
+
     def test_non_finite_value_exits_2(self, manifest_file, tmp_path, capsys):
         # max() skips nan, so an all-nan copy used to report max_rel 0.0
         assert main(["simulate", manifest_file, "--method", "dae"]) == 0
@@ -1016,6 +1076,16 @@ class TestPhasor:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "InvalidFrequency"
+
+    # omega * l = 9.42e308 overflowed in r + j omega l: both used to print
+    # RuntimeWarnings and exit 0
+    @pytest.mark.parametrize("command", ["phasor", "simulate-baseline"])
+    def test_overflowing_reactance_exits_2(self, manifest_file, tmp_path, capsys, command):
+        net = write_json(tmp_path / "wye.json", wye_dict(l=(1e308, 0.64, 0.77)))
+        code, diag = run_one_diagnostic(NETWORK_COMMANDS[command](net, manifest_file), capsys)
+        assert code == 2
+        assert diag == {"error": "InvalidFrequency", "message": "omega * l of edge 'e1' overflows at 9.42 rad/s"}
+        assert not list(tmp_path.glob("**/*.csv"))
 
 
 class TestPaperExperiment:
@@ -1143,3 +1213,89 @@ class TestPaperExperiment:
         assert diag["error"] == "InputFormat"
         assert source in diag["message"]
         assert not (tmp_path / "exp").exists()
+
+
+# The CLI contract over single-leaf mutations of the wye's three input
+# files. The wye is homogeneous (r = 2 l), so that every method runs.
+def contract_files():
+    return {
+        "wye.json": wye_dict(r=(1.1, 1.28, 1.54)),
+        "exc.json": sinusoid_excitation_dict(),
+        "m.json": {"network": "wye.json", "excitation": "exc.json", "f0": [-5.0, -5.0, 10.0],
+                   "solver": {"dt_s": 1e-3, "t_end_s": 0.02, "record_stride": 1},
+                   "strategy": "tree", "seed": 0, "out_dir": "out"},
+    }
+
+
+def leaves(doc, path=()):
+    """The path of every non-container value in the JSON document doc."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from leaves(value, path + (key,))
+    else:
+        yield path
+
+
+CONTRACT_LEAVES = [(name, path) for name, doc in contract_files().items() for path in leaves(doc)]
+LEAF_VALUES = [0, -1, 0.5, 3, 1e-300, 5e-324, 1e150, 1e160, 1e300, 1e308, -1e308, float("nan"),
+               float("inf"), float("-inf"), True, None, "", "x", "1", [], {}, [1.0]]
+
+
+def contract_commands(root):
+    """Every command that reads the files, writing into root/out."""
+    net, manifest, out = str(root / "wye.json"), str(root / "m.json"), str(root / "out")
+    simulate = ["simulate", manifest, "--out-dir", out, "--method"]
+    return [
+        ["validate", net],
+        ["reduce", net, "--p-strategy", "tree"],
+        ["reduce", net, "--p-strategy", "modal"],
+        ["phasor", net, "--omega", "9.42", "--v1", "120@0", "--v1", "120@30", "--v1", "120@-30"],
+        [*simulate, "reduced"],
+        [*simulate, "dae"],
+        [*simulate, "homogeneous"],
+        [*simulate, "baseline", "--omega0", "9.42", "--gamma", "1.0"],
+    ]
+
+
+def no_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+class TestCliContract:
+    # Exit 0, 2 or 3. On 2 or 3, stderr is one JSON line with the error and
+    # its message; on 0 stderr is empty (no warning), and every CSV value
+    # and JSON number written is finite. The examples each used to exit 0
+    # with numpy's overflow warnings on stderr.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mutation=st.tuples(st.sampled_from(CONTRACT_LEAVES), st.sampled_from(LEAF_VALUES)))
+    @example(mutation=(("exc.json", ("signals", "2", "freq_hz")), 1e308))
+    @example(mutation=(("wye.json", ("edges", 0, "l_henry")), 1e308))
+    @example(mutation=(("m.json", ("f0", 0)), 1e160))
+    def test_every_mutation_keeps_the_contract(self, tmp_path_factory, mutation):
+        (name, path), value = mutation
+        files = contract_files()
+        parent = files[name]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        root = tmp_path_factory.mktemp("contract")
+        for file, doc in files.items():
+            (root / file).write_text(json.dumps(doc))
+        for argv in contract_commands(root):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, code)
+            if code:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1, (argv, err.getvalue())
+                assert set(json.loads(lines[0])) == {"error", "message"}
+            else:
+                assert err.getvalue() == "", argv
+                if argv[0] not in ("validate", "simulate"):
+                    json.loads(out.getvalue(), parse_constant=no_constant)
+                for csv in (root / "out").glob("*.csv"):
+                    traj = trajectory_from_csv(csv)
+                    assert np.all(np.isfinite(traj.times)) and np.all(np.isfinite(traj.data)), (argv, csv.name)
+            shutil.rmtree(root / "out", ignore_errors=True)

@@ -191,6 +191,19 @@ class TestEmbedLift:
         with pytest.raises(InconsistentInitialConditionError):
             embed_initial(reduce(wye, strategy).P, f0)
 
+    # Above about 1.3e154 the 2-norms' sums of squares overflowed, so an
+    # unbalanced f0 passed as inf <= inf.
+    @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+    @pytest.mark.parametrize("big", [1e150, 1e160, 1e308])
+    def test_huge_flows_keep_the_balance_rule(self, wye, strategy, big):
+        P = reduce(wye, strategy).P
+        with pytest.raises(InconsistentInitialConditionError):
+            embed_initial(P, [big, -5.0, 10.0])
+        with pytest.raises(InconsistentInitialConditionError):  # at 1e308 a residual of 1.73 * 1.7e308 reads inf
+            embed_initial(P, [1.7 * big] * 3)
+        balanced = np.array([-0.25, -0.25, 0.5]) * big
+        assert np.allclose(P @ embed_initial(P, balanced) / big, balanced / big, rtol=0.0, atol=1e-12)
+
     def test_lift_example(self, wye):
         model = reduce(wye, PStrategy.TREE_ELIMINATION)
         assert np.allclose(model.P @ [-5.0, -5.0], [-5.0, -5.0, 10.0])

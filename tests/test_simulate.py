@@ -72,6 +72,7 @@ from reference import (
     excitation_to_dict,
     extract_steady_phasors,
     n_interior,
+    read_csv_rows,
     rk4_lti_steps,
     write_csv_rows,
     zero_excitation,
@@ -545,6 +546,14 @@ def write_both_ways(trajectories, out_dir):
     return [p.read_bytes() for p in paths], [(out_dir / "each" / f"{name}.csv").read_bytes() for name in trajectories]
 
 
+def fork_for_small_files(monkeypatch, cpus):
+    """cpus CPUs for CSV work, and a process per CSV_BLOCK_VALUES values
+    to write or body bytes to read, so that the small files here fork."""
+    monkeypatch.setattr(simulate_module, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate_module, "CSV_WRITE_VALUES_PER_PROCESS", simulate_module.CSV_BLOCK_VALUES)
+    monkeypatch.setattr(simulate_module, "CSV_READ_BYTES_PER_PROCESS", simulate_module.CSV_BLOCK_VALUES)
+
+
 def count_forks(monkeypatch):
     """A list that gets one entry per os.fork call of this process."""
     forks, fork = [], os.fork
@@ -557,7 +566,7 @@ class TestParallelCsvWrite:
     def test_files_match_the_one_process_writer(self, tmp_path, rng, monkeypatch, cpus):
         trajectories = csv_trajectories(rng)
         expected = reference_bytes(trajectories, tmp_path / "ref")
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: cpus)
+        fork_for_small_files(monkeypatch, cpus)
         forks = count_forks(monkeypatch)
         paths = simulate_module.write_trajectories(trajectories, tmp_path)
         assert len(forks) == cpus - 1  # one set of children for every file
@@ -577,19 +586,28 @@ class TestParallelCsvWrite:
         if missing:
             monkeypatch.delattr(os, "fork")
         else:
-            monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 1)
+            fork_for_small_files(monkeypatch, 1)
             monkeypatch.setattr(os, "fork", no_fork)
         assert write_both_ways(trajectories, tmp_path) == (expected, expected)
 
-    def test_no_fork_below_one_block_per_writer(self, tmp_path, rng, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked")
-
-        trajectories = {"d": csv_trajectories(rng)["d"]}  # 205 values
-        expected = reference_bytes(trajectories, tmp_path / "ref")
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 16)
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert write_both_ways(trajectories, tmp_path) == (expected, expected)
+    # With 2 CPUs, at the sizes timed to set the least work per process:
+    # one process wrote 2400 values and read 189 kB faster than two did,
+    # and two were faster from 10400 values and 725 kB.
+    @pytest.mark.parametrize("values, nbytes, children", [(2400, 189_000, 0), (10_400, 725_000, 1)],
+                             ids=["below", "above"])
+    def test_forks_from_the_least_work_per_process(self, tmp_path, monkeypatch, values, nbytes, children):
+        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 2)
+        forks = count_forks(monkeypatch)
+        rows = values // 5
+        traj = Trajectory(np.arange(rows) * 1e-3, np.full((rows, 4), 0.1), ("a", "b", "c", "d"))
+        trajectory_to_csv(traj, tmp_path / "w.csv")
+        assert len(forks) == children
+        write_csv_rows(traj, tmp_path / "ref.csv")
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"t,x\n" + b"1.5,2.5\n" * (nbytes // 8))
+        assert parallel_read(path) == serial_read(path)
+        assert len(forks) == 2 * children
 
     def test_failed_fork_is_written_here(self, tmp_path, rng, monkeypatch):
         def failing_fork():
@@ -597,7 +615,7 @@ class TestParallelCsvWrite:
 
         trajectories = csv_trajectories(rng)
         expected = reference_bytes(trajectories, tmp_path / "ref")
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 3)
+        fork_for_small_files(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", failing_fork)
         assert write_both_ways(trajectories, tmp_path) == (expected, expected)
 
@@ -614,7 +632,7 @@ class TestParallelCsvWrite:
                 raise RuntimeError("child fails")
             return text(traj, first, end)
 
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 3)
+        fork_for_small_files(monkeypatch, 3)
         monkeypatch.setattr(simulate_module, "_csv_text", child_fails)
         written, each = write_both_ways(trajectories, tmp_path)
         assert written == expected
@@ -626,7 +644,7 @@ class TestParallelCsvWrite:
         # waits for them and then raises ChildProcessError
         trajectories = csv_trajectories(rng)
         expected = reference_bytes(trajectories, tmp_path / "ref")
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 2)
+        fork_for_small_files(monkeypatch, 2)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
             written = write_both_ways(trajectories, tmp_path)
@@ -638,15 +656,12 @@ class TestParallelCsvWrite:
 
 
 def serial_read(path):
-    """trajectory_from_csv's one-process reader, _read_csv, on path:
-    (times, data, channels), or the InputFormatError text it gives."""
+    """The reference reader's (times, data, channels) of path, or the
+    InputFormatError text it gives."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            traj = simulate_module._read_csv(fh, path)
+        traj = read_csv_rows(path)
     except InputFormatError as exc:
         return str(exc)
-    except UnicodeDecodeError as exc:
-        return f"{path} is not UTF-8 text: {exc.reason}"
     return traj.times.tobytes(), traj.data.tobytes(), traj.channels
 
 
@@ -705,21 +720,22 @@ class TestParallelCsvRead:
         path.write_bytes(data.draw(csv_files(fault, end)))
         expected = serial_read(path)
         for cpus in (1, 2, 3):
-            with mock.patch.object(simulate_module, "_available_cpus", lambda: cpus), \
-                    mock.patch.object(simulate_module, "_read_csv", wraps=simulate_module._read_csv) as serial:
+            with mock.patch.multiple(simulate_module, _available_cpus=lambda: cpus,
+                                     CSV_READ_BYTES_PER_PROCESS=simulate_module.CSV_BLOCK_VALUES), \
+                    mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 assert parallel_read(path) == expected
-            # only a lone-CR file or a fault takes the serial reader past one CPU
-            assert serial.called == (cpus == 1 or fault is not None or end == "\r")
+            # a lone-CR body has no LF to cut after, so it is one range
+            assert fork.call_count == (0 if end == "\r" else cpus - 1)
 
-    # The header is the first line by universal newlines, as _read_csv
-    # reads it: here it ends at the lone CR, and a line of spaces follows.
+    # The header is the first line by universal newlines: here it ends at
+    # the lone CR, and a line of spaces follows.
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_header_ended_by_a_lone_cr(self, tmp_path, rng, monkeypatch, cpus):
         traj = csv_trajectories(rng)["c"]
         write_csv_rows(traj, tmp_path / "c.csv")
         path = tmp_path / "cr.csv"
         path.write_bytes((tmp_path / "c.csv").read_bytes().replace(b"\n", b"\r   \n", 1))
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: cpus)
+        fork_for_small_files(monkeypatch, cpus)
         expected = serial_read(path)
         assert expected.endswith("line 2: could not convert string '   ' to float64")
         assert parallel_read(path) == expected
@@ -732,10 +748,20 @@ class TestParallelCsvRead:
         cut = body.index(b"\n", len(body) // 2) + 1
         path = tmp_path / "wide.csv"
         path.write_bytes(b"t,x\n" + body[:cut] + body[cut:].replace(b"1.5,   2.5", b"1.5,2,3,45"))
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 2)
+        fork_for_small_files(monkeypatch, 2)
         expected = serial_read(path)
         assert "ragged CSV, 2 columns expected" in expected
         assert parallel_read(path) == expected
+
+    # The middle one of three ranges holds only blank lines: no rows, and
+    # no fault.
+    def test_range_of_blank_lines(self, tmp_path, monkeypatch):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(b"t,x\n" + b"1.5,2.5\n" * 200 + b"\n" * 5000 + b"3.5,4.5\n" * 200)
+        fork_for_small_files(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        assert parallel_read(path) == serial_read(path)
+        assert len(forks) == 2
 
     def test_a_message_cut_short_is_not_received(self):
         r, w = os.pipe()
@@ -751,7 +777,7 @@ class TestParallelCsvRead:
         traj = csv_trajectories(rng)["c"]
         path = tmp_path / "c.csv"
         write_csv_rows(traj, path)
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 16)
+        fork_for_small_files(monkeypatch, 16)
         forks = count_forks(monkeypatch)
         back = trajectory_from_csv(path)
         assert len(forks) == 15
@@ -759,7 +785,7 @@ class TestParallelCsvRead:
         assert np.array_equal(back.times.view(np.int64), traj.times.view(np.int64))
         assert np.array_equal(back.data.view(np.int64), traj.data.view(np.int64))
 
-    @pytest.mark.parametrize("case", ["one-cpu", "no-fork", "failed-fork", "failed-child"])
+    @pytest.mark.parametrize("case", ["one-cpu", "no-fork", "failed-fork", "failed-child", "child-dies-sending"])
     def test_serial_fallbacks(self, tmp_path, rng, monkeypatch, case):
         def no_fork():
             raise AssertionError("forked")
@@ -770,13 +796,27 @@ class TestParallelCsvRead:
         traj = csv_trajectories(rng)["c"]
         path = tmp_path / "c.csv"
         write_csv_rows(traj, path)
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 1 if case == "one-cpu" else 3)
+        fork_for_small_files(monkeypatch, 1 if case == "one-cpu" else 3)
         if case == "one-cpu":
             monkeypatch.setattr(os, "fork", no_fork)
         elif case == "no-fork":
             monkeypatch.delattr(os, "fork")
         elif case == "failed-fork":
             monkeypatch.setattr(os, "fork", failing_fork)
+        elif case == "child-dies-sending":  # after the length and half the rows
+            parent = os.getpid()
+
+            class Dying(io.FileIO):
+                def write(self, data):
+                    if len(data) > 8:
+                        super().write(data[:len(data) // 2])
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return super().write(data)
+
+            def child_open(file, mode):
+                return (open if os.getpid() == parent else Dying)(file, mode)
+
+            monkeypatch.setattr(simulate_module, "open", child_open, raising=False)
         else:
             parent, parse = os.getpid(), simulate_module._parse_rows
 
@@ -789,37 +829,26 @@ class TestParallelCsvRead:
         back = trajectory_from_csv(path)
         assert np.array_equal(back.times.view(np.int64), traj.times.view(np.int64))
         assert np.array_equal(back.data.view(np.int64), traj.data.view(np.int64))
+        assert parallel_read(path) == serial_read(path)
 
+    # A FIFO is copied to a temporary file, which is parsed in ranges.
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
-    def test_fifo_is_left_to_the_serial_reader(self, tmp_path, rng, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked")
-
-        def feed():
-            try:
-                fifo.write_bytes(text)
-            except BrokenPipeError:  # the reader stops at its first seek
-                pass
-
+    def test_fifo_is_read(self, tmp_path, rng, monkeypatch):
         traj = csv_trajectories(rng)["c"]
         write_csv_rows(traj, tmp_path / "c.csv")
-        text = (tmp_path / "c.csv").read_bytes()
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 3)
-        monkeypatch.setattr(os, "fork", no_fork)
-        errors = []
-        for read in (serial_read, parallel_read):
-            feeder = threading.Thread(target=feed)
-            feeder.start()
-            try:
-                with pytest.raises(io.UnsupportedOperation) as caught:
-                    read(fifo)
-                errors.append(str(caught.value))
-            finally:
-                feeder.join(timeout=10)
-            assert not feeder.is_alive()
-        assert errors[0] == errors[1]
+        fork_for_small_files(monkeypatch, 3)
+        forks = count_forks(monkeypatch)
+        feeder = threading.Thread(target=fifo.write_bytes, args=[(tmp_path / "c.csv").read_bytes()])
+        feeder.start()
+        try:
+            back = parallel_read(fifo)
+        finally:
+            feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert back == serial_read(tmp_path / "c.csv")
+        assert len(forks) == 2
 
 
 class TestRk4Accuracy:
