@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .compare import compare_trajectories
-from .errors import NegativeSynthesizedElementError
+from .errors import DisconnectedNetworkError, NegativeSynthesizedElementError
 from .linalg import dense, nullspace_basis
 from .network import Edge, Network, build_incidence, validate
 from .phasor import admittance, kron_reduce
@@ -70,7 +70,14 @@ def heuristic_reduce(
     # validate() enforces r >= 0 and l > 0, so it can only run when the
     # synthesized elements are physical
     if all(e.r >= 0 and e.l > 0 for e in edges):
-        synth = validate(synth)
+        try:
+            synth = validate(synth)
+        except DisconnectedNetworkError as exc:
+            raise DisconnectedNetworkError(
+                exc.component_count,
+                f"network synthesized at omega0 = {omega0!r} rad/s, whose branches are the "
+                f"reduced admittances above {_BRANCH_TOL:g} of the largest,",
+            ) from None
     return synth
 
 

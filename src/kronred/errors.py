@@ -11,9 +11,9 @@ class NetworkValidationError(KronredError):
 
 
 class DisconnectedNetworkError(NetworkValidationError):
-    def __init__(self, component_count):
+    def __init__(self, component_count, graph="network graph"):
         self.component_count = component_count
-        super().__init__(f"network graph is disconnected ({component_count} components)")
+        super().__init__(f"{graph} is disconnected ({component_count} components)")
 
 
 class NonpositiveInductanceError(NetworkValidationError):

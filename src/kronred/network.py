@@ -80,10 +80,10 @@ class IncidenceMatrix:
         return sparse.csr_array((vals, (rows, np.tile(np.arange(E), 2))), shape=shape)
 
     def laplacian(self, w):
-        """B diag(w) B^T as a COO array of each edge's four entries in
-        edge order. Densifying it adds up each entry's terms in edge
-        order, as a plain dense product of B, diag(w) and B^T does, so
-        small networks give the same bits as that product."""
+        """B diag(w) B^T as a COO array of each edge's four entries in edge
+        order. Its CSC array sums an entry's terms in edge order, as the
+        dense product does, in each column of at most 16 entries (a node
+        with at most 8 edge ends), which scipy sorts stably."""
         t, h = self.tail, self.head
         rows = np.stack([t, h, t, h], axis=1).ravel()
         cols = np.stack([t, h, h, t], axis=1).ravel()

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DimensionMismatchError, InvalidFrequencyError
 from .linalg import schur_complement
@@ -47,9 +48,9 @@ class Phasor:
 
 @dataclass(frozen=True)
 class AdmittanceMatrix:
-    """Complex nodal admittance with boundary-first partition."""
+    """Complex nodal admittance, boundary-first, as a scipy.sparse CSC array."""
 
-    Y: np.ndarray
+    Y: sparse.csc_array
     omega: float
     boundary_nodes: tuple
     interior_nodes: tuple
@@ -75,10 +76,19 @@ def admittance(network: Network, omega: float) -> AdmittanceMatrix:
     if not np.all(np.isfinite(x)):
         edge = network.edges[int(np.argmin(np.isfinite(x)))].id
         raise InvalidFrequencyError(f"omega * l of edge {edge!r} overflows at {omega!r} rad/s")
+    # For finite r and omega l, |1 / (r + j omega l)| >= 5e-309: a zero or
+    # non-finite quotient means the division overflowed (or r = omega l = 0).
+    with np.errstate(all="ignore"):
+        y_edge = 1.0 / (network.r_vector() + 1j * x)
+    bad = (y_edge == 0) | ~np.isfinite(y_edge)
+    if np.any(bad):
+        edge = network.edges[int(np.argmax(bad))].id
+        raise InvalidFrequencyError(
+            f"admittance 1 / (r + j omega l) of edge {edge!r} is zero or not finite at {omega!r} rad/s"
+        )
     inc = build_incidence(network)
-    y_edge = 1.0 / (network.r_vector() + 1j * x)
     return AdmittanceMatrix(
-        Y=inc.laplacian(y_edge).toarray(),
+        Y=inc.laplacian(y_edge).tocsc(),
         omega=omega,
         boundary_nodes=inc.boundary_nodes,
         interior_nodes=inc.interior_nodes,

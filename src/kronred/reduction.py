@@ -44,13 +44,13 @@ class PStrategy(enum.Enum):
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Reduced ODE matrices together with the lifting basis P.
-
-    Lhat is SPD, Rhat PSD; the model order is E - N0. For the modal
-    strategy Lhat is exactly I and Rhat exactly diagonal.
+    """Reduced ODE matrices with the lifting basis P as build_P returns it
+    (the tree basis's CSR array, else dense). Lhat is SPD, Rhat PSD; the
+    order is E - N0. For the modal strategy Lhat is exactly I and Rhat
+    exactly diagonal.
     """
 
-    P: np.ndarray
+    P: np.ndarray | sparse.csr_array
     Lhat: np.ndarray
     Rhat: np.ndarray
     Bhat: np.ndarray
@@ -217,18 +217,18 @@ def _symmetrized(M):
 def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BASIS) -> ReducedModel:
     """Assemble the exact reduced model of order E - N0.
 
-    build_P gives P and the pencil (Lhat, Rhat); Bhat = B1 P. The model
-    holds dense matrices, with Lhat and Rhat symmetrized. All four are
-    C-ordered, as model_from_dict returns them: BLAS and LAPACK round the
-    two layouts of the same values differently, and a model written and
-    loaded must run as the one in memory. The transpose leads each
+    build_P gives P, kept as it comes, and the pencil (Lhat, Rhat); Bhat
+    = B1 P. Lhat, Rhat (symmetrized) and Bhat are dense and C-ordered, as
+    model_from_dict returns them: BLAS and LAPACK round the two layouts of
+    the same values differently, and a model written and loaded must run
+    as the one in memory. The transpose leads each
     symmetrizing sum, so the tree pencil (CSC) sums to CSR and densifies
     C-ordered without a transposing copy.
     """
     incidence = build_incidence(network)
     P, Lhat, Rhat = build_P(incidence, network, strategy)
     return ReducedModel(
-        P=dense(P),
+        P=P,
         Lhat=_symmetrized(Lhat),
         Rhat=_symmetrized(Rhat),
         Bhat=dense(incidence.b1 @ P),
@@ -238,8 +238,8 @@ def reduce(network: Network, strategy: PStrategy = PStrategy.ORTHONORMAL_NULL_BA
     )
 
 
-def embed_initial(P: np.ndarray, f0: np.ndarray) -> np.ndarray:
-    """Minimum-norm coordinates fhat0 with P fhat0 = f0, for f0 in range(P).
+def embed_initial(P, f0: np.ndarray) -> np.ndarray:
+    """Minimum-norm fhat0 with P fhat0 = f0, for f0 in range(P), by lstsq on dense(P).
 
     For a reduced model's P, f0 must satisfy the interior current balance
     (it lies in null(B0) = range(P)). InconsistentInitialConditionError
@@ -248,7 +248,7 @@ def embed_initial(P: np.ndarray, f0: np.ndarray) -> np.ndarray:
     by max|f0|, so that their sums of squares cannot overflow.
     """
     f0 = np.asarray(f0, dtype=float)
-    fhat0, _, _, _ = np.linalg.lstsq(P, f0, rcond=None)
+    fhat0, _, _, _ = np.linalg.lstsq(dense(P), f0, rcond=None)
     scale = float(np.max(np.abs(f0), initial=0.0))
     scale = scale if 0.0 < scale < np.inf else 1.0
     residual = float(np.linalg.norm((P @ fhat0 - f0) / scale))
@@ -273,17 +273,16 @@ def homogeneous_reduce(network: Network) -> HomogeneousReducedModel:
             f"network is not homogeneous (max relative ratio deviation {deviation:.3e})"
         )
     incidence = build_incidence(network)
-    Ltilde = incidence.laplacian(1.0 / l).tocsr()
-    Lred, _ = schur_complement(Ltilde, len(incidence.interior_nodes))
+    Lred, _ = schur_complement(incidence.laplacian(1.0 / l), len(incidence.interior_nodes))
     Lred = 0.5 * (Lred + Lred.T)
     return HomogeneousReducedModel(alpha=alpha, Lred=Lred, boundary_nodes=incidence.boundary_nodes)
 
 
 def model_to_dict(model: ReducedModel) -> dict:
-    """JSON-ready dict; matrices row-major at full double precision."""
+    """JSON-ready dict; matrices (P densified) row-major at full double precision."""
     return {
         "strategy": model.strategy.value,
-        "P": model.P.tolist(),
+        "P": dense(model.P).tolist(),
         "Lhat": model.Lhat.tolist(),
         "Rhat": model.Rhat.tolist(),
         "Bhat": model.Bhat.tolist(),

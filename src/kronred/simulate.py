@@ -320,17 +320,20 @@ def simulate_reduced_batch(
     if not np.all(np.isfinite(z0)):
         raise InputFormatError("the initial flux Lhat fhat0 of the reduced model overflows")
     v1 = excitation.evaluate(model.boundary_nodes, _stage_grid(cfg))
-    steps, z = _rk4_modal(
-        d, (W @ model.Bhat.T) @ v1.T, z0,
-        cfg.dt, cfg.n_steps, cfg.record_stride,
-    )
     channels = tuple(f"fhat_{k}" for k in range(model.order)) + tuple(
         f"i_{n}" for n in model.boundary_nodes
     )
     runs = []
-    for r in range(fhat0.shape[1]):
-        fhat = z[:, :, r] @ V.T
-        runs.append(Trajectory(steps * cfg.dt, np.hstack([fhat, fhat @ model.Bhat.T]), channels))
+    with np.errstate(over="ignore", invalid="ignore"):  # a model file's Bhat near the largest float
+        steps, z = _rk4_modal(
+            d, (W @ model.Bhat.T) @ v1.T, z0,
+            cfg.dt, cfg.n_steps, cfg.record_stride,
+        )
+        for r in range(fhat0.shape[1]):
+            fhat = z[:, :, r] @ V.T
+            runs.append(Trajectory(steps * cfg.dt, np.hstack([fhat, fhat @ model.Bhat.T]), channels))
+    if not all(np.all(np.isfinite(run.data)) for run in runs):
+        raise InputFormatError("the reduced model's forcing or boundary injections overflow")
     return runs
 
 

@@ -16,9 +16,10 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kronred import cli, simulate
+from kronred import PStrategy, cli, reduce, simulate
 from kronred.cli import main
-from kronred.reduction import load_model
+from kronred.network import network_from_dict
+from kronred.reduction import load_model, model_to_dict
 from kronred.simulate import trajectory_from_csv
 
 
@@ -1087,6 +1088,35 @@ class TestPhasor:
         assert diag == {"error": "InvalidFrequency", "message": "omega * l of edge 'e1' overflows at 9.42 rad/s"}
         assert not list(tmp_path.glob("**/*.csv"))
 
+    # 1 / (1e308 + 9.42e307 j) overflowed to 0 inside the complex division:
+    # phasor used to exit 0 with a RuntimeWarning, the baseline printed it
+    # before its exit-2 line
+    @pytest.mark.parametrize("command", ["phasor", "simulate-baseline"])
+    def test_overflowing_admittance_exits_2(self, manifest_file, tmp_path, capsys, command):
+        net = write_json(tmp_path / "wye.json", wye_dict(r=(1e308, 0.99, 0.58), l=(1e307, 0.64, 0.77)))
+        code, diag = run_one_diagnostic(NETWORK_COMMANDS[command](net, manifest_file), capsys)
+        assert code == 2
+        assert diag == {
+            "error": "InvalidFrequency",
+            "message": "admittance 1 / (r + j omega l) of edge 'e1' is zero or not finite at 9.42 rad/s",
+        }
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    def test_disconnected_synthesis_names_the_synthesized_network(self, manifest_file, tmp_path, capsys):
+        # e1's admittance, about 1e-308, leaves Yr entries below the branch
+        # tolerance; the message used to call the user's network disconnected
+        net = write_json(tmp_path / "wye.json", wye_dict(l=(1e307, 0.64, 0.77)))
+        assert main(["validate", net]) == 0
+        capsys.readouterr()
+        code, diag = run_one_diagnostic(NETWORK_COMMANDS["simulate-baseline"](net, manifest_file), capsys)
+        assert code == 2
+        assert diag == {
+            "error": "DisconnectedNetwork",
+            "message": "network synthesized at omega0 = 9.42 rad/s, whose branches are the reduced "
+                       "admittances above 1e-12 of the largest, is disconnected (2 components)",
+        }
+        assert not list(tmp_path.glob("**/*.csv"))
+
 
 class TestPaperExperiment:
     def test_sinusoid_summary(self, tmp_path, capsys):
@@ -1215,15 +1245,19 @@ class TestPaperExperiment:
         assert not (tmp_path / "exp").exists()
 
 
-# The CLI contract over single-leaf mutations of the wye's three input
-# files. The wye is homogeneous (r = 2 l), so that every method runs.
+# The CLI contract over single-leaf mutations of the wye's four input
+# files: network, excitation, manifest and its tree model as reduce --out
+# writes it. The wye is homogeneous (r = 2 l), so that every method runs.
 def contract_files():
+    wye = wye_dict(r=(1.1, 1.28, 1.54))
+    model = reduce(network_from_dict(wye), PStrategy.TREE_ELIMINATION)
     return {
-        "wye.json": wye_dict(r=(1.1, 1.28, 1.54)),
+        "wye.json": wye,
         "exc.json": sinusoid_excitation_dict(),
         "m.json": {"network": "wye.json", "excitation": "exc.json", "f0": [-5.0, -5.0, 10.0],
                    "solver": {"dt_s": 1e-3, "t_end_s": 0.02, "record_stride": 1},
                    "strategy": "tree", "seed": 0, "out_dir": "out"},
+        "model.json": json.loads(json.dumps(model_to_dict(model))),
     }
 
 
@@ -1244,6 +1278,7 @@ LEAF_VALUES = [0, -1, 0.5, 3, 1e-300, 5e-324, 1e150, 1e160, 1e300, 1e308, -1e308
 def contract_commands(root):
     """Every command that reads the files, writing into root/out."""
     net, manifest, out = str(root / "wye.json"), str(root / "m.json"), str(root / "out")
+    model = str(root / "model.json")
     simulate = ["simulate", manifest, "--out-dir", out, "--method"]
     return [
         ["validate", net],
@@ -1251,10 +1286,16 @@ def contract_commands(root):
         ["reduce", net, "--p-strategy", "modal"],
         ["phasor", net, "--omega", "9.42", "--v1", "120@0", "--v1", "120@30", "--v1", "120@-30"],
         [*simulate, "reduced"],
+        [*simulate, "reduced", "--model", model],
         [*simulate, "dae"],
         [*simulate, "homogeneous"],
         [*simulate, "baseline", "--omega0", "9.42", "--gamma", "1.0"],
     ]
+
+
+# A mutation value that deletes the key instead of replacing its value; a
+# path whose last key is not in the file adds an unknown key.
+MISSING = "<missing>"
 
 
 def no_constant(name):
@@ -1264,20 +1305,34 @@ def no_constant(name):
 class TestCliContract:
     # Exit 0, 2 or 3. On 2 or 3, stderr is one JSON line with the error and
     # its message; on 0 stderr is empty (no warning), and every CSV value
-    # and JSON number written is finite. The examples each used to exit 0
-    # with numpy's overflow warnings on stderr.
+    # and JSON number written is finite. The first four examples each used
+    # to exit 0 with numpy's overflow warnings on stderr (the model's Bhat
+    # also with NaN in reduced.csv); the others delete a key or add an
+    # unknown one in each file.
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(mutation=st.tuples(st.sampled_from(CONTRACT_LEAVES), st.sampled_from(LEAF_VALUES)))
     @example(mutation=(("exc.json", ("signals", "2", "freq_hz")), 1e308))
     @example(mutation=(("wye.json", ("edges", 0, "l_henry")), 1e308))
     @example(mutation=(("m.json", ("f0", 0)), 1e160))
+    @example(mutation=(("model.json", ("Bhat", 0, 0)), 1e308))
+    @example(mutation=(("wye.json", ("edges", 1, "r_ohm")), MISSING))
+    @example(mutation=(("wye.json", ("edges", 1, "c_farad")), 1.0))
+    @example(mutation=(("exc.json", ("signals", "3", "amplitude_v")), MISSING))
+    @example(mutation=(("exc.json", ("signals", "3", "offset_v")), 1.0))
+    @example(mutation=(("m.json", ("solver", "dt_s")), MISSING))
+    @example(mutation=(("m.json", ("solver", "method")), "rk4"))
+    @example(mutation=(("model.json", ("Rhat",)), MISSING))
+    @example(mutation=(("model.json", ("version",)), 1))
     def test_every_mutation_keeps_the_contract(self, tmp_path_factory, mutation):
         (name, path), value = mutation
         files = contract_files()
         parent = files[name]
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = value
+        if value == MISSING:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
         root = tmp_path_factory.mktemp("contract")
         for file, doc in files.items():
             (root / file).write_text(json.dumps(doc))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from kronred import (
     Phasor,
@@ -11,6 +12,7 @@ from kronred import (
     phasor_solve,
 )
 from kronred.errors import DimensionMismatchError
+from kronred.linalg import dense
 
 from conftest import (
     make_balanced_wye,
@@ -41,7 +43,8 @@ class TestAdmittance:
     def test_single_edge(self):
         adm = admittance(make_net_a(r=1.0, l=1.0), omega=1.0)
         expected = (0.5 - 0.5j) * np.array([[1, -1], [-1, 1]])
-        assert np.allclose(adm.Y, expected)
+        assert sparse.issparse(adm.Y)
+        assert np.allclose(dense(adm.Y), expected)
 
     def test_path_is_weighted_laplacian(self):
         net = make_net_b(r1=1.0, l1=2.0, r2=3.0, l2=0.5)
@@ -53,7 +56,7 @@ class TestAdmittance:
         expected = np.array(
             [[y1, 0, -y1], [0, y2, -y2], [-y1, -y2, y1 + y2]]
         )
-        assert np.allclose(adm.Y, expected)
+        assert np.allclose(dense(adm.Y), expected)
 
     def test_purely_inductive_scaling(self):
         net = make_balanced_wye(r=0.0, l=2.0)
@@ -61,18 +64,18 @@ class TestAdmittance:
         adm = admittance(net, omega)
         B = build_incidence(net).matrix.toarray().astype(float)
         Ltilde = (B / 2.0) @ B.T
-        assert np.allclose(adm.Y, Ltilde / (1j * omega))
+        assert np.allclose(dense(adm.Y), Ltilde / (1j * omega))
 
     def test_structure(self, rng):
         for _ in range(20):
             net = random_connected_network(rng)
-            adm = admittance(net, omega=float(rng.uniform(0.5, 20)))
-            assert np.allclose(adm.Y, adm.Y.T)
-            scale = np.max(np.abs(adm.Y))
-            assert np.max(np.abs(adm.Y.sum(axis=1))) <= 1e-12 * scale
+            Y = dense(admittance(net, omega=float(rng.uniform(0.5, 20))).Y)
+            assert np.allclose(Y, Y.T)
+            scale = np.max(np.abs(Y))
+            assert np.max(np.abs(Y.sum(axis=1))) <= 1e-12 * scale
             # edge weights 1/(r + jwl) have positive real and negative
             # imaginary parts, so Re(Y) is PSD and Im(Y) is NSD
-            for part in (adm.Y.real, -adm.Y.imag):
+            for part in (Y.real, -Y.imag):
                 eigs = np.linalg.eigvalsh(0.5 * (part + part.T))
                 assert eigs.min() >= -1e-10 * scale
 
@@ -84,7 +87,7 @@ class TestInteriorInvertibility:
             adm = admittance(net, omega=float(rng.uniform(0.5, 20)))
             n0 = len(adm.interior_nodes)
             if n0:
-                Y00 = adm.Y[-n0:, -n0:]
+                Y00 = dense(adm.Y)[-n0:, -n0:]
                 assert np.isfinite(np.linalg.cond(Y00))
                 assert np.linalg.cond(Y00) < 1e12
 
@@ -110,7 +113,7 @@ class TestKronReduce:
     def test_no_interior_is_identity(self):
         adm = admittance(make_net_a(), omega=1.0)
         reduced = kron_reduce(adm)
-        assert np.allclose(reduced.Yr, adm.Y)
+        assert np.allclose(reduced.Yr, dense(adm.Y))
         assert reduced.recovery_map.shape == (0, 2)
 
     def test_recovery_map_solves_interior_row(self, wye):

@@ -10,8 +10,10 @@ since one sparse path serves them all.
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from kronred import PStrategy, admittance, kron_reduce, reduce
+from kronred.linalg import dense
 
 from conftest import random_connected_network
 
@@ -66,7 +68,9 @@ def test_kron_reduce_matches_dense_solve(i):
     y = 1.0 / (net.r_vector() + 1j * OMEGA * net.l_vector())
     Y = (B * y) @ B.T
     X = np.linalg.solve(Y[nb:, nb:], Y[nb:, :nb])
-    reduced = kron_reduce(admittance(net, OMEGA))
+    adm = admittance(net, OMEGA)
+    assert sparse.issparse(adm.Y) and _rel(dense(adm.Y), Y) <= REL_TOL
+    reduced = kron_reduce(adm)
     assert _rel(reduced.Yr, Y[:nb, :nb] - Y[:nb, nb:] @ X) <= REL_TOL
     assert _rel(reduced.recovery_map, -X) <= REL_TOL
 
@@ -89,7 +93,8 @@ def test_tree_reduce_matches_dense_products(strategy, i):
     net = NETWORKS[i]
     B, nb = _dense_incidence(net)
     model = reduce(net, strategy)
-    P = model.P
+    assert sparse.issparse(model.P) == (strategy is PStrategy.TREE_ELIMINATION)
+    P = dense(model.P)
     assert _rel(model.Lhat, P.T @ (net.l_vector()[:, None] * P)) <= REL_TOL
     assert _rel(model.Rhat, P.T @ (net.r_vector()[:, None] * P)) <= REL_TOL
     if strategy is PStrategy.TREE_ELIMINATION:

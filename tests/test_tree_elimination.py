@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from kronred import (
     Edge,
@@ -31,6 +32,7 @@ from kronred import (
     simulate_reduced,
     validate,
 )
+from kronred.linalg import dense
 from kronred.reduction import build_P
 
 from conftest import random_consistent_flow
@@ -261,7 +263,8 @@ def test_reduced_injections_match_oracle(net, seed):
 def test_k40_grid_invariants():
     net = _grid(40, np.random.default_rng(40))
     model = reduce(net, TREE)
-    P = model.P
+    assert sparse.issparse(model.P)
+    P = dense(model.P)
     inc = build_incidence(net)
     # float64 B0 P is exact for these small integers and runs through
     # BLAS; an integer matmul of this size takes seconds.
