@@ -118,7 +118,6 @@ def _load_manifest(path):
 def cmd_simulate(args):
     m = _load_manifest(args.manifest)
     out_dir = Path(args.out_dir) if args.out_dir else m["out_dir"]
-    out_dir.mkdir(parents=True, exist_ok=True)
     network, excitation, f0, cfg = m["network"], m["excitation"], m["f0"], m["cfg"]
     report = None
     if args.method == "reduced":

@@ -146,7 +146,6 @@ def run_experiment(
     }
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         trajectories = {"dae": oracle, "reduced": reduced_traj}
         for k, (_, traj) in enumerate(baseline_runs):
             trajectories[f"baseline_gamma_{k}"] = traj

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import reprlib
 from dataclasses import dataclass
 
@@ -217,12 +218,23 @@ def json_number(value, what, scalar=True, finite=True):
     return float(numbers) if scalar else numbers
 
 
+# A JSON string literal; outside of them, valid JSON holds no quote or
+# backslash. A decoded string holds a surrogate only where a \u escape
+# left one unpaired.
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
 def load_json(path):
     """Parse a JSON input file; malformed, too deeply nested or
-    non-UTF-8 content raises InputFormatError."""
+    non-UTF-8 content raises InputFormatError, and so does a string that
+    is not Unicode text: a \\u escape of a lone surrogate, which no file
+    name or UTF-8 CSV header can hold. Only the string literals of a file
+    with a \\u escape are read again, never its numbers."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except RecursionError:
         raise InputFormatError(f"JSON in {path} is nested too deeply") from None
     except json.JSONDecodeError as exc:
@@ -231,6 +243,10 @@ def load_json(path):
         ) from exc
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    for string in map(json.loads, _JSON_STRING.findall(text) if "\\u" in text else ()):
+        if _SURROGATE.search(string):
+            raise InputFormatError(f"{path} holds a string that is not Unicode text: {reprlib.repr(string)}")
+    return doc
 
 
 def load_network(path) -> Network:

@@ -4,12 +4,13 @@ Every run is fixed-step classical RK4 on a linear time-invariant system
 y' = A y + B u(t), with the inputs pre-evaluated on the half-step stage
 grid so runs are deterministic. Two cores carry out the recurrence:
 
-* _rk4_modal — decoupled scalar modes z_k' = -d_k z_k + u_k(t), each
+* _rk4_modal — decoupled scalar modes z' = -diag(d) z + Bm v1(t), each
   integrated over the whole horizon by one banded LAPACK solve. A
   validated reduced pencil is symmetric-definite, so one congruence, the
-  model's own ReducedModel.modal, brings simulate_reduced to this form;
-  a modal model, a model without interior nodes (the baseline sweep's
-  synthesized network) and simulate_homogeneous are diagonal already.
+  model's own ReducedModel.modal (V, W, d), brings simulate_reduced to
+  this form with Bm = W Bhat^T; a modal model, a model without interior
+  nodes (the baseline sweep's synthesized network) and
+  simulate_homogeneous (Bm = Lred) are diagonal already.
 * _rk4_lti — the dense RK4 map, used only by simulate_dae_oracle: the
   full constrained model, converted to an ODE by solving for interior
   voltages at every stage (index-1 reduction). It steps from record to
@@ -207,14 +208,16 @@ def _step_power(N, s):
         square = 2.0 * square + square @ square
 
 
-def _rk4_modal(d, u, z0, dt, n_steps, record_stride):
-    """Integrate decoupled modes z_k' = -d_k z_k + u_k(t) with classical RK4.
+def _rk4_modal(d, Bm, v1, z0, dt, n_steps, record_stride):
+    """Integrate decoupled modes z' = -diag(d) z + Bm v1(t) with classical RK4.
 
-    u holds the modal forcing on the half-step grid, one row per mode:
-    shape (order, 2*n_steps + 1). z0 has shape (order, runs), the runs
-    sharing d and u. With A = -diag(d), one RK4 step of mode k is
-    z <- m_k z + g_n, the diagonal of _rk4_lti's recurrence. Over the
-    whole horizon that is the unit lower-bidiagonal system
+    v1 holds the inputs on the half-step grid, shape (2*n_steps + 1,
+    inputs), and Bm maps them onto the modes, shape (order, inputs). z0 has
+    shape (order, runs), the runs sharing d and the forcing. One RK4 step
+    of mode k is z <- m_k z + g_n, the diagonal of _rk4_lti's recurrence,
+    and the step forcing of every mode and step is one product through
+    the input width: [c0 Bm | cm Bm | h6 Bm] [v1_2n; v1_2n+1; v1_2n+2].
+    Over the whole horizon mode k is the unit lower-bidiagonal system
     z_{n+1} - m_k z_n = g_n, solved per mode and run by LAPACK dtbtrs.
     Only the recorded steps are kept. Returns (record_steps, states) with
     states shaped (n_records, order, runs). Raises UnstableTimeStepError
@@ -232,6 +235,8 @@ def _rk4_modal(d, u, z0, dt, n_steps, record_stride):
     h6 = dt / 6.0
     c0 = h6 * (1.0 + a + a**2 / 2.0 + a**3 / 4.0)
     cm = h6 * (4.0 + 2.0 * a + a**2 / 2.0)
+    G = np.hstack([c0[:, None] * Bm, cm[:, None] * Bm, h6 * Bm])
+    g = G @ np.hstack([v1[0:-1:2], v1[1::2], v1[2::2]]).T   # (order, n_steps)
     z0 = np.asarray(z0, dtype=float)
     record_steps = np.asarray(_record_steps(n_steps, record_stride))
     rows = record_steps[1:] - 1          # x[j] is z at step j + 1
@@ -244,10 +249,8 @@ def _rk4_modal(d, u, z0, dt, n_steps, record_stride):
     # one by one anyway, and single columns keep the buffers small.
     for k in range(d.size):
         ab[1] = -m[k]
-        uk = u[k]
-        gk = c0[k] * uk[0:-1:2] + cm[k] * uk[1::2] + h6 * uk[2::2]
         for r, zk0 in enumerate(z0[k]):
-            x[:, 0] = gk
+            x[:, 0] = g[k]
             x[0] += m[k] * zk0
             _unit_bidiagonal_solve(ab, x)
             # x + dx solves the recurrence with the unrounded m, up to m_lo * dx.
@@ -325,10 +328,7 @@ def simulate_reduced_batch(
     )
     runs = []
     with np.errstate(over="ignore", invalid="ignore"):  # a model file's Bhat near the largest float
-        steps, z = _rk4_modal(
-            d, (W @ model.Bhat.T) @ v1.T, z0,
-            cfg.dt, cfg.n_steps, cfg.record_stride,
-        )
+        steps, z = _rk4_modal(d, W @ model.Bhat.T, v1, z0, cfg.dt, cfg.n_steps, cfg.record_stride)
         for r in range(fhat0.shape[1]):
             fhat = z[:, :, r] @ V.T
             runs.append(Trajectory(steps * cfg.dt, np.hstack([fhat, fhat @ model.Bhat.T]), channels))
@@ -418,16 +418,15 @@ def simulate_homogeneous(
     i1_0 = np.asarray(i1_0, dtype=float)
     v1 = excitation.evaluate(model.boundary_nodes, _stage_grid(cfg))
     steps, i1 = _rk4_modal(
-        np.full(i1_0.size, model.alpha), model.Lred @ v1.T, i1_0[:, None],
-        cfg.dt, cfg.n_steps, cfg.record_stride,
+        np.full(i1_0.size, model.alpha), model.Lred, v1, i1_0[:, None], cfg.dt, cfg.n_steps, cfg.record_stride
     )
     channels = tuple(f"i_{n}" for n in model.boundary_nodes)
     return Trajectory(steps * cfg.dt, i1[:, :, 0], channels)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write `t,<channels>` rows with shortest round-trip float formatting
-    (Python repr). The rows are formatted by up to one process per
+    """Write `t,<channels>` rows as UTF-8, with shortest round-trip float
+    formatting (Python repr). The rows are formatted by up to one process per
     available CPU, over row ranges (_write_csv), and the bytes are those
     of a one-process write."""
     _write_csv([(traj, path)])
@@ -435,8 +434,10 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
 
 def write_trajectories(trajectories: dict, out_dir) -> list:
     """Write each named trajectory to <out_dir>/<name>.csv, as
-    trajectory_to_csv writes it; returns the paths in the dict's order.
-    One set of processes formats the rows of every file (_write_csv)."""
+    trajectory_to_csv writes it, making out_dir and its parents where
+    missing; returns the paths in the dict's order. One set of processes
+    formats the rows of every file (_write_csv)."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     jobs = [(traj, Path(out_dir) / f"{name}.csv") for name, traj in trajectories.items()]
     _write_csv(jobs)
     return [path for _, path in jobs]
@@ -468,7 +469,7 @@ def _write_csv(jobs):
 
     with _forked(n, child_ranges) as pipes:
         for (traj, path), ranges in zip(jobs, blocks):
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write("t," + ",".join(traj.channels) + "\n")
                 for s, e in ranges[0]:
                     fh.write(_csv_text(traj, s, e))

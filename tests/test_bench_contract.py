@@ -8,6 +8,7 @@ ground end to end, but takes about 10 s; this is the fast guard.
 """
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -44,3 +45,20 @@ def test_check_phasor_accepts_a_sparse_admittance(grid):
     adm = kronred.admittance(grid.network, workloads.PHASOR_OMEGA)
     assert sparse.issparse(adm.Y)
     workloads.check_phasor(kronred.kron_reduce(adm))
+
+
+@pytest.mark.parametrize("module, attribute, position, name", [
+    ("simulate", "simulate_reduced", 0, "model"),
+    ("simulate", "simulate_reduced", 3, "cfg"),
+    ("simulate", "simulate_dae_oracle", 0, "network"),
+    ("simulate", "simulate_dae_oracle", 3, "cfg"),
+    ("reduction", "build_P", 2, "strategy"),
+    ("simulate", "trajectory_to_csv", 0, "traj"),
+    ("simulate", "trajectory_to_csv", 1, "path"),
+])
+def test_argument_positions_that_spans_reads(module, attribute, position, name):
+    # spans._sim_counts reads the model or network as args[0] and cfg as
+    # args[3], _strategy_label the strategy as args[2], and
+    # _csv_write_counts the trajectory and path as args[0] and args[1]
+    parameters = list(inspect.signature(getattr(importlib.import_module(f"kronred.{module}"), attribute)).parameters)
+    assert parameters[position] == name

@@ -73,6 +73,18 @@ def nested(depth, value=1.0):
     return value
 
 
+def nested_object(depth, value=1.0):
+    """value inside depth levels of JSON objects."""
+    for _ in range(depth):
+        value = {"a": value}
+    return value
+
+
+# What JSON's "\ud800" decodes to: a lone surrogate, which is not Unicode
+# text, so no UTF-8 file and no file name can hold it.
+LONE_SURROGATE = "\ud800"
+
+
 def sinusoid_excitation_dict():
     return {
         "signals": {
@@ -277,6 +289,64 @@ class TestNetworkRules:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         assert json.loads(lines[0])["error"] == "UnstableTimeStep"
+
+
+def text_case(tmp_path, node):
+    """The wye, its excitation and a manifest with boundary node "1"
+    renamed node; returns the manifest's path."""
+    for name, doc in (("wye.json", wye_dict()), ("exc.json", sinusoid_excitation_dict())):
+        (tmp_path / name).write_text(json.dumps(doc).replace('"1"', json.dumps(node)))
+    return write_json(tmp_path / "m.json", {"network": "wye.json", "excitation": "exc.json",
+                                            "solver": {"dt_s": 1e-3, "t_end_s": 0.01}})
+
+
+class TestText:
+    # validate passed the wye with a lone surrogate as a node id, and
+    # simulate --method dae|reduced ended in a UnicodeEncodeError traceback
+    # (exit 1) at the CSV header
+    @pytest.mark.parametrize("command", sorted(NETWORK_COMMANDS))
+    def test_lone_surrogate_node_id_exits_2(self, tmp_path, capsys, command):
+        manifest = text_case(tmp_path, LONE_SURROGATE)
+        code, diag = run_one_diagnostic(NETWORK_COMMANDS[command](str(tmp_path / "wye.json"), manifest), capsys)
+        assert code == 2
+        assert diag == {"error": "InputFormat",
+                        "message": f"{tmp_path / 'wye.json'} holds a string that is not Unicode text: '\\ud800'"}
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    # a lone surrogate as a manifest path ended in a UnicodeEncodeError
+    # traceback (exit 1) when the file was opened
+    @pytest.mark.parametrize("key", ["network", "excitation", "out_dir"])
+    def test_lone_surrogate_path_exits_2(self, manifest_file, tmp_path, capsys, key):
+        manifest = json.loads(Path(manifest_file).read_text())
+        manifest[key] = LONE_SURROGATE + ".json"
+        write_json(tmp_path / "manifest.json", manifest)
+        code, diag = run_one_diagnostic(["simulate", manifest_file, "--method", "dae"], capsys)
+        assert code == 2
+        assert diag["error"] == "InputFormat" and "not Unicode text" in diag["message"]
+
+    def test_escaped_surrogate_pair_is_text(self, tmp_path, capsys):
+        # "\ud83d\ude00" is one character, U+1F600, and "\\ud800" a backslash
+        # and five letters: neither is a lone surrogate
+        manifest = text_case(tmp_path, "\U0001f600 \\ud800")
+        assert main(["simulate", manifest, "--method", "dae", "--out-dir", str(tmp_path / "out")]) == 0
+        assert "i_\U0001f600 \\ud800" in trajectory_from_csv(tmp_path / "out" / "dae.csv").channels
+
+    # CSVs were written in the locale's encoding but are read as UTF-8: under
+    # an ASCII locale a non-ASCII node id ended in a UnicodeEncodeError
+    # traceback (exit 1) at the CSV header
+    @pytest.mark.parametrize("method", ["reduced", "dae"])
+    def test_non_ascii_node_id_under_an_ascii_locale(self, tmp_path, method):
+        manifest = text_case(tmp_path, "\u03a9")
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                   PYTHONUTF8="0", LC_ALL="C")
+        proc = subprocess.run(
+            [sys.executable, "-m", "kronred.cli", "simulate", manifest, "--method", method,
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "i_\u03a9" in trajectory_from_csv(tmp_path / "out" / f"{method}.csv").channels
 
 
 class TestUsageErrors:
@@ -796,6 +866,39 @@ class TestSimulate:
         assert main(["simulate", manifest, "--method", "homogeneous"]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "NotHomogeneous"
 
+    # f0 = (-5, -5, 10 + 1e-7) leaves 1e-7 at the center node, within
+    # DRIFT_TOL of max|f0| but not in range(P) to 1e-9; its boundary
+    # injections B1 f0 sum to 1e-7, not in range(Br) of the synthesized
+    # network to 1e-9 either
+    def test_initial_flow_rule_by_method(self, tmp_path, wye_file, capsys):
+        write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "f0": [-5.0, -5.0, 10.0 + 1e-7],
+             "solver": {"dt_s": 1e-3, "t_end_s": 0.1}},
+        )
+        assert main(["simulate", manifest, "--method", "dae", "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        for flags in (["reduced"], ["baseline", "--omega0", "9.42", "--gamma", "1.0"]):
+            code, diag = run_one_diagnostic(["simulate", manifest, "--method", *flags], capsys)
+            assert (code, diag["error"]) == (2, "InconsistentInitialCondition")
+
+    # the output directory was made before the run, and a run that failed
+    # left it behind, empty and as deeply nested as --out-dir
+    @pytest.mark.parametrize("method", ["reduced", "dae", "homogeneous", "baseline"])
+    def test_failed_run_leaves_no_output_directory(self, tmp_path, wye_file, capsys, method):
+        write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "f0": [1.0, 0.0, 0.0],
+             "solver": {"dt_s": 1e-3, "t_end_s": 0.1}},
+        )
+        flags = ["--omega0", "9.42", "--gamma", "1.0"] if method == "baseline" else []
+        out_dir = str(tmp_path / "a" / "b")
+        code, _ = run_one_diagnostic(["simulate", manifest, "--method", method, *flags, "--out-dir", out_dir], capsys)
+        assert code == (3 if method == "homogeneous" else 2)
+        assert not (tmp_path / "a").exists()
+
     # numpy's _ArrayMemoryError (a MemoryError) used to end in a traceback
     # with exit 1, for a manifest SolverConfig accepts: a k=15 grid at
     # dt_s 1e-4 and t_end_s 500
@@ -1272,7 +1375,8 @@ def leaves(doc, path=()):
 
 CONTRACT_LEAVES = [(name, path) for name, doc in contract_files().items() for path in leaves(doc)]
 LEAF_VALUES = [0, -1, 0.5, 3, 1e-300, 5e-324, 1e150, 1e160, 1e300, 1e308, -1e308, float("nan"),
-               float("inf"), float("-inf"), True, None, "", "x", "1", [], {}, [1.0]]
+               float("inf"), float("-inf"), True, None, "", "x", "1", "\u03a9", LONE_SURROGATE, [], {}, [1.0],
+               nested(40), nested_object(64)]
 
 
 def contract_commands(root):
@@ -1307,7 +1411,9 @@ class TestCliContract:
     # its message; on 0 stderr is empty (no warning), and every CSV value
     # and JSON number written is finite. The first four examples each used
     # to exit 0 with numpy's overflow warnings on stderr (the model's Bhat
-    # also with NaN in reduced.csv); the others delete a key or add an
+    # also with NaN in reduced.csv); the next two, a lone surrogate as an
+    # edge id (a dae.csv header) and as a file name, ended in a
+    # UnicodeEncodeError traceback; the others delete a key or add an
     # unknown one in each file.
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(mutation=st.tuples(st.sampled_from(CONTRACT_LEAVES), st.sampled_from(LEAF_VALUES)))
@@ -1315,6 +1421,8 @@ class TestCliContract:
     @example(mutation=(("wye.json", ("edges", 0, "l_henry")), 1e308))
     @example(mutation=(("m.json", ("f0", 0)), 1e160))
     @example(mutation=(("model.json", ("Bhat", 0, 0)), 1e308))
+    @example(mutation=(("wye.json", ("edges", 0, "id")), LONE_SURROGATE))
+    @example(mutation=(("m.json", ("network",)), LONE_SURROGATE))
     @example(mutation=(("wye.json", ("edges", 1, "r_ohm")), MISSING))
     @example(mutation=(("wye.json", ("edges", 1, "c_farad")), 1.0))
     @example(mutation=(("exc.json", ("signals", "3", "amplitude_v")), MISSING))

@@ -52,6 +52,7 @@ from kronred.signals import excitation_from_dict
 from kronred.simulate import (
     MAX_STEPS,
     _rk4_lti,
+    _rk4_modal,
     _stage_grid,
     initial_injections,
     simulate_reduced_batch,
@@ -982,6 +983,25 @@ class TestOracleRecurrence:
 class TestModalCore:
     # 500 steps recorded every 7th, so the last sample is an extra row
     CFG = SolverConfig(dt=1e-3, t_end=0.5, record_stride=7)
+
+    @pytest.mark.parametrize("stride", [1, 7, 213])
+    @pytest.mark.parametrize("order, inputs", [(3, 5), (6, 2)], ids=["wide-map", "narrow-map"])
+    def test_core_matches_step_loop(self, rng, stride, order, inputs):
+        # z' = -diag(d) z + Bm v1(t) for two runs, with an input map wider
+        # or narrower than the state, decay rates from 0 to near RK4's bound,
+        # and 200 steps: stride 7 leaves a last interval of 4 steps, and 213
+        # is past the horizon
+        n_steps, dt = 200, 1e-2
+        d = np.concatenate([[0.0], rng.uniform(0.0, 2.7 / dt, order - 1)])
+        Bm = rng.standard_normal((order, inputs))
+        v1 = np.sin(np.outer(np.arange(2 * n_steps + 1) * dt / 2, rng.uniform(0.1, 3.0, inputs)))
+        z0 = rng.standard_normal((order, 2))
+        steps, z = _rk4_modal(d, Bm, v1, z0, dt, n_steps, stride)
+        assert z.shape == (len(steps), order, 2)
+        for r in range(2):
+            ref_steps, ref = rk4_lti_steps(-np.diag(d), v1 @ Bm.T, z0[:, r], dt, n_steps, stride)
+            assert np.array_equal(steps, ref_steps)
+            assert _rel_dev(z[:, :, r], ref) <= 1e-12
 
     def test_matches_dense_recurrence(self, rng):
         for _ in range(10):
