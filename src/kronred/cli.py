@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input/validation error (including an
-unreadable file and a failed allocation), 3 model-applicability error
+unreadable file, a path the file system encoding cannot hold and a
+failed allocation), 3 model-applicability error
 (non-homogeneous network, unphysical synthesized element), 64 usage
 error.
 """
@@ -210,10 +211,6 @@ def cmd_phasor(args):
     }
     if args.v1:
         v1 = [_parse_phasor(s) for s in args.v1]
-        if len(v1) != len(reduced.boundary_nodes):
-            raise InputFormatError(
-                f"need {len(reduced.boundary_nodes)} boundary phasors, got {len(v1)}"
-            )
         i1 = phasor_solve(reduced, v1)
         v0 = recover_interior_phasors(reduced, v1)
         result["i1"] = [
@@ -305,7 +302,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (KronredError, OSError, MemoryError) as exc:
+    except (KronredError, OSError, MemoryError, UnicodeEncodeError) as exc:
+        if isinstance(exc, UnicodeEncodeError):  # a path that the file system encoding cannot hold
+            exc = InputFormatError(f"path {exc.object!r} is not {exc.encoding} text, the file system encoding")
         _diagnostic(exc)
         return getattr(exc, "exit_code", EXIT_INPUT)
 

@@ -19,6 +19,12 @@ grid so runs are deterministic. Two cores carry out the recurrence:
   through the boundary inputs. It shares neither the projection
   machinery nor the modal core (only the RK4 stability rule,
   _rk4_decay_factor), so it stays an independent reference.
+
+simulate_reduced_batch and simulate_homogeneous run through one body,
+_modal_runs, and differ only in (d, Bm, z0) and the map from modal states
+to channels. Every run, the oracle's too, builds its Trajectory through
+one guard, _finite_trajectory: a state or output that overflows ends the
+run in InputFormatError, never in a NaN or inf sample.
 """
 
 from __future__ import annotations
@@ -318,23 +324,36 @@ def simulate_reduced_batch(
         return []
     fhat0 = np.column_stack([embed_initial(model.P, np.asarray(f0, dtype=float)) for f0 in f0s])
     V, W, d = model.modal
-    with np.errstate(over="ignore", invalid="ignore"):  # an inductance near the largest float
+    with np.errstate(over="ignore", invalid="ignore"):  # an inductance or a model file's Bhat near the largest float
         z0 = W @ (model.Lhat @ fhat0)
+        Bm = W @ model.Bhat.T
     if not np.all(np.isfinite(z0)):
         raise InputFormatError("the initial flux Lhat fhat0 of the reduced model overflows")
-    v1 = excitation.evaluate(model.boundary_nodes, _stage_grid(cfg))
-    channels = tuple(f"fhat_{k}" for k in range(model.order)) + tuple(
-        f"i_{n}" for n in model.boundary_nodes
-    )
-    runs = []
-    with np.errstate(over="ignore", invalid="ignore"):  # a model file's Bhat near the largest float
-        steps, z = _rk4_modal(d, W @ model.Bhat.T, v1, z0, cfg.dt, cfg.n_steps, cfg.record_stride)
-        for r in range(fhat0.shape[1]):
-            fhat = z[:, :, r] @ V.T
-            runs.append(Trajectory(steps * cfg.dt, np.hstack([fhat, fhat @ model.Bhat.T]), channels))
-    if not all(np.all(np.isfinite(run.data)) for run in runs):
-        raise InputFormatError("the reduced model's forcing or boundary injections overflow")
-    return runs
+
+    def outputs(z):
+        fhat = z @ V.T
+        return fhat, fhat @ model.Bhat.T
+
+    channels = tuple(f"fhat_{k}" for k in range(model.order)) + tuple(f"i_{n}" for n in model.boundary_nodes)
+    return _modal_runs(excitation, model.boundary_nodes, d, Bm, z0, outputs, channels, cfg)
+
+
+def _modal_runs(excitation, nodes, d, Bm, z0, outputs, channels, cfg):
+    """A Trajectory per column of z0 of z' = -diag(d) z + Bm v1(t), v1 the excitation
+    at nodes: the channel blocks outputs(z) of the run's states z (n_records, order)."""
+    v1 = excitation.evaluate(nodes, _stage_grid(cfg))
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_trajectory rejects what overflows
+        steps, z = _rk4_modal(d, Bm, v1, z0, cfg.dt, cfg.n_steps, cfg.record_stride)
+        return [_finite_trajectory(steps * cfg.dt, outputs(z[:, :, r]), channels) for r in range(z.shape[2])]
+
+
+def _finite_trajectory(times, blocks, channels):
+    """The Trajectory of the channel blocks side by side, the one way out of
+    every run: InputFormatError where a state or an output overflows."""
+    data = np.hstack(blocks)
+    if not np.all(np.isfinite(data)):
+        raise InputFormatError("the run's states or outputs overflow")
+    return Trajectory(times, data, channels)
 
 
 def initial_injections(incidence: IncidenceMatrix, f0) -> np.ndarray:
@@ -384,31 +403,32 @@ def simulate_dae_oracle(
         _rk4_decay_factor(r * linv, cfg.dt)
     except UnstableTimeStepError:
         _rk4_decay_factor(-np.linalg.eigvals(A).real, cfg.dt)
-    steps, f = _rk4_lti(A, B, v1, f0, cfg.dt, cfg.n_steps, cfg.record_stride)
-    # Drift check on the algebraic constraint at each recorded sample and
-    # interior node. A flow that is zero in exact arithmetic (an edge that
-    # dead-ends in interior nodes) is rounding noise of the cancelled
-    # forcing, which resistance does not damp (B0 f is a neutral mode):
-    # a few ulps of f0 plus of the current the drive can ramp up over
-    # t_end in the edges at that node. Drift below that floor is not drift.
-    drift = np.abs(f @ B0.T)
-    scale = np.max(np.abs(f), axis=1)
-    ramp = 2.0 * cfg.t_end * np.max(np.abs(v1), initial=0.0) * (np.abs(B0) @ linv)
-    floor = 16.0 * np.finfo(float).eps * (np.max(np.abs(f0), initial=0.0) + ramp)
-    bad = np.any((drift > DRIFT_TOL * scale[:, None]) & (drift > floor), axis=1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ConstraintDriftError(
-            f"constraint drift {np.max(drift[i]):.3e} at t={steps[i] * cfg.dt:.6g} s"
-        )
-    i1 = f @ B1.T
-    v0 = f @ G.T + v1[2 * steps] @ H.T
     channels = (
         tuple(f"f_{e}" for e in incidence.edge_ids)
         + tuple(f"i_{n}" for n in incidence.boundary_nodes)
         + tuple(f"v0_{n}" for n in incidence.interior_nodes)
     )
-    return Trajectory(steps * cfg.dt, np.hstack([f, i1, v0]), channels)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite_trajectory rejects what overflows
+        steps, f = _rk4_lti(A, B, v1, f0, cfg.dt, cfg.n_steps, cfg.record_stride)
+        # Drift check on the algebraic constraint at each recorded sample and
+        # interior node. A flow that is zero in exact arithmetic (an edge that
+        # dead-ends in interior nodes) is rounding noise of the cancelled
+        # forcing, which resistance does not damp (B0 f is a neutral mode):
+        # a few ulps of f0 plus of the current the drive can ramp up over
+        # t_end in the edges at that node. Drift below that floor is not drift.
+        drift = np.abs(f @ B0.T)
+        scale = np.max(np.abs(f), axis=1)
+        ulps = 16.0 * np.finfo(float).eps  # taken first, so a drive near the largest float leaves the floor finite
+        ramp = 2.0 * ulps * cfg.t_end * np.max(np.abs(v1), initial=0.0) * (np.abs(B0) @ linv)
+        floor = ulps * np.max(np.abs(f0), initial=0.0) + ramp
+        bad = np.any((drift > DRIFT_TOL * scale[:, None]) & (drift > floor), axis=1)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ConstraintDriftError(
+                f"constraint drift {np.max(drift[i]):.3e} at t={steps[i] * cfg.dt:.6g} s"
+            )
+        v0 = f @ G.T + v1[2 * steps] @ H.T
+        return _finite_trajectory(steps * cfg.dt, (f, f @ B1.T, v0), channels)
 
 
 def simulate_homogeneous(
@@ -416,12 +436,9 @@ def simulate_homogeneous(
 ) -> Trajectory:
     """Integrate di1/dt = -alpha i1 + Lred v1 from the initial injections."""
     i1_0 = np.asarray(i1_0, dtype=float)
-    v1 = excitation.evaluate(model.boundary_nodes, _stage_grid(cfg))
-    steps, i1 = _rk4_modal(
-        np.full(i1_0.size, model.alpha), model.Lred, v1, i1_0[:, None], cfg.dt, cfg.n_steps, cfg.record_stride
-    )
     channels = tuple(f"i_{n}" for n in model.boundary_nodes)
-    return Trajectory(steps * cfg.dt, i1[:, :, 0], channels)
+    return _modal_runs(excitation, model.boundary_nodes, np.full(i1_0.size, model.alpha), model.Lred,
+                       i1_0[:, None], lambda i1: (i1,), channels, cfg)[0]
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

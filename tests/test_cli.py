@@ -348,6 +348,42 @@ class TestText:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert "i_\u03a9" in trajectory_from_csv(tmp_path / "out" / f"{method}.csv").channels
 
+    # Under an ASCII locale a manifest path that is not ASCII ended in a
+    # UnicodeEncodeError traceback (exit 1) where the file was opened
+    @pytest.mark.parametrize("key, path", [("network", "\u03a9.json"), ("out_dir", "out\u03a9")])
+    def test_non_ascii_manifest_path_under_an_ascii_locale(self, tmp_path, key, path):
+        proc = run_ascii_locale(tmp_path, ["simulate", "m.json", "--method", "dae"], **{key: path})
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr) == {
+            "error": "InputFormat", "message": f"path {path!r} is not ascii text, the file system encoding",
+        }
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    # a command-line path is the bytes it was given, so it needs no encoding
+    @pytest.mark.parametrize("argv, written", [
+        (["simulate", "m.json", "--method", "dae", "--out-dir", "\u03a9"], "\u03a9/dae.csv"),
+        (["reduce", "wye.json", "--out", "\u03a9.json"], "\u03a9.json"),
+    ])
+    def test_non_ascii_argument_path_under_an_ascii_locale(self, tmp_path, argv, written):
+        proc = run_ascii_locale(tmp_path, argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / written).exists()
+
+
+def run_ascii_locale(tmp_path, argv, **manifest):
+    """Run the CLI with argv in tmp_path under an ASCII locale, after
+    writing there the wye as wye.json and \u03a9.json, its excitation and
+    a manifest m.json with the given keys."""
+    for name in ("wye.json", "\u03a9.json"):
+        (tmp_path / name).write_text(json.dumps(wye_dict()), encoding="utf-8")
+    write_json(tmp_path / "exc.json", sinusoid_excitation_dict())
+    write_json(tmp_path / "m.json", {"network": "wye.json", "excitation": "exc.json",
+                                     "solver": {"dt_s": 1e-3, "t_end_s": 0.01}, **manifest})
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONUTF8="0", LC_ALL="C")
+    return subprocess.run([sys.executable, "-m", "kronred.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
 
 class TestUsageErrors:
     def test_no_command(self):
@@ -690,6 +726,36 @@ class TestSimulate:
         assert code == 2
         assert diag == {"error": "InputFormat", "message": "the initial flux Lhat fhat0 of the reduced model overflows"}
         assert not list(tmp_path.glob("**/*.csv"))
+
+    # A lossless wye under a constant 1e307 V overflows its currents by
+    # t = 100 s. reduced and baseline exited 2, while homogeneous and dae
+    # printed RuntimeWarnings and wrote NaN rows with exit 0.
+    @pytest.mark.parametrize("method", ["reduced", "dae", "homogeneous", "baseline"])
+    def test_overflowing_run_exits_2(self, tmp_path, capsys, method):
+        write_json(tmp_path / "wye.json", wye_dict(r=(0.0, 0.0, 0.0)))
+        write_json(tmp_path / "exc.json", {"signals": {"1": {"type": "constant", "value_v": 1e307}}})
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "solver": {"dt_s": 0.01, "t_end_s": 100}},
+        )
+        flags = ["--omega0", "9.42", "--gamma", "1"] if method == "baseline" else []
+        code, diag = run_one_diagnostic(["simulate", manifest, "--method", method, *flags], capsys)
+        assert code == 2
+        assert diag == {"error": "InputFormat", "message": "the run's states or outputs overflow"}
+        assert not list(tmp_path.glob("**/*.csv"))
+
+    # 2 t_end max|v1| overflowed in the oracle's drift floor: the run printed
+    # RuntimeWarnings with exit 0, and the drift check was off
+    def test_drive_near_the_largest_float_runs_quietly(self, tmp_path, capsys):
+        write_json(tmp_path / "wye.json", wye_dict())
+        write_json(tmp_path / "exc.json", {"signals": {"1": {"type": "constant", "value_v": 1e308}}})
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "solver": {"dt_s": 1e-3, "t_end_s": 10}},
+        )
+        assert main(["simulate", manifest, "--method", "dae", "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.all(np.isfinite(trajectory_from_csv(tmp_path / "out" / "dae.csv").data))
 
     def test_model_for_another_network_exits_2(self, manifest_file, tmp_path, capsys):
         # used to end in LinAlgError: Incompatible dimensions, exit 1
@@ -1163,6 +1229,12 @@ class TestPhasor:
 
     def test_wrong_phasor_count_exits_2(self, wye_file, capsys):
         assert main(["phasor", wye_file, "--omega", "1.0", "--v1", "120@0"]) == 2
+
+    def test_wrong_phasor_count_prints_one_line(self, wye_file, capsys):
+        code, diag = run_one_diagnostic(["phasor", wye_file, "--omega", "1.0", "--v1", "120@0"], capsys)
+        assert code == 2
+        assert diag == {"error": "DimensionMismatch", "message": "expected 3 boundary phasors, got 1"}
+        assert capsys.readouterr().out == ""
 
     # each used to exit 0 with NaN or Infinity, which are not JSON, in stdout
     @pytest.mark.parametrize("phasor", ["1@nan", "inf@0", "nan@0"])

@@ -1116,6 +1116,41 @@ class TestModalCore:
             simulate_reduced(reduce(wye), zero_excitation(), [-5.0, -5.0, 10.0], self.CFG)
 
 
+class TestRunGuard:
+    # A lossless wye whose currents a constant 1e307 V overflows by t = 100 s.
+    # simulate_homogeneous and simulate_dae_oracle returned NaN rows, with
+    # RuntimeWarnings, which pytest turns into errors.
+    LOSSLESS = make_wye(r=(0.0, 0.0, 0.0))
+    HUGE = Excitation({"1": Constant(1e307)})
+    CFG = SolverConfig(dt=0.01, t_end=100.0)
+
+    def test_homogeneous_overflow_raises(self):
+        with pytest.raises(InputFormatError, match="overflow"):
+            simulate_homogeneous(homogeneous_reduce(self.LOSSLESS), self.HUGE, [0.0, 0.0, 0.0], self.CFG)
+
+    def test_oracle_overflow_raises(self):
+        with pytest.raises(InputFormatError, match="overflow"):
+            simulate_dae_oracle(self.LOSSLESS, self.HUGE, [0.0, 0.0, 0.0], self.CFG)
+
+    def test_every_run_leaves_by_the_guard(self, monkeypatch):
+        guarded, guard = [], simulate_module._finite_trajectory
+
+        def recording(*args):
+            guarded.append(guard(*args))
+            return guarded[-1]
+
+        monkeypatch.setattr(simulate_module, "_finite_trajectory", recording)
+        net, f0, cfg = make_balanced_wye(), [-5.0, -5.0, 10.0], SolverConfig(dt=1e-3, t_end=0.01)
+        exc = Excitation({"1": Sinusoid(5.0, 1.0, 0.0)})
+        runs = [
+            simulate_reduced(reduce(net), exc, f0, cfg),
+            *simulate_reduced_batch(reduce(net), exc, [f0, [1.0, -1.0, 0.0]], cfg),
+            simulate_dae_oracle(net, exc, f0, cfg),
+            simulate_homogeneous(homogeneous_reduce(net), exc, [-5.0, -5.0, 10.0], cfg),
+        ]
+        assert len(guarded) == len(runs) and all(a is b for a, b in zip(runs, guarded))
+
+
 def test_import_does_not_load_scipy_signal():
     # scipy.signal takes about as long to import as kronred itself
     src = str(Path(kronred.__file__).resolve().parents[1])
