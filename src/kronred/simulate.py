@@ -2,29 +2,39 @@
 
 Every run is fixed-step classical RK4 on a linear time-invariant system
 y' = A y + B u(t), with the inputs pre-evaluated on the half-step stage
-grid so runs are deterministic. Two cores carry out the recurrence:
+grid so runs are deterministic. Both cores step from record to record:
+_pieces cuts each record interval into pieces of at most
+RECORD_BLOCK_STEPS steps. The chain carries w, the state less the
+forcing of the stage point it stands on, so a piece of l steps is
+w <- M^l w + z, and its forced part z is one kernel over its first 2l
+stage inputs. The forced parts of all pieces of one length are then one
+matrix product with a strided view of the stage inputs (_stage_rows);
+only the chain over pieces is a loop. Two cores carry out the
+recurrence:
 
 * _rk4_modal — decoupled scalar modes z' = -diag(d) z + Bm v1(t), each
-  integrated over the whole horizon by one banded LAPACK solve. A
-  validated reduced pencil is symmetric-definite, so one congruence, the
-  model's own ReducedModel.modal (V, W, d), brings simulate_reduced to
-  this form with Bm = W Bhat^T; a modal model, a model without interior
-  nodes (the baseline sweep's synthesized network) and
-  simulate_homogeneous (Bm = Lred) are diagonal already.
+  chained over the pieces by one banded LAPACK solve. A validated
+  reduced pencil is symmetric-definite, so one congruence, the model's
+  own ReducedModel.modal (V, W, d), brings simulate_reduced to this form
+  with Bm = W Bhat^T; a modal model, a model without interior nodes (the
+  baseline sweep's synthesized network) and simulate_homogeneous
+  (Bm = Lred) are diagonal already.
 * _rk4_lti — the dense RK4 map, used only by simulate_dae_oracle: the
   full constrained model, converted to an ODE by solving for interior
-  voltages at every stage (index-1 reduction). It steps from record to
-  record: one power of the step map per record interval, with the
-  forced parts of all intervals stepped together and the forcing taken
-  through the boundary inputs. It shares neither the projection
-  machinery nor the modal core (only the RK4 stability rule,
-  _rk4_decay_factor), so it stays an independent reference.
+  voltages at every stage (index-1 reduction). Its kernel is built by
+  dense products with the step map, and its chain is one matrix-vector
+  product per piece. It shares neither the projection machinery nor the
+  modal core (only the RK4 stability rule, _rk4_decay_factor, and the
+  indexing of _record_steps, _pieces and _stage_rows), so it stays an
+  independent reference.
 
 simulate_reduced_batch and simulate_homogeneous run through one body,
 _modal_runs, and differ only in (d, Bm, z0) and the map from modal states
-to channels. Every run, the oracle's too, builds its Trajectory through
-one guard, _finite_trajectory: a state or output that overflows ends the
-run in InputFormatError, never in a NaN or inf sample.
+to channels. Every run, the oracle's too, is checked against
+MAX_RUN_BYTES before its excitation is sampled (_check_run_size), and
+builds its Trajectory through one guard, _finite_trajectory: a state or
+output that overflows ends the run in InputFormatError, never in a NaN
+or inf sample.
 """
 
 from __future__ import annotations
@@ -65,6 +75,21 @@ GRID_RTOL = 1e-9
 # Most RK4 steps one run may take: 100 times the paper experiment's 1e5.
 # The stage grid and the sampled excitation are sized 2 * n_steps + 1.
 MAX_STEPS = 10_000_000
+
+# Most bytes a run may hold in the arrays that grow with its horizon: the
+# stage grid, the stage inputs, the forced parts of its pieces and its
+# records (_check_run_size). A 1e6-step run of the 15 x 15 benchmark grid
+# at record stride 1000 holds about 0.26 GiB.
+MAX_RUN_BYTES = 2**30
+
+# Most steps in one piece of a record interval (_pieces). Both RK4 cores
+# hold a kernel of 2 * RECORD_BLOCK_STEPS stage points per input and state,
+# and the oracle builds its kernel by that many dense products. On the
+# 15 x 15 grid (one BLAS thread, 2-core VM), at 32, 64 and 128 the oracle
+# took 0.057, 0.071 and 0.092 s for 1e4 steps at stride 1000, and the
+# reduced model 0.084, 0.077 and 0.073 s for 1e5 steps at stride 1e5.
+# Shorter pieces leave the oracle more steady-state bias, eps / (l dt d).
+RECORD_BLOCK_STEPS = 64
 
 # Values per formatted CSV block; bigger blocks are no faster but hold more memory.
 CSV_BLOCK_VALUES = 1024
@@ -135,11 +160,57 @@ class Trajectory:
 
 
 def _record_steps(n_steps, record_stride):
-    """Steps 0, stride, 2*stride, ... plus the final step n_steps."""
-    steps = list(range(0, n_steps + 1, record_stride))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return steps
+    """Steps 0, stride, 2*stride, ... plus the final step n_steps, as int64."""
+    steps = np.arange(0, n_steps + 1, record_stride, dtype=np.int64)
+    return steps if steps[-1] == n_steps else np.append(steps, n_steps)
+
+
+def _pieces(n_steps, record_stride, last_block=RECORD_BLOCK_STEPS):
+    """The horizon cut into the pieces both RK4 cores step at once.
+
+    Each full record interval is cut into blocks of RECORD_BLOCK_STEPS
+    steps and one shorter block for what remains; a last interval
+    shorter than record_stride is cut likewise into blocks of at most
+    last_block steps. Returns (lengths, runs, ends):
+    * lengths[p], the steps of piece p, the pieces in time order;
+    * runs, tuples (length, start, count, period, pieces): count pieces
+      of that length, from steps start, start + period, ..., which are
+      lengths[pieces] (a slice). Every piece is in exactly one run;
+    * ends[i], the piece that ends at record i + 1 of _record_steps.
+    """
+    full = n_steps // record_stride
+    runs, ends, p = [], [], 0
+    for start, reps, span, block in ((0, full, record_stride, RECORD_BLOCK_STEPS),
+                                     (full * record_stride, 1, n_steps - full * record_stride, last_block)):
+        if not (reps and span):
+            continue
+        blocks, rest = divmod(span, block)
+        per = blocks + (rest > 0)
+        if not rest:  # the blocks tile every interval: one run
+            runs.append((block, start, reps * blocks, block, slice(p, p + reps * per)))
+        elif blocks > reps:  # a run per interval, each of that interval's blocks
+            runs += [(block, start + r * span, blocks, block, slice(p + r * per, p + r * per + blocks))
+                     for r in range(reps)]
+        else:  # a run per block position, across the intervals
+            runs += [(block, start + i * block, reps, span, slice(p + i, p + reps * per, per))
+                     for i in range(blocks)]
+        if rest:
+            runs.append((rest, start + blocks * block, reps, span, slice(p + blocks, p + reps * per, per)))
+        ends.append(p + per * np.arange(1, reps + 1) - 1)
+        p += reps * per
+    lengths = np.empty(p, dtype=np.int64)
+    for length, _, _, _, pieces in runs:
+        lengths[pieces] = length
+    return lengths, runs, np.concatenate(ends)
+
+
+def _stage_rows(v1, start, count, period, points):
+    """count rows of `points` consecutive stage points of the C-ordered v1,
+    from stage points start, start + period, ...: a read-only
+    (count, points * inputs) view, no copy."""
+    return np.lib.stride_tricks.as_strided(
+        v1[start:], (count, points * v1.shape[1]), (period * v1.strides[0], v1.strides[1]), writeable=False
+    )
 
 
 def _rk4_lti(A, B, u, y0, dt, n_steps, record_stride):
@@ -149,55 +220,84 @@ def _rk4_lti(A, B, u, y0, dt, n_steps, record_stride):
     (2*n_steps + 1, inputs). Returns (record_steps, states) where
     states[i] is y at step record_steps[i].
 
-    The system is LTI, so one RK4 step is y <- M y + g_n, and the step
-    forcing g_n = F0 B u_2n + Fm B u_2n+1 + F1 B u_2n+2 is taken through
-    the input width. With s = record_stride, each of the R = n_steps // s
-    full record intervals is y <- M^s y + z_r. The forced parts z_r of all
-    intervals are stepped together, s - 1 products of (R x dim)(dim x dim),
-    and only the chain over intervals is a loop. A last interval shorter
-    than s is stepped one step at a time. This is the discrete map of
-    stepping every step, up to rounding.
+    The system is LTI, so one RK4 step is y <- M y + g_n, with the step
+    forcing g_n = F0 B u_2n + Fm B u_2n+1 + F1 B u_2n+2 taken through the
+    input width. The run steps from piece to piece (_pieces). It carries
+    w = y - F1 B u(t), the state less the forcing of the stage point it
+    stands on, so a piece of l steps is w <- M^l w + z, and its forced
+    part z is one kernel over the piece's first 2l stage points: step j's
+    blocks (F0 + F1 M) B and Fm B, times M^(l-1-j). The longest piece's
+    kernel is built by l - 1 products of (2 inputs x dim)(dim x dim),
+    and a shorter piece's is its tail. The forced parts of the pieces of
+    one run are then one product of that kernel with a strided view of
+    u, and only the chain over pieces is a loop. A last interval shorter
+    than the record stride is stepped one step at a time, with M itself:
+    a power of the step map costs about log2(l) (dim x dim) products,
+    more than stepping a few thousand steps once. This is the discrete
+    map of stepping every step, up to rounding.
 
-    M^s is I plus M^s - I powered from N = M - I (_step_power). M, rounded
+    M^l is I plus M^l - I powered from N = M - I (_step_power). M, rounded
     to the grid of I, is off by up to eps / (dt d) relative in 1 - m for a
-    mode decaying at rate d, and powering M would keep that error in 1 - m^s:
-    a steady-state bias. Rounding I + (M^s - I) once errs by eps / (s dt d).
+    mode decaying at rate d, and powering M would keep that error in 1 - m^l:
+    a steady-state bias. Rounding I + (M^l - I) once errs by eps / (l dt d).
     """
-    y = np.asarray(y0, dtype=float).copy()
     record_steps = _record_steps(n_steps, record_stride)
-    out = np.empty((len(record_steps), y.size))
-    out[0] = y
-    I = np.eye(y.size)
+    u = np.ascontiguousarray(u, dtype=float)
+    N, G = _rk4_step_map(A, B, dt)
+    F1B = G[2 * B.shape[1]:]
+    lengths, runs, ends = _pieces(n_steps, record_stride, last_block=1)
+    z = _lti_forced_parts(N, G, u, runs, lengths.size)
+    I = np.eye(N.shape[0])
+    maps = {length: (I + (N if length == 1 else _step_power(N, length))).dot for length in {run[0] for run in runs}}
+    out = np.empty((record_steps.size, N.shape[0]))
+    out[0] = y0
+    w = out[0] - u[0] @ F1B
+    p = 0
+    for i, end in enumerate(ends, 1):
+        for length in lengths[p:end + 1].tolist():
+            w = maps[length](w) + z[p]
+            p += 1
+        out[i] = w
+    out[1:] += u[2 * record_steps[1:]] @ F1B
+    return record_steps, out
+
+
+def _rk4_step_map(A, B, dt):
+    """(N, G) of one RK4 step y <- (I + N) y + g_n of y' = A y + B u(t),
+    with g_n = [u_2n, u_2n+1, u_2n+2] G and G = [F0 B | Fm B | F1 B]^T.
+    A function of its own, so that its dim x dim temporaries are freed
+    before _rk4_lti builds its kernel and powers."""
     h6 = dt / 6.0
     A1 = dt * A
     A2 = A1 @ A1
-    N = A1 + A2 / 2.0 + (A2 @ A1) / 6.0 + (A2 @ A2) / 24.0   # M - I
-    M = I + N
-    F0 = h6 * (I + A1 + A2 / 2.0 + (A1 @ A2) / 4.0)
-    Fm = h6 * (4.0 * I + 2.0 * A1 + A2 / 2.0)
-    G = np.vstack([(F0 @ B).T, (Fm @ B).T, h6 * B.T])
+    N = A1 + A2 / 2.0 + (A2 @ A1) / 6.0 + (A2 @ A2) / 24.0
+    B1, B2 = A1 @ B, A2 @ B
+    G = np.vstack([(B + B1 + B2 / 2.0 + (A1 @ B2) / 4.0).T, (4.0 * B + 2.0 * B1 + B2 / 2.0).T, B.T])
+    return N, h6 * G
 
-    def forcing(n):
-        """Rows g_n for the step indices n."""
-        return np.hstack([u[2 * n], u[2 * n + 1], u[2 * n + 2]]) @ G
 
-    s = record_stride
-    R = n_steps // s
-    if R:  # a stride past the horizon leaves no full interval
-        first = s * np.arange(R)
-        z = forcing(first)
-        for j in range(1, s):
-            z = z @ M.T
-            z += forcing(first + j)
-        Ms = (I + _step_power(N, s)).dot
-        for r in range(R):
-            y = Ms(y) + z[r]
-            out[r + 1] = y
-    if R * s < n_steps:
-        for g in forcing(np.arange(R * s, n_steps)):
-            y = M.dot(y) + g
-        out[-1] = y
-    return np.asarray(record_steps), out
+def _lti_forced_parts(N, G, u, runs, n_pieces):
+    """The forced parts z[p] of _rk4_lti's pieces, the runs of _pieces.
+
+    kernel[i] holds the blocks of stage points 2i and 2i + 1 of a piece
+    of the longest length: (F0 + F1 M) B and Fm B, transposed, times
+    (M^T)^q for the q = longest - 1 - i steps after step i.
+    """
+    nb = G.shape[0] // 3
+    longest = max(run[0] for run in runs)
+    Mt = (N + np.eye(N.shape[0])).T
+    kernel = np.empty((longest, 2 * nb, N.shape[0]))
+    X = np.vstack([G[:nb] + G[2 * nb:] @ Mt, G[nb:2 * nb]])
+    for q in range(longest):
+        kernel[-1 - q] = X
+        if q + 1 < longest:
+            X = X @ Mt
+    kernel = kernel.reshape(2 * longest * nb, N.shape[0])
+    z = np.empty((n_pieces, N.shape[0]))
+    for length, start, count, period, pieces in runs:
+        np.matmul(_stage_rows(u, 2 * start, count, 2 * period, 2 * length), kernel[2 * nb * (longest - length):],
+                  out=z[pieces])
+    return z
 
 
 def _step_power(N, s):
@@ -221,50 +321,78 @@ def _rk4_modal(d, Bm, v1, z0, dt, n_steps, record_stride):
     inputs), and Bm maps them onto the modes, shape (order, inputs). z0 has
     shape (order, runs), the runs sharing d and the forcing. One RK4 step
     of mode k is z <- m_k z + g_n, the diagonal of _rk4_lti's recurrence,
-    and the step forcing of every mode and step is one product through
-    the input width: [c0 Bm | cm Bm | h6 Bm] [v1_2n; v1_2n+1; v1_2n+2].
-    Over the whole horizon mode k is the unit lower-bidiagonal system
-    z_{n+1} - m_k z_n = g_n, solved per mode and run by LAPACK dtbtrs.
-    Only the recorded steps are kept. Returns (record_steps, states) with
-    states shaped (n_records, order, runs). Raises UnstableTimeStepError
-    when a decaying mode is past RK4's real-axis stability bound.
+    with g_n = [c0 Bm | cm Bm | h6 Bm] [v1_2n; v1_2n+1; v1_2n+2]. As in
+    _rk4_lti the run steps from piece to piece (_pieces) and carries
+    w = z - h6 Bm v1(t), so a piece of l steps is w <- m^l w + f, and its
+    forced part f is one kernel, diag(m^(l-1-j)) applied to step j's
+    [(c0 + h6 m) Bm | cm Bm], over the piece's first 2l stage points. The
+    forced parts of the pieces of one run are one product of that kernel
+    with a strided view of v1, so no array as long as the horizon is
+    formed but v1. Over the pieces mode k is the unit lower-bidiagonal
+    system x_p - m_k^(l_p) x_(p-1) = f_p, solved per mode and run by
+    LAPACK dtbtrs, and the pieces that end a record are kept. Returns
+    (record_steps, states) with states shaped (n_records, order, runs).
+    Raises UnstableTimeStepError when a decaying mode is past RK4's
+    real-axis stability bound.
     """
     d = np.asarray(d, dtype=float)
     a = -dt * d
-    # m = 1 + p is rounded to the grid of 1, a relative error of up to
-    # eps / (dt d) in 1 - m that the recurrence turns into a steady-state
-    # bias. m_lo is that rounding error (TwoSum), fed back by a second
-    # solve below.
     m, p = _rk4_decay_factor(d, dt)
-    p_part = m - 1.0
-    m_lo = (1.0 - (m - p_part)) + (p - p_part)
     h6 = dt / 6.0
     c0 = h6 * (1.0 + a + a**2 / 2.0 + a**3 / 4.0)
     cm = h6 * (4.0 + 2.0 * a + a**2 / 2.0)
-    G = np.hstack([c0[:, None] * Bm, cm[:, None] * Bm, h6 * Bm])
-    g = G @ np.hstack([v1[0:-1:2], v1[1::2], v1[2::2]]).T   # (order, n_steps)
-    z0 = np.asarray(z0, dtype=float)
-    record_steps = np.asarray(_record_steps(n_steps, record_stride))
-    rows = record_steps[1:] - 1          # x[j] is z at step j + 1
-    out = np.empty((len(record_steps),) + z0.shape)
+    v1 = np.ascontiguousarray(v1, dtype=float)
+    record_steps = _record_steps(n_steps, record_stride)
+    lengths, runs, ends = _pieces(n_steps, record_stride)
+    longest = max(run[0] for run in runs)
+    log_power = np.multiply.outer(np.log1p(p), np.arange(longest + 1))
+    # kernel[:, i] weighs stage points 2i and 2i + 1 of a piece of the
+    # longest length: (c0 + h6 m) m^q and cm m^q for the q = longest - 1 - i
+    # steps after step i. A shorter piece's kernel is the tail.
+    power = np.exp(log_power[:, longest - 1::-1])
+    coef = np.stack([(c0 + h6 * m)[:, None] * power, cm[:, None] * power], axis=2)
+    nb = Bm.shape[1]
+    kernel = (coef[:, :, :, None] * Bm[:, None, None, :]).reshape(d.size, 2 * longest * nb)
+    forced = np.empty((d.size, lengths.size))
+    for length, start, count, period, pieces in runs:
+        body = _stage_rows(v1, 2 * start, count, 2 * period, 2 * length)
+        np.matmul(kernel[:, 2 * nb * (longest - length):], body.T, out=forced[:, pieces])
+    # m^l = 1 + e, for l up to longest, is rounded to the grid of 1, a
+    # relative error of up to eps / (l dt d) in 1 - m^l that the recurrence
+    # turns into a steady-state bias. m_lo is that rounding error (TwoSum),
+    # fed back by a second solve below.
+    e = np.expm1(log_power)
+    m_l = 1.0 + e
+    e_part = m_l - 1.0
+    m_lo = (1.0 - (m_l - e_part)) + (e - e_part)
+    w0 = np.asarray(z0, dtype=float) - h6 * (Bm @ v1[0])[:, None]
+    shift = (h6 * Bm) @ v1[2 * record_steps[1:]].T   # z - w at each record
+    out = np.empty((record_steps.size,) + w0.shape)
     out[0] = z0
-    ab = np.ones((2, n_steps))           # row 0, the unit diagonal, is not read
-    x = np.empty((n_steps, 1), order="F")
-    dx = np.empty((n_steps, 1), order="F")
+    # band[1, p] is -m^l of piece p and lo[p] its m_lo, for mode k. The
+    # banded matrix is band's columns from 1 on: row 0, the unit diagonal,
+    # is not read, and row 1 holds the subdiagonal. Fortran order, so
+    # dtbtrs takes it without a copy.
+    band = np.ones((2, lengths.size + 1), order="F")
+    ab = band[:, 1:]
+    lo = np.empty(lengths.size)
+    x = np.empty((lengths.size, 1), order="F")
+    dx = np.empty((lengths.size, 1), order="F")
     # Runs are solved one column at a time: dtbtrs treats its columns
     # one by one anyway, and single columns keep the buffers small.
     for k in range(d.size):
-        ab[1] = -m[k]
-        for r, zk0 in enumerate(z0[k]):
-            x[:, 0] = g[k]
-            x[0] += m[k] * zk0
+        for length, _, _, _, pieces in runs:
+            band[1, pieces], lo[pieces] = -m_l[k, length], m_lo[k, length]
+        for r, wk0 in enumerate(w0[k]):
+            x[:, 0] = forced[k]
+            x[0] -= band[1, 0] * wk0
             _unit_bidiagonal_solve(ab, x)
-            # x + dx solves the recurrence with the unrounded m, up to m_lo * dx.
-            dx[0] = m_lo[k] * zk0
-            np.multiply(x[:-1], m_lo[k], out=dx[1:])
+            # x + dx solves the recurrence with the unrounded m^l, up to m_lo * dx.
+            dx[0] = lo[0] * wk0
+            np.multiply(x[:-1, 0], lo[1:], out=dx[1:, 0])
             _unit_bidiagonal_solve(ab, dx)
             x += dx
-            out[1:, k, r] = x[rows, 0]
+            np.add(x[ends, 0], shift[k], out=out[1:, k, r])
     return record_steps, out
 
 
@@ -341,10 +469,29 @@ def simulate_reduced_batch(
 def _modal_runs(excitation, nodes, d, Bm, z0, outputs, channels, cfg):
     """A Trajectory per column of z0 of z' = -diag(d) z + Bm v1(t), v1 the excitation
     at nodes: the channel blocks outputs(z) of the run's states z (n_records, order)."""
+    _check_run_size(cfg, len(nodes), d.size, len(channels) * z0.shape[1])
     v1 = excitation.evaluate(nodes, _stage_grid(cfg))
     with np.errstate(over="ignore", invalid="ignore"):  # _finite_trajectory rejects what overflows
         steps, z = _rk4_modal(d, Bm, v1, z0, cfg.dt, cfg.n_steps, cfg.record_stride)
         return [_finite_trajectory(steps * cfg.dt, outputs(z[:, :, r]), channels) for r in range(z.shape[2])]
+
+
+def _check_run_size(cfg, inputs, dim, channels, last_block=RECORD_BLOCK_STEPS):
+    """SolverConfigError where the arrays of a run that grow with its
+    horizon would hold more than MAX_RUN_BYTES: the stage grid and the
+    stage inputs, 2 n_steps + 1 rows of 1 + inputs values; the forced
+    parts of the pieces (_pieces with last_block), dim values each; and
+    the records, channels values each (all runs' together). Worked out
+    from cfg alone, before any of them is built."""
+    full, rest = divmod(cfg.n_steps, cfg.record_stride)
+    pieces = full * -(-cfg.record_stride // RECORD_BLOCK_STEPS) + -(-rest // last_block)
+    records = full + 1 + (rest > 0)
+    size = 8 * ((2 * cfg.n_steps + 1) * (1 + inputs) + pieces * dim + records * channels)
+    if size > MAX_RUN_BYTES:
+        raise SolverConfigError(
+            f"{cfg.n_steps} steps recorded every {cfg.record_stride} need {size / 2**30:.3g} GiB"
+            f" of stage inputs, forced parts and records, above the limit of {MAX_RUN_BYTES / 2**30:g} GiB"
+        )
 
 
 def _finite_trajectory(times, blocks, channels):
@@ -392,6 +539,12 @@ def simulate_dae_oracle(
     B0 = incidence.b0.toarray()  # the oracle keeps its own dense algebra
     B1 = incidence.b1.toarray()
     linv = 1.0 / l
+    channels = (
+        tuple(f"f_{e}" for e in incidence.edge_ids)
+        + tuple(f"i_{n}" for n in incidence.boundary_nodes)
+        + tuple(f"v0_{n}" for n in incidence.interior_nodes)
+    )
+    _check_run_size(cfg, len(incidence.boundary_nodes), r.size, len(channels), last_block=1)
     v1 = excitation.evaluate(incidence.boundary_nodes, _stage_grid(cfg))
     B0L = B0 * linv[None, :]
     chol = cho_factor(B0L @ B0.T)
@@ -403,11 +556,6 @@ def simulate_dae_oracle(
         _rk4_decay_factor(r * linv, cfg.dt)
     except UnstableTimeStepError:
         _rk4_decay_factor(-np.linalg.eigvals(A).real, cfg.dt)
-    channels = (
-        tuple(f"f_{e}" for e in incidence.edge_ids)
-        + tuple(f"i_{n}" for n in incidence.boundary_nodes)
-        + tuple(f"v0_{n}" for n in incidence.interior_nodes)
-    )
     with np.errstate(over="ignore", invalid="ignore"):  # _finite_trajectory rejects what overflows
         steps, f = _rk4_lti(A, B, v1, f0, cfg.dt, cfg.n_steps, cfg.record_stride)
         # Drift check on the algebraic constraint at each recorded sample and

@@ -1390,6 +1390,25 @@ class TestPaperExperiment:
         assert diag["error"] == "SolverConfig" and "above the limit" in diag["message"]
         assert not (tmp_path / "exp").exists()
 
+    # 1e7 steps recorded at every step: within MAX_STEPS, but about 1.3 GiB
+    # of stage inputs, forced parts and records for the reduced run alone
+    def test_run_past_the_size_limit_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("excitation sampled")
+
+        monkeypatch.setattr(simulate, "_stage_grid", refuse)
+        monkeypatch.setattr(simulate.Excitation, "evaluate", refuse)
+        code = main(["paper-experiment", "--which", "sinusoid", "--t-end", "1000", "--record-stride", "1",
+                     "--out-dir", str(tmp_path / "exp")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "SolverConfig" and "above the limit" in diag["message"]
+        assert not (tmp_path / "exp").exists()
+
     def test_non_integer_seed_variable_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KRONRED_SEED", "abc")
         code = main(["paper-experiment", "--which", "step", "--out-dir", str(tmp_path / "exp")])

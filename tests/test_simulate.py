@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -51,6 +52,8 @@ from kronred.reduction import homogeneous_reduce
 from kronred.signals import excitation_from_dict
 from kronred.simulate import (
     MAX_STEPS,
+    RECORD_BLOCK_STEPS,
+    _record_steps,
     _rk4_lti,
     _rk4_modal,
     _stage_grid,
@@ -926,16 +929,39 @@ def _rel_dev(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
+# (n_steps, record_stride) for the cores against the step loop. 200 steps
+# at stride 7 leave a last interval of 4 steps, and a stride past the
+# horizon none. Past RECORD_BLOCK_STEPS (Q) an interval is cut into blocks
+# of Q and a shorter block: stride 2Q + 5 gives three intervals of two
+# blocks and 5 steps each, and a last interval of a block and 9 steps;
+# stride 3Q is three whole blocks, and its last interval 40 steps; and a
+# stride equal to the horizon of 5Q + 3 steps makes one interval of five
+# blocks and 3 steps.
+Q = RECORD_BLOCK_STEPS
+HORIZONS = [
+    *(pytest.param(200, stride, id=str(stride)) for stride in (1, 7, 200, 213)),
+    pytest.param(3 * (2 * Q + 5) + Q + 9, 2 * Q + 5, id="blocks"),
+    pytest.param(2 * 3 * Q + 40, 3 * Q, id="whole-blocks"),
+    pytest.param(5 * Q + 3, 5 * Q + 3, id="one-interval"),
+]
+
+
+def test_record_steps():
+    steps = _record_steps(10, 3)
+    assert steps.dtype == np.int64
+    assert steps.tolist() == [0, 3, 6, 9, 10]
+    assert _record_steps(9, 3).tolist() == [0, 3, 6, 9]
+    assert _record_steps(9, 20).tolist() == [0, 9]
+
+
 class TestOracleRecurrence:
-    """_rk4_lti, one RK4 map per record interval, against the step loop."""
+    """_rk4_lti, one RK4 map per piece of a record interval, against the step loop."""
 
-    N_STEPS = 200
-
-    @pytest.mark.parametrize("stride", [1, 7, N_STEPS, N_STEPS + 13])
-    def test_matches_step_loop(self, rng, stride):
+    @pytest.mark.parametrize("n_steps, stride", HORIZONS)
+    def test_matches_step_loop(self, rng, n_steps, stride):
         # random stable systems: a negative definite symmetric part plus a
-        # skew part, so the modes decay and oscillate; stride 7 leaves a
-        # last interval of 4 steps, and a stride past the horizon none
+        # skew part, so the modes decay and oscillate, driven by sinusoids
+        # with a phase, so that no input starts at 0
         for _ in range(5):
             dim, inputs = int(rng.integers(1, 9)), int(rng.integers(1, 4))
             S = rng.standard_normal((dim, dim))
@@ -943,12 +969,32 @@ class TestOracleRecurrence:
             A = -(S @ S.T + 0.1 * np.eye(dim)) + (K - K.T)
             dt = 1.0 / np.max(np.abs(np.linalg.eigvals(A)))
             B = rng.standard_normal((dim, inputs))
-            u = np.sin(np.outer(np.arange(2 * self.N_STEPS + 1) * dt / 2, rng.uniform(0.1, 3.0, inputs)))
+            u = np.sin(np.outer(np.arange(2 * n_steps + 1) * dt / 2, rng.uniform(0.1, 3.0, inputs))
+                       + rng.uniform(0.0, 6.0, inputs))
             y0 = rng.standard_normal(dim)
-            steps, y = _rk4_lti(A, B, u, y0, dt, self.N_STEPS, stride)
-            ref_steps, ref = rk4_lti_steps(A, u @ B.T, y0, dt, self.N_STEPS, stride)
+            steps, y = _rk4_lti(A, B, u, y0, dt, n_steps, stride)
+            ref_steps, ref = rk4_lti_steps(A, u @ B.T, y0, dt, n_steps, stride)
             assert np.array_equal(steps, ref_steps)
             assert _rel_dev(y, ref) <= 1e-12
+
+    def test_memory_at_stride_of_the_horizon(self, rng):
+        # One record interval of 20000 steps. The kernel of its pieces is
+        # 2Q stage points wide, so the run holds less than the stage inputs
+        # v1 besides its records; a kernel over the whole interval would
+        # hold 2 * 20000 stage points for each of the 8 states, 8 v1.
+        n_steps, dim = 20_000, 8
+        S = rng.standard_normal((dim, dim))
+        A = -(S @ S.T + np.eye(dim))
+        dt = 1.0 / np.max(np.abs(np.linalg.eigvals(A)))
+        B = rng.standard_normal((dim, 2))
+        u = np.sin(np.outer(np.arange(2 * n_steps + 1) * dt / 2, [0.5, 1.5]))
+        tracemalloc.start()
+        try:
+            _, y = _rk4_lti(A, B, u, np.ones(dim), dt, n_steps, n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= u.nbytes + y.nbytes
 
     def test_steady_state_unbiased(self):
         # RK4 keeps the equilibrium y* = -A^-1 B u of a constant input. A
@@ -984,24 +1030,41 @@ class TestModalCore:
     # 500 steps recorded every 7th, so the last sample is an extra row
     CFG = SolverConfig(dt=1e-3, t_end=0.5, record_stride=7)
 
-    @pytest.mark.parametrize("stride", [1, 7, 213])
+    @pytest.mark.parametrize("n_steps, stride", HORIZONS)
     @pytest.mark.parametrize("order, inputs", [(3, 5), (6, 2)], ids=["wide-map", "narrow-map"])
-    def test_core_matches_step_loop(self, rng, stride, order, inputs):
+    def test_core_matches_step_loop(self, rng, n_steps, stride, order, inputs):
         # z' = -diag(d) z + Bm v1(t) for two runs, with an input map wider
-        # or narrower than the state, decay rates from 0 to near RK4's bound,
-        # and 200 steps: stride 7 leaves a last interval of 4 steps, and 213
-        # is past the horizon
-        n_steps, dt = 200, 1e-2
-        d = np.concatenate([[0.0], rng.uniform(0.0, 2.7 / dt, order - 1)])
+        # or narrower than the state, a zero mode, a growing mode (d < 0)
+        # and decay rates up to near RK4's bound, and inputs that do not
+        # start at 0; each mode to its own peak
+        dt = 1e-2
+        d = np.concatenate([[0.0, -rng.uniform(0.5, 2.0)], rng.uniform(0.0, 2.7 / dt, order - 2)])
         Bm = rng.standard_normal((order, inputs))
-        v1 = np.sin(np.outer(np.arange(2 * n_steps + 1) * dt / 2, rng.uniform(0.1, 3.0, inputs)))
+        v1 = np.sin(np.outer(np.arange(2 * n_steps + 1) * dt / 2, rng.uniform(0.1, 3.0, inputs))
+                    + rng.uniform(0.0, 6.0, inputs))
         z0 = rng.standard_normal((order, 2))
         steps, z = _rk4_modal(d, Bm, v1, z0, dt, n_steps, stride)
         assert z.shape == (len(steps), order, 2)
         for r in range(2):
             ref_steps, ref = rk4_lti_steps(-np.diag(d), v1 @ Bm.T, z0[:, r], dt, n_steps, stride)
             assert np.array_equal(steps, ref_steps)
-            assert _rel_dev(z[:, :, r], ref) <= 1e-12
+            for k in range(order):
+                assert _rel_dev(z[:, k, r], ref[:, k]) <= 1e-12
+
+    def test_memory_at_stride_of_the_horizon(self, rng):
+        # As TestOracleRecurrence's: one record interval of 20000 steps,
+        # whose kernel over the whole interval would hold 8 v1 for 8 modes
+        n_steps, order, dt = 20_000, 8, 1e-3
+        d = rng.uniform(0.0, 100.0, order)
+        Bm = rng.standard_normal((order, 2))
+        v1 = np.sin(np.outer(np.arange(2 * n_steps + 1) * dt / 2, [0.5, 1.5]))
+        tracemalloc.start()
+        try:
+            _, z = _rk4_modal(d, Bm, v1, np.ones((order, 2)), dt, n_steps, n_steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= v1.nbytes + z.nbytes
 
     def test_matches_dense_recurrence(self, rng):
         for _ in range(10):
@@ -1114,6 +1177,39 @@ class TestModalCore:
         assert np.all(np.isfinite(traj.data))
         with pytest.raises(AssertionError):
             simulate_reduced(reduce(wye), zero_excitation(), [-5.0, -5.0, 10.0], self.CFG)
+
+
+class TestRunSize:
+    # MAX_STEPS steps recorded at every step: on the wye about 1.2 GiB of
+    # stage inputs, forced parts and records for each method
+    CFG = SolverConfig(dt=1e-3, t_end=MAX_STEPS * 1e-3)
+
+    def test_refused_before_any_array(self, wye, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a run past the size limit was sampled")
+
+        monkeypatch.setattr(Excitation, "evaluate", refuse)
+        monkeypatch.setattr(simulate_module, "_stage_grid", refuse)
+        exc, f0 = Excitation({"1": Sinusoid(120.0, 1.5, 0.0)}), [-5.0, -5.0, 10.0]
+        runs = [
+            lambda: simulate_reduced(reduce(wye), exc, f0, self.CFG),
+            lambda: simulate_dae_oracle(wye, exc, f0, self.CFG),
+            lambda: simulate_homogeneous(homogeneous_reduce(make_balanced_wye()), exc, [0.0, 0.0, 0.0], self.CFG),
+        ]
+        for run in runs:
+            with pytest.raises(SolverConfigError, match="above the limit of 1 GiB"):
+                run()
+
+    def test_counts_every_run_of_a_batch(self, wye, monkeypatch):
+        # 10000 steps at stride 10 on the wye: 0.66 MB of stage inputs and
+        # forced parts, and 0.04 MB of records per run, so under a 1 MiB
+        # limit 2 runs fit and 10 do not
+        monkeypatch.setattr(simulate_module, "MAX_RUN_BYTES", 2**20)
+        cfg = SolverConfig(dt=1e-3, t_end=10.0, record_stride=10)
+        model, exc = reduce(wye), Excitation({"1": Sinusoid(120.0, 1.5, 0.0)})
+        assert len(simulate_reduced_batch(model, exc, [[-5.0, -5.0, 10.0]] * 2, cfg)) == 2
+        with pytest.raises(SolverConfigError, match="above the limit"):
+            simulate_reduced_batch(model, exc, [[-5.0, -5.0, 10.0]] * 10, cfg)
 
 
 class TestRunGuard:
