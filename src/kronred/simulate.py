@@ -2,15 +2,15 @@
 
 Every run is fixed-step classical RK4 on a linear time-invariant system
 y' = A y + B u(t), with the inputs pre-evaluated on the half-step stage
-grid so runs are deterministic. Both cores step from record to record:
-_pieces cuts each record interval into pieces of at most
-RECORD_BLOCK_STEPS steps. The chain carries w, the state less the
-forcing of the stage point it stands on, so a piece of l steps is
-w <- M^l w + z, and its forced part z is one kernel over its first 2l
-stage inputs. The forced parts of all pieces of one length are then one
-matrix product with a strided view of the stage inputs (_stage_rows);
-only the chain over pieces is a loop. Two cores carry out the
-recurrence:
+grid so runs are deterministic. Both cores step from record to record
+by one rule: _pieces cuts every record interval, a last short one too,
+into pieces of at most RECORD_BLOCK_STEPS steps. The chain carries w,
+the state less the forcing of the stage point it stands on, so a piece
+of l steps is w <- M^l w + z, and its forced part z is one kernel over
+its first 2l stage inputs. The forced parts of all pieces of one length
+are then one matrix product with a strided view of the stage inputs
+(_stage_rows); only the chain over pieces is a loop. Two cores carry out
+the recurrence:
 
 * _rk4_modal — decoupled scalar modes z' = -diag(d) z + Bm v1(t), each
   chained over the pieces by one banded LAPACK solve. A validated
@@ -23,10 +23,11 @@ recurrence:
   full constrained model, converted to an ODE by solving for interior
   voltages at every stage (index-1 reduction). Its kernel is built by
   dense products with the step map, and its chain is one matrix-vector
-  product per piece. It shares neither the projection machinery nor the
-  modal core (only the RK4 stability rule, _rk4_decay_factor, and the
-  indexing of _record_steps, _pieces and _stage_rows), so it stays an
-  independent reference.
+  product per piece, with the step map's power for that piece's length,
+  every length from one chain of squares. It shares neither the
+  projection machinery nor the modal core (only the RK4 stability rule,
+  _rk4_decay_factor, and the indexing of _record_steps, _pieces and
+  _stage_rows), so it stays an independent reference.
 
 simulate_reduced_batch and simulate_homogeneous run through one body,
 _modal_runs, and differ only in (d, Bm, z0) and the map from modal states
@@ -165,13 +166,12 @@ def _record_steps(n_steps, record_stride):
     return steps if steps[-1] == n_steps else np.append(steps, n_steps)
 
 
-def _pieces(n_steps, record_stride, last_block=RECORD_BLOCK_STEPS):
+def _pieces(n_steps, record_stride):
     """The horizon cut into the pieces both RK4 cores step at once.
 
-    Each full record interval is cut into blocks of RECORD_BLOCK_STEPS
-    steps and one shorter block for what remains; a last interval
-    shorter than record_stride is cut likewise into blocks of at most
-    last_block steps. Returns (lengths, runs, ends):
+    Every record interval, a last one shorter than record_stride too, is
+    cut into blocks of RECORD_BLOCK_STEPS steps and one shorter block for
+    what remains. Returns (lengths, runs, ends):
     * lengths[p], the steps of piece p, the pieces in time order;
     * runs, tuples (length, start, count, period, pieces): count pieces
       of that length, from steps start, start + period, ..., which are
@@ -179,9 +179,9 @@ def _pieces(n_steps, record_stride, last_block=RECORD_BLOCK_STEPS):
     * ends[i], the piece that ends at record i + 1 of _record_steps.
     """
     full = n_steps // record_stride
+    block = RECORD_BLOCK_STEPS
     runs, ends, p = [], [], 0
-    for start, reps, span, block in ((0, full, record_stride, RECORD_BLOCK_STEPS),
-                                     (full * record_stride, 1, n_steps - full * record_stride, last_block)):
+    for start, reps, span in ((0, full, record_stride), (full * record_stride, 1, n_steps - full * record_stride)):
         if not (reps and span):
             continue
         blocks, rest = divmod(span, block)
@@ -230,13 +230,10 @@ def _rk4_lti(A, B, u, y0, dt, n_steps, record_stride):
     kernel is built by l - 1 products of (2 inputs x dim)(dim x dim),
     and a shorter piece's is its tail. The forced parts of the pieces of
     one run are then one product of that kernel with a strided view of
-    u, and only the chain over pieces is a loop. A last interval shorter
-    than the record stride is stepped one step at a time, with M itself:
-    a power of the step map costs about log2(l) (dim x dim) products,
-    more than stepping a few thousand steps once. This is the discrete
+    u, and only the chain over pieces is a loop. This is the discrete
     map of stepping every step, up to rounding.
 
-    M^l is I plus M^l - I powered from N = M - I (_step_power). M, rounded
+    M^l is I plus M^l - I powered from N = M - I (_step_powers). M, rounded
     to the grid of I, is off by up to eps / (dt d) relative in 1 - m for a
     mode decaying at rate d, and powering M would keep that error in 1 - m^l:
     a steady-state bias. Rounding I + (M^l - I) once errs by eps / (l dt d).
@@ -245,10 +242,10 @@ def _rk4_lti(A, B, u, y0, dt, n_steps, record_stride):
     u = np.ascontiguousarray(u, dtype=float)
     N, G = _rk4_step_map(A, B, dt)
     F1B = G[2 * B.shape[1]:]
-    lengths, runs, ends = _pieces(n_steps, record_stride, last_block=1)
+    lengths, runs, ends = _pieces(n_steps, record_stride)
     z = _lti_forced_parts(N, G, u, runs, lengths.size)
     I = np.eye(N.shape[0])
-    maps = {length: (I + (N if length == 1 else _step_power(N, length))).dot for length in {run[0] for run in runs}}
+    maps = {length: (I + power).dot for length, power in _step_powers(N, {run[0] for run in runs}).items()}
     out = np.empty((record_steps.size, N.shape[0]))
     out[0] = y0
     w = out[0] - u[0] @ F1B
@@ -300,17 +297,20 @@ def _lti_forced_parts(N, G, u, runs, n_pieces):
     return z
 
 
-def _step_power(N, s):
-    """M^s - I for M = I + N and s >= 1, by binary powering kept in the
-    N domain, (I + X)(I + Y) - I = X + Y + X Y, so it holds N's relative
-    precision that forming I + N rounds away."""
-    power, square = None, N
+def _step_powers(N, lengths):
+    """{l: M^l - I} for M = I + N and each int l >= 1 of lengths, by binary
+    powering kept in the N domain, (I + X)(I + Y) - I = X + Y + X Y, so it
+    holds N's relative precision that forming I + N rounds away. Every
+    length takes its bits of one shared chain of squares M^(2^k) - I."""
+    powers, square, bit = {}, N, 1
     while True:
-        if s & 1:
-            power = square if power is None else power + square + power @ square
-        s >>= 1
-        if not s:
-            return power
+        for length in lengths:
+            if length & bit:
+                power = powers.get(length)
+                powers[length] = square if power is None else power + square + power @ square
+        bit <<= 1
+        if bit > max(lengths):
+            return powers
         square = 2.0 * square + square @ square
 
 
@@ -381,8 +381,7 @@ def _rk4_modal(d, Bm, v1, z0, dt, n_steps, record_stride):
     # Runs are solved one column at a time: dtbtrs treats its columns
     # one by one anyway, and single columns keep the buffers small.
     for k in range(d.size):
-        for length, _, _, _, pieces in runs:
-            band[1, pieces], lo[pieces] = -m_l[k, length], m_lo[k, length]
+        band[1, :-1], lo[:] = -m_l[k].take(lengths), m_lo[k].take(lengths)
         for r, wk0 in enumerate(w0[k]):
             x[:, 0] = forced[k]
             x[0] -= band[1, 0] * wk0
@@ -476,15 +475,15 @@ def _modal_runs(excitation, nodes, d, Bm, z0, outputs, channels, cfg):
         return [_finite_trajectory(steps * cfg.dt, outputs(z[:, :, r]), channels) for r in range(z.shape[2])]
 
 
-def _check_run_size(cfg, inputs, dim, channels, last_block=RECORD_BLOCK_STEPS):
+def _check_run_size(cfg, inputs, dim, channels):
     """SolverConfigError where the arrays of a run that grow with its
     horizon would hold more than MAX_RUN_BYTES: the stage grid and the
     stage inputs, 2 n_steps + 1 rows of 1 + inputs values; the forced
-    parts of the pieces (_pieces with last_block), dim values each; and
-    the records, channels values each (all runs' together). Worked out
-    from cfg alone, before any of them is built."""
+    parts of the pieces (_pieces), dim values each; and the records,
+    channels values each (all runs' together). Worked out from cfg
+    alone, before any of them is built."""
     full, rest = divmod(cfg.n_steps, cfg.record_stride)
-    pieces = full * -(-cfg.record_stride // RECORD_BLOCK_STEPS) + -(-rest // last_block)
+    pieces = full * -(-cfg.record_stride // RECORD_BLOCK_STEPS) + -(-rest // RECORD_BLOCK_STEPS)
     records = full + 1 + (rest > 0)
     size = 8 * ((2 * cfg.n_steps + 1) * (1 + inputs) + pieces * dim + records * channels)
     if size > MAX_RUN_BYTES:
@@ -544,7 +543,7 @@ def simulate_dae_oracle(
         + tuple(f"i_{n}" for n in incidence.boundary_nodes)
         + tuple(f"v0_{n}" for n in incidence.interior_nodes)
     )
-    _check_run_size(cfg, len(incidence.boundary_nodes), r.size, len(channels), last_block=1)
+    _check_run_size(cfg, len(incidence.boundary_nodes), r.size, len(channels))
     v1 = excitation.evaluate(incidence.boundary_nodes, _stage_grid(cfg))
     B0L = B0 * linv[None, :]
     chol = cho_factor(B0L @ B0.T)

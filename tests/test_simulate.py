@@ -56,7 +56,9 @@ from kronred.simulate import (
     _record_steps,
     _rk4_lti,
     _rk4_modal,
+    _rk4_step_map,
     _stage_grid,
+    _step_powers,
     initial_injections,
     simulate_reduced_batch,
     trajectory_from_csv,
@@ -977,11 +979,14 @@ class TestOracleRecurrence:
             assert np.array_equal(steps, ref_steps)
             assert _rel_dev(y, ref) <= 1e-12
 
-    def test_memory_at_stride_of_the_horizon(self, rng):
-        # One record interval of 20000 steps. The kernel of its pieces is
-        # 2Q stage points wide, so the run holds less than the stage inputs
-        # v1 besides its records; a kernel over the whole interval would
-        # hold 2 * 20000 stage points for each of the 8 states, 8 v1.
+    @pytest.mark.parametrize("extra", [0, 1], ids=["horizon", "past-horizon"])
+    def test_memory_at_stride_of_the_horizon(self, rng, extra):
+        # One record interval of 20000 steps, a whole one or a last short
+        # one. The kernel of its pieces is 2Q stage points wide, so the run
+        # holds less than the stage inputs v1 besides its records; a kernel
+        # over the whole interval would hold 2 * 20000 stage points for
+        # each of the 8 states, 8 v1, and stepping it one step at a time
+        # would hold 20000 forced parts of 8 states, 2 v1.
         n_steps, dim = 20_000, 8
         S = rng.standard_normal((dim, dim))
         A = -(S @ S.T + np.eye(dim))
@@ -990,7 +995,7 @@ class TestOracleRecurrence:
         u = np.sin(np.outer(np.arange(2 * n_steps + 1) * dt / 2, [0.5, 1.5]))
         tracemalloc.start()
         try:
-            _, y = _rk4_lti(A, B, u, np.ones(dim), dt, n_steps, n_steps)
+            _, y = _rk4_lti(A, B, u, np.ones(dim), dt, n_steps, n_steps + extra)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1000,27 +1005,40 @@ class TestOracleRecurrence:
         # RK4 keeps the equilibrium y* = -A^-1 B u of a constant input. A
         # step map rounded to the grid of I misses it by about eps / (dt d)
         # of the slowest rate d, 1.7e-12 for the step loop here; powering
-        # M^s - I from M - I holds it to a few eps / (s dt d).
+        # M^l - I from M - I holds it to a few eps / (l dt d), for pieces of
+        # whole intervals (stride 100) and of a last short one alike.
         c, s = math.cos(0.3), math.sin(0.3)
         Q = np.array([[c, -s], [s, c]])
         A = -Q @ np.diag([1.0, 3.0]) @ Q.T
         B = np.array([[1.0], [0.5]])
         n_steps = 400_000   # t = 40 s, 40 time constants of the slowest mode
         u = np.ones((2 * n_steps + 1, 1))
-        _, y = _rk4_lti(A, B, u, np.zeros(2), 1e-4, n_steps, 100)
-        assert _rel_dev(y[-1], -np.linalg.solve(A, B[:, 0])) <= 1e-13
+        for stride in (100, n_steps + 1):
+            _, y = _rk4_lti(A, B, u, np.zeros(2), 1e-4, n_steps, stride)
+            assert _rel_dev(y[-1], -np.linalg.solve(A, B[:, 0])) <= 1e-13
 
-    def test_stride_past_horizon_oracle(self, wye, monkeypatch):
-        # 10 steps recorded at steps 0 and 10 only; with no full record
-        # interval the run raises no power of the step map
+    def test_step_powers(self, rng):
+        # every length from one chain of squares is bit for bit its own
+        # chain, and M^l - I is the iterated X <- X + N + X N
+        dim = 6
+        S = rng.standard_normal((dim, dim))
+        A = -(S @ S.T + 0.1 * np.eye(dim))
+        N, _ = _rk4_step_map(A, np.ones((dim, 1)), 1.0 / np.max(np.abs(np.linalg.eigvals(A))))
+        powers = _step_powers(N, {64, 36, 50, 1})
+        assert sorted(powers) == [1, 36, 50, 64]
+        X = N
+        for length in range(1, 65):
+            if length in powers:
+                assert np.array_equal(powers[length], _step_powers(N, {length})[length])
+                assert _rel_dev(powers[length], X) <= 1e-13
+            X = X + N + X @ N
+
+    def test_stride_past_horizon_oracle(self, wye):
+        # 10 steps recorded at steps 0 and 10 only: one last short
+        # interval, cut like any other
         exc = Excitation({"1": Sinusoid(120.0, 1.5, 0.0), "3": Step(50.0, 0.004)})
         f0 = [-5.0, -5.0, 10.0]
         every = simulate_dae_oracle(wye, exc, f0, SolverConfig(dt=1e-3, t_end=0.01))
-
-        def no_power(*args):
-            raise AssertionError("step map powered without a full record interval")
-
-        monkeypatch.setattr(simulate_module, "_step_power", no_power)
         ends = simulate_dae_oracle(wye, exc, f0, SolverConfig(dt=1e-3, t_end=0.01, record_stride=MAX_STEPS))
         assert np.array_equal(ends.times, every.times[[0, -1]])
         assert _rel_dev(ends.data, every.data[[0, -1]]) <= 1e-12
@@ -1051,16 +1069,18 @@ class TestModalCore:
             for k in range(order):
                 assert _rel_dev(z[:, k, r], ref[:, k]) <= 1e-12
 
-    def test_memory_at_stride_of_the_horizon(self, rng):
+    @pytest.mark.parametrize("extra", [0, 1], ids=["horizon", "past-horizon"])
+    def test_memory_at_stride_of_the_horizon(self, rng, extra):
         # As TestOracleRecurrence's: one record interval of 20000 steps,
-        # whose kernel over the whole interval would hold 8 v1 for 8 modes
+        # whole or short, whose kernel over the whole interval would hold
+        # 8 v1 for 8 modes
         n_steps, order, dt = 20_000, 8, 1e-3
         d = rng.uniform(0.0, 100.0, order)
         Bm = rng.standard_normal((order, 2))
         v1 = np.sin(np.outer(np.arange(2 * n_steps + 1) * dt / 2, [0.5, 1.5]))
         tracemalloc.start()
         try:
-            _, z = _rk4_modal(d, Bm, v1, np.ones((order, 2)), dt, n_steps, n_steps)
+            _, z = _rk4_modal(d, Bm, v1, np.ones((order, 2)), dt, n_steps, n_steps + extra)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
