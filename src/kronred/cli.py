@@ -23,6 +23,7 @@ from .network import build_incidence, json_number, json_object, load_json, load_
 from .phasor import Phasor, admittance, kron_reduce, phasor_solve, recover_interior_phasors
 from .reduction import (
     PStrategy,
+    check_model,
     homogeneous_reduce,
     load_model,
     model_to_dict,
@@ -129,6 +130,7 @@ def cmd_simulate(args):
                 raise InputFormatError(
                     f"model {args.model} is for other edges or boundary nodes than the manifest's network"
                 )
+            check_model(model, inc, network)
         else:
             model = reduce(network, m["strategy"])
         trajectories = {"reduced": simulate_reduced(model, excitation, f0, cfg)}

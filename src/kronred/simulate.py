@@ -36,6 +36,12 @@ MAX_RUN_BYTES before its excitation is sampled (_check_run_size), and
 builds its Trajectory through one guard, _finite_trajectory: a state or
 output that overflows ends the run in InputFormatError, never in a NaN
 or inf sample.
+
+Trajectories are written as CSV by trajectory_to_csv and
+write_trajectories: floatrepr.csv_body formats blocks of CSV_BLOCK_VALUES
+values in numpy, byte for byte as Python's float repr, over row ranges
+in up to one forked process per CPU (_write_csv). They are read back by
+np.loadtxt over byte ranges in the same way (trajectory_from_csv).
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .errors import (
     SolverConfigError,
     UnstableTimeStepError,
 )
+from .floatrepr import csv_body
 from .network import IncidenceMatrix, Network, build_incidence
 from .reduction import HomogeneousReducedModel, ReducedModel, embed_initial
 from .signals import Excitation
@@ -92,12 +99,18 @@ MAX_RUN_BYTES = 2**30
 # Shorter pieces leave the oracle more steady-state bias, eps / (l dt d).
 RECORD_BLOCK_STEPS = 64
 
-# Values per formatted CSV block; bigger blocks are no faster but hold more memory.
-CSV_BLOCK_VALUES = 1024
+# Values per formatted CSV block (floatrepr.csv_body), whose temporaries
+# hold about 250 bytes per value. On a 2-core VM, blocks of 7 columns took
+# about 470, 340, 295, 315 and 325 ns per value at 1024, 2048, 4096, 8192
+# and 16384 values: each numpy call costs more at the small sizes, and the
+# temporaries fall out of cache at the large ones.
+CSV_BLOCK_VALUES = 4096
 
 # Least CSV work per process: values to format, and body bytes to parse. Timed
-# with 1 and 2 CPUs, a forked child costs more than it saves below about these.
-CSV_WRITE_VALUES_PER_PROCESS = 5_000
+# with 1 and 2 CPUs, a forked child costs more than it saves below about these:
+# in a 64 MB process on a 2-CPU VM, one process wrote 10000 values in 5.4 ms
+# and two in 9.4 ms, and 30000 values in 21.5 and 18.3 ms.
+CSV_WRITE_VALUES_PER_PROCESS = 10_000
 CSV_READ_BYTES_PER_PROCESS = 350_000
 
 
@@ -590,9 +603,10 @@ def simulate_homogeneous(
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,<channels>` rows as UTF-8, with shortest round-trip float
-    formatting (Python repr). The rows are formatted by up to one process per
-    available CPU, over row ranges (_write_csv), and the bytes are those
-    of a one-process write."""
+    formatting, byte for byte as Python's repr writes it (floatrepr.csv_body,
+    in numpy; a row with a value off its fast path goes to repr itself).
+    The rows are formatted by up to one process per available CPU, over
+    row ranges (_write_csv), and the bytes are those of a one-process write."""
     _write_csv([(traj, path)])
 
 
@@ -611,14 +625,16 @@ def _write_csv(jobs):
     """Write each (trajectory, path) in order, from _workers(total values,
     CSV_WRITE_VALUES_PER_PROCESS) processes.
 
-    Every file's rows are cut into one contiguous range per process.
+    Every file's rows are cut into one contiguous range per process, and
+    each range into blocks of CSV_BLOCK_VALUES values (_csv_blocks), each
+    block formatted to ASCII bytes by one csv_body call (_csv_text).
     Forked child w formats range w of every file, in file order, and
-    sends each range's text here as one message (_forked). This process
-    formats range 0 and is the only one that opens files: each gets its
-    header, range 0, then the children's ranges in order. So the bytes
-    are those of a one-process write, and a file that cannot be written
-    raises what a one-process write raises. A range that does not arrive
-    is formatted here, and so is the rest of that child's work.
+    sends each range's bytes here as one message (_forked). This process
+    formats range 0 and is the only one that opens files, in binary: each
+    gets its UTF-8 header, range 0, then the children's ranges in order.
+    So the bytes are those of a one-process write, and a file that cannot
+    be written raises what a one-process write raises. A range that does
+    not arrive is formatted here, and so is the rest of that child's work.
     """
     values = sum(traj.times.size * (1 + traj.data.shape[1]) for traj, _ in jobs)
     n = _workers(values, CSV_WRITE_VALUES_PER_PROCESS)
@@ -629,12 +645,12 @@ def _write_csv(jobs):
 
     def child_ranges(w):
         for (traj, _), ranges in zip(jobs, blocks):
-            yield "".join([_csv_text(traj, s, e) for s, e in ranges[w]]).encode("ascii")
+            yield b"".join([_csv_text(traj, s, e) for s, e in ranges[w]])
 
     with _forked(n, child_ranges) as pipes:
         for (traj, path), ranges in zip(jobs, blocks):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("t," + ",".join(traj.channels) + "\n")
+            with open(path, "wb") as fh:
+                fh.write(("t," + ",".join(traj.channels) + "\n").encode("utf-8"))
                 for s, e in ranges[0]:
                     fh.write(_csv_text(traj, s, e))
                 for pipe, child_range in zip(pipes, ranges[1:]):
@@ -643,7 +659,7 @@ def _write_csv(jobs):
                         for s, e in child_range:
                             fh.write(_csv_text(traj, s, e))
                     else:
-                        fh.write(text.decode("ascii"))
+                        fh.write(text)
 
 
 def _csv_blocks(traj, start, stop):
@@ -654,9 +670,8 @@ def _csv_blocks(traj, start, stop):
 
 
 def _csv_text(traj, first, end):
-    """The CSV lines of rows first to end - 1."""
-    block = np.column_stack([traj.times[first:end], traj.data[first:end]]).tolist()
-    return "".join([",".join(map(repr, row)) + "\n" for row in block])
+    """The CSV lines of rows first to end - 1, as ASCII bytes (csv_body)."""
+    return csv_body(np.column_stack([traj.times[first:end], traj.data[first:end]]))
 
 
 def _available_cpus():

@@ -24,9 +24,9 @@ from kronred.simulate import trajectory_from_csv
 
 
 # Runs kronred.cli.main once per [cpus, argv] in argv[1] (JSON), with
-# that many CPUs seen by the CSV writer and a process per CSV_BLOCK_VALUES
-# values to write, and prints [exit code, whether a child process was
-# left, forks] per run.
+# that many CPUs seen by the CSV writer and a process per 1024 values to
+# write, and prints [exit code, whether a child process was left, forks]
+# per run.
 WRITE_RUNS = """
 import json, os, sys
 from kronred import simulate
@@ -34,7 +34,7 @@ from kronred.cli import main
 
 results = []
 fork = os.fork
-simulate.CSV_WRITE_VALUES_PER_PROCESS = simulate.CSV_BLOCK_VALUES
+simulate.CSV_WRITE_VALUES_PER_PROCESS = 1024
 for cpus, argv in json.loads(sys.argv[1]):
     simulate._available_cpus = lambda: cpus
     forks = []
@@ -1048,6 +1048,108 @@ class TestSimulate:
         assert np.all(np.isfinite(traj.data))
         i0 = [traj.channel(f"i_{n}")[0] for n in ("1", "2", "3")]
         assert np.allclose(i0, [0.0, 0.0, 0.0], atol=1e-12)
+
+
+def grid_dict(k, rng):
+    """A k x k grid network, boundary row 0, r and l in [0.5, 1]."""
+    nodes = [f"n{r}_{c}" for r in range(k) for c in range(k)]
+    ends = [(f"n{r}_{c}", f"n{r}_{c + 1}") for r in range(k) for c in range(k - 1)]
+    ends += [(f"n{r}_{c}", f"n{r + 1}_{c}") for r in range(k - 1) for c in range(k)]
+    return {
+        "nodes": nodes,
+        "boundary": nodes[:k],
+        "edges": [
+            {"id": f"e{j}", "from": a, "to": b, "r_ohm": float(rng.uniform(0.5, 1)),
+             "l_henry": float(rng.uniform(0.5, 1))}
+            for j, (a, b) in enumerate(ends)
+        ],
+    }
+
+
+class TestModelCheck:
+    """A --model file must be the manifest's network's reduction."""
+
+    def run_model(self, manifest_file, obj, tmp_path, capsys):
+        """simulate --model on the model dict obj: (exit code, stderr lines)."""
+        model = write_json(tmp_path / "edited.json", obj)
+        capsys.readouterr()
+        code = main(["simulate", manifest_file, "--method", "reduced", "--model", model,
+                     "--out-dir", str(tmp_path / "edited")])
+        return code, capsys.readouterr().err.strip().splitlines()
+
+    def model_dict(self, wye_file, tmp_path, strategy="tree"):
+        path = tmp_path / f"{strategy}.json"
+        assert main(["reduce", wye_file, "--p-strategy", strategy, "--out", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    def assert_rejected(self, code, lines, tmp_path, name):
+        assert code == 2
+        assert len(lines) == 1
+        diag = json.loads(lines[0])
+        assert diag["error"] == "InputFormat"
+        assert f"model {name} does not match the network: relative residual" in diag["message"]
+        assert not (tmp_path / "edited" / "reduced.csv").exists()
+
+    def test_doubled_Rhat_exits_2(self, manifest_file, wye_file, tmp_path, capsys):
+        # used to exit 0 with i_* up to 5.3 A away from dae.csv
+        obj = self.model_dict(wye_file, tmp_path)
+        obj["Rhat"] = (2.0 * np.array(obj["Rhat"])).tolist()
+        code, lines = self.run_model(manifest_file, obj, tmp_path, capsys)
+        self.assert_rejected(code, lines, tmp_path, "Rhat")
+
+    @pytest.mark.parametrize("strategy", ["tree", "nullbasis", "modal"])
+    @pytest.mark.parametrize("key", ["P", "Lhat", "Rhat", "Bhat"])
+    def test_edit_of_one_entry_exits_2(self, manifest_file, wye_file, tmp_path, capsys, strategy, key):
+        obj = self.model_dict(wye_file, tmp_path, strategy)
+        A = np.array(obj[key])
+        i, j = np.unravel_index(np.argmax(abs(A)), A.shape)
+        A[i, j] *= 1.0 + 1e-6
+        if key in ("Lhat", "Rhat"):  # kept exactly symmetric, as the loader requires
+            A[j, i] = A[i, j]
+        obj[key] = A.tolist()
+        code, lines = self.run_model(manifest_file, obj, tmp_path, capsys)
+        self.assert_rejected(code, lines, tmp_path, key)
+
+    def test_change_of_basis_passes(self, manifest_file, wye_file, tmp_path, capsys):
+        obj = self.model_dict(wye_file, tmp_path)
+        S = np.array([[1.5, -0.25], [0.5, 0.75]])
+        P, Lhat, Rhat, Bhat = (np.array(obj[key]) for key in ("P", "Lhat", "Rhat", "Bhat"))
+        for key, M in (("Lhat", S.T @ Lhat @ S), ("Rhat", S.T @ Rhat @ S)):
+            obj[key] = (0.5 * (M + M.T)).tolist()
+        obj["P"], obj["Bhat"] = (P @ S).tolist(), (Bhat @ S).tolist()
+        code, lines = self.run_model(manifest_file, obj, tmp_path, capsys)
+        assert (code, lines) == (0, [])
+        assert main(["simulate", manifest_file, "--method", "reduced"]) == 0
+        direct = trajectory_from_csv(tmp_path / "out" / "reduced.csv")
+        edited = trajectory_from_csv(tmp_path / "edited" / "reduced.csv")
+        channels = [f"i_{n}" for n in ("1", "2", "3")]
+        assert np.allclose(edited.select(channels).data, direct.select(channels).data, rtol=0, atol=1e-9)
+
+    def test_model_of_lower_order_exits_2(self, manifest_file, wye_file, tmp_path, capsys):
+        # one column of the tree basis spans part of null(B0) exactly
+        obj = self.model_dict(wye_file, tmp_path)
+        obj["P"] = [row[:1] for row in obj["P"]]
+        obj["Lhat"], obj["Rhat"] = [obj["Lhat"][0][:1]], [obj["Rhat"][0][:1]]
+        obj["Bhat"] = [row[:1] for row in obj["Bhat"]]
+        code, lines = self.run_model(manifest_file, obj, tmp_path, capsys)
+        assert code == 2 and len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "InputFormat", "message": "model order is 1, the network's null(B0) has dimension 2"}
+
+    @pytest.mark.parametrize("strategy", ["tree", "nullbasis", "modal"])
+    def test_every_reduce_out_file_passes(self, tmp_path, capsys, strategy):
+        rng = np.random.default_rng(6)
+        for name, network in (("wye", wye_dict()), ("grid", grid_dict(6, rng))):
+            net_file = write_json(tmp_path / f"{name}.json", network)
+            boundary = network["boundary"]
+            write_json(tmp_path / "exc.json", {"signals": {boundary[0]: {"type": "constant", "value_v": 1.0}}})
+            manifest = write_json(tmp_path / f"{name}_m.json", {
+                "network": f"{name}.json", "excitation": "exc.json",
+                "solver": {"dt_s": 1e-3, "t_end_s": 0.01}, "out_dir": "out"})
+            model = tmp_path / f"{name}_model.json"
+            assert main(["reduce", net_file, "--p-strategy", strategy, "--out", str(model)]) == 0
+            assert main(["simulate", manifest, "--method", "reduced", "--model", str(model)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestCompare:

@@ -552,12 +552,17 @@ def write_both_ways(trajectories, out_dir):
     return [p.read_bytes() for p in paths], [(out_dir / "each" / f"{name}.csv").read_bytes() for name in trajectories]
 
 
+# Values to write or body bytes to read per process that make even the
+# small files here fork.
+SMALL_WORK = 1024
+
+
 def fork_for_small_files(monkeypatch, cpus):
-    """cpus CPUs for CSV work, and a process per CSV_BLOCK_VALUES values
-    to write or body bytes to read, so that the small files here fork."""
+    """cpus CPUs for CSV work, and a process per SMALL_WORK values to
+    write or body bytes to read, so that the small files here fork."""
     monkeypatch.setattr(simulate_module, "_available_cpus", lambda: cpus)
-    monkeypatch.setattr(simulate_module, "CSV_WRITE_VALUES_PER_PROCESS", simulate_module.CSV_BLOCK_VALUES)
-    monkeypatch.setattr(simulate_module, "CSV_READ_BYTES_PER_PROCESS", simulate_module.CSV_BLOCK_VALUES)
+    monkeypatch.setattr(simulate_module, "CSV_WRITE_VALUES_PER_PROCESS", SMALL_WORK)
+    monkeypatch.setattr(simulate_module, "CSV_READ_BYTES_PER_PROCESS", SMALL_WORK)
 
 
 def count_forks(monkeypatch):
@@ -582,6 +587,38 @@ class TestParallelCsvWrite:
             trajectory_to_csv(traj, p)
             assert p.read_bytes() == want
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 7, 646])
+    def test_widths_match_the_one_process_writer(self, tmp_path, rng, monkeypatch, width, cpus):
+        # two and a half blocks of rows: the last block is partial
+        n = 5 * max(1, simulate_module.CSV_BLOCK_VALUES // (1 + width)) // 2
+        data = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 8, (n, width))
+        data.flat[::97] = 0.0  # rows that repr formats
+        traj = Trajectory(np.arange(n) * 1e-4, data, tuple(f"c{k}" for k in range(width)))
+        write_csv_rows(traj, tmp_path / "ref.csv")
+        fork_for_small_files(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        trajectory_to_csv(traj, tmp_path / "w.csv")
+        assert len(forks) == cpus - 1
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    # Every value is off the fast path, so every row is formatted by repr.
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_values_off_the_fast_path(self, tmp_path, rng, monkeypatch, cpus):
+        n = 3000
+        data = np.column_stack([
+            rng.integers(-10**6, 10**6, n).astype(float),
+            np.zeros(n),
+            -np.zeros(n),
+            2.0 ** rng.integers(53, 1023, n) * (1.0 + rng.random(n)),
+            rng.integers(1, 1 << 52, n, dtype=np.uint64).view(np.float64),
+        ])
+        traj = Trajectory(np.arange(n, dtype=float), data, ("int", "zero", "negzero", "big", "subnormal"))
+        write_csv_rows(traj, tmp_path / "ref.csv")
+        fork_for_small_files(monkeypatch, cpus)
+        trajectory_to_csv(traj, tmp_path / "w.csv")
+        assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     @pytest.mark.parametrize("missing", [False, True], ids=["one-cpu", "no-fork"])
     def test_no_fork_for_one_writer(self, tmp_path, rng, monkeypatch, missing):
         def no_fork():
@@ -597,9 +634,9 @@ class TestParallelCsvWrite:
         assert write_both_ways(trajectories, tmp_path) == (expected, expected)
 
     # With 2 CPUs, at the sizes timed to set the least work per process:
-    # one process wrote 2400 values and read 189 kB faster than two did,
-    # and two were faster from 10400 values and 725 kB.
-    @pytest.mark.parametrize("values, nbytes, children", [(2400, 189_000, 0), (10_400, 725_000, 1)],
+    # one process wrote 10000 values and read 189 kB faster than two did,
+    # and two were faster from 30000 values and 725 kB.
+    @pytest.mark.parametrize("values, nbytes, children", [(10_000, 189_000, 0), (30_000, 725_000, 1)],
                              ids=["below", "above"])
     def test_forks_from_the_least_work_per_process(self, tmp_path, monkeypatch, values, nbytes, children):
         monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 2)
@@ -727,7 +764,7 @@ class TestParallelCsvRead:
         expected = serial_read(path)
         for cpus in (1, 2, 3):
             with mock.patch.multiple(simulate_module, _available_cpus=lambda: cpus,
-                                     CSV_READ_BYTES_PER_PROCESS=simulate_module.CSV_BLOCK_VALUES), \
+                                     CSV_READ_BYTES_PER_PROCESS=SMALL_WORK), \
                     mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 assert parallel_read(path) == expected
             # a lone-CR body has no LF to cut after, so it is one range
