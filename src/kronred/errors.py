@@ -67,6 +67,10 @@ class ConstraintDriftError(KronredError):
     """Interior current balance drifted during integration."""
 
 
+class LostPrecisionError(KronredError):
+    """A reference loses, to rounding, what its own accuracy check must see."""
+
+
 class NotHomogeneousError(KronredError):
     """Edge r/l ratios are not constant across the network."""
     exit_code = 3

@@ -25,6 +25,7 @@ from scipy import sparse
 from .errors import (
     InconsistentInitialConditionError,
     InputFormatError,
+    LostPrecisionError,
     NotHomogeneousError,
     NotPositiveDefiniteError,
     RankDeficientInputError,
@@ -40,6 +41,10 @@ from .network import IncidenceMatrix, Network, build_incidence, json_number, jso
 # relative edit of 1e-8 to the largest entry of any one of P, Lhat, Rhat
 # or Bhat reaches at least 2e-10.
 MODEL_RTOL = 1e-11
+
+# Largest row sum of the homogeneous Lred, relative to the row's entries
+# (homogeneous_reduce). See the README's homogeneous section for its margin.
+LRED_RTOL = 1e-8
 
 
 class PStrategy(enum.Enum):
@@ -304,7 +309,8 @@ def homogeneous_reduce(network: Network) -> HomogeneousReducedModel:
     """Injection-space reduction, valid only when R = alpha L.
 
     Raises NotHomogeneousError unless every edge ratio r/l is within
-    1e-9 (relative) of the mean ratio.
+    1e-9 (relative) of the mean ratio, and LostPrecisionError when a row
+    of Lred sums to more than LRED_RTOL of its entries' magnitudes.
     """
     r = network.r_vector()
     l = network.l_vector()
@@ -318,6 +324,16 @@ def homogeneous_reduce(network: Network) -> HomogeneousReducedModel:
     incidence = build_incidence(network)
     Lred, _ = schur_complement(incidence.laplacian(1.0 / l), len(incidence.interior_nodes))
     Lred = 0.5 * (Lred + Lred.T)
+    # The Schur complement of a Laplacian is one: its rows sum to 0.
+    residual = np.abs(Lred.sum(axis=1))
+    lost = ~(residual <= LRED_RTOL * np.abs(Lred).sum(axis=1))
+    if lost.any():
+        i = int(np.argmax(lost))
+        raise LostPrecisionError(
+            f"the Schur complement of the 1/l Laplacian lost boundary node {incidence.boundary_nodes[i]!r} "
+            f"to rounding: its row sums to {residual[i]:.3e} (inductances span a factor of "
+            f"{np.max(l) / np.min(l):.3g})"
+        )
     return HomogeneousReducedModel(alpha=alpha, Lred=Lred, boundary_nodes=incidence.boundary_nodes)
 
 

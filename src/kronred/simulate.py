@@ -66,6 +66,7 @@ from .errors import (
     ConstraintDriftError,
     InconsistentInitialConditionError,
     InputFormatError,
+    LostPrecisionError,
     SolverConfigError,
     UnstableTimeStepError,
 )
@@ -76,6 +77,16 @@ from .signals import Excitation
 
 # Interior current balance of initial flows and the DAE oracle's drift guard, relative to the flow scale.
 DRIFT_TOL = 1e-7
+
+# Largest span of l among the edges at one interior node that the DAE
+# oracle runs. Past it, the node's potential follows its shortest edges
+# so closely that the voltages across them cancel to rounding, and the
+# flows drift off the interior current balance by more than the drift
+# check can see. On a wye with r = l = x on one edge and 1 on the others,
+# 120 V at 1.5 Hz and 100 V on two nodes: spans of 2.7e6, 2.7e7, 2.7e9 and
+# 2.7e11 ran 3.0e-10, 3.8e-9, 1.2e-7 and 1.9e-5 off the reduced model,
+# and 2.7e15 ran 0.35 off. The paper's wye spans 1.4, the benchmark grids 2.
+ORACLE_SPAN_MAX = 1e8
 
 # Relative tolerance on t_end / dt being a whole number of steps.
 GRID_RTOL = 1e-9
@@ -109,9 +120,13 @@ CSV_BLOCK_VALUES = 4096
 # Least CSV work per process: values to format, and body bytes to parse. Timed
 # with 1 and 2 CPUs, a forked child costs more than it saves below about these:
 # in a 64 MB process on a 2-CPU VM, one process wrote 10000 values in 5.4 ms
-# and two in 9.4 ms, and 30000 values in 21.5 and 18.3 ms.
+# and two in 9.4 ms, and 30000 values in 21.5 and 18.3 ms. One process read
+# 7-column trajectory files of 0.95, 1.9 and 2.9 MB in 13.6, 27.5 and 40.2 ms
+# and two in 18.6, 32.2 and 45.4 ms; at 3.8 MB both took 57 ms. Reads are
+# cut at 2 MB so that the 4.3 MB and 12 MB files of a 15 x 15 grid run still
+# fork, where the second CPU is free.
 CSV_WRITE_VALUES_PER_PROCESS = 10_000
-CSV_READ_BYTES_PER_PROCESS = 350_000
+CSV_READ_BYTES_PER_PROCESS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -543,6 +558,9 @@ def simulate_dae_oracle(
     and max d_k <= max(r / l) by Courant-Fischer when l > 0 (with equality
     when there are no interior nodes). So A's eigenvalues are only
     computed when that bound fails the test.
+
+    A network whose edges at one interior node span more than a factor
+    of ORACLE_SPAN_MAX in l raises LostPrecisionError before the run.
     """
     incidence = build_incidence(network)
     initial_injections(incidence, f0)
@@ -550,6 +568,15 @@ def simulate_dae_oracle(
     f0 = np.asarray(f0, dtype=float)
     B0 = incidence.b0.toarray()  # the oracle keeps its own dense algebra
     B1 = incidence.b1.toarray()
+    at_node = B0 != 0
+    with np.errstate(over="ignore"):  # a span past the largest float is inf, and refused
+        spans = np.max(np.where(at_node, l, 0.0), axis=1) / np.min(np.where(at_node, l, np.inf), axis=1)
+    if not np.all(spans <= ORACLE_SPAN_MAX):
+        i = int(np.argmax(spans > ORACLE_SPAN_MAX))
+        raise LostPrecisionError(
+            f"the DAE oracle cannot resolve interior node {incidence.interior_nodes[i]!r}: the inductances "
+            f"of its edges span a factor of {spans[i]:.3g}, more than {ORACLE_SPAN_MAX:g}"
+        )
     linv = 1.0 / l
     channels = (
         tuple(f"f_{e}" for e in incidence.edge_ids)

@@ -484,6 +484,36 @@ class TestSimulate:
         )
         assert (tmp_path / "out2" / "reduced.csv").read_bytes() == direct
 
+    # A wye with r = l = x on e1 and 1 on e2 and e3 (r/l = 1 throughout),
+    # node 1 driven at 120 V and 1.5 Hz, node 2 at 100 V. At x = 1e-306 the
+    # DAE oracle and the homogeneous model exited 0 with injections that
+    # summed to -0.24 A; each now agrees with the reduced model or refuses.
+    @pytest.mark.parametrize("x, refused", [(3.7e-7, ()), (1e-306, ("dae", "homogeneous"))],
+                             ids=["span-2.7e6", "span-1e306"])
+    def test_references_agree_with_reduced_or_refuse(self, tmp_path, capsys, x, refused):
+        write_json(tmp_path / "wye.json", wye_dict(r=(x, 1.0, 1.0), l=(x, 1.0, 1.0)))
+        write_json(tmp_path / "exc.json", {"signals": {
+            "1": {"type": "sinusoid", "amplitude_v": 120.0, "freq_hz": 1.5, "phase_deg": 0.0},
+            "2": {"type": "constant", "value_v": 100.0},
+        }})
+        manifest = write_json(tmp_path / "manifest.json", {
+            "network": "wye.json", "excitation": "exc.json", "f0": [0.0, 0.0, 0.0],
+            "solver": {"dt_s": 1e-3, "t_end_s": 0.01, "record_stride": 1}, "out_dir": "out",
+        })
+        assert main(["simulate", manifest, "--method", "reduced"]) == 0
+        for method in ("dae", "homogeneous"):
+            capsys.readouterr()
+            if method in refused:
+                code, diag = run_one_diagnostic(["simulate", manifest, "--method", method], capsys)
+                assert (code, diag["error"]) == (2, "LostPrecision")
+                assert not (tmp_path / "out" / f"{method}.csv").exists()
+                continue
+            assert main(["simulate", manifest, "--method", method]) == 0
+            capsys.readouterr()
+            out = tmp_path / "out"
+            assert main(["compare", str(out / "reduced.csv"), str(out / f"{method}.csv")]) == 0
+            assert json.loads(capsys.readouterr().out)["max_rel"] <= 1e-6
+
     def test_homogeneous_rejected_for_mixed_ratios(self, manifest_file, capsys):
         assert main(["simulate", manifest_file, "--method", "homogeneous"]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "NotHomogeneous"

@@ -76,49 +76,94 @@ def test_notation_thresholds():
     assert mismatches(with_neighbours([1e16, 9999999999999998.0, 1e-4, 1e-5, 1e15, 1e-3])) == []
 
 
-@pytest.mark.parametrize("width", [1, 2, 7])
+@pytest.mark.parametrize("width", [1, 2, 7, 646])
 def test_rows_mixing_fast_and_repr_values(width):
-    """Rows that hold a value the fast path leaves to repr, alone, in runs
-    and at the block's ends, between rows of fast values."""
+    """Values the fast path leaves to repr, alone, in runs and at the
+    block's ends, and one in the first, a middle and the last column of
+    otherwise fast rows, among rows of fast values."""
     rng = np.random.default_rng(22 + width)
-    block = rng.standard_normal((3000, width)) * 10.0 ** rng.integers(-20, 15, (3000, width))
+    rows = max(60, 20_000 // width)
+    block = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-20, 15, (rows, width))
     special = special_values()
-    for rows in (slice(0, 1), slice(5, 6), slice(40, 47), slice(100, 400, 3), slice(2990, 3000)):
-        picked = block[rows]
-        picked.flat[rng.integers(0, picked.size, max(1, picked.size // 3))] = rng.choice(special)
-        block[rows] = picked
+    for picked in (slice(0, 1), slice(5, 6), slice(40, 47), slice(50, rows, 3), slice(rows - 10, rows)):
+        part = block[picked]
+        part.flat[rng.integers(0, part.size, max(1, part.size // 3))] = rng.choice(special)
+        block[picked] = part
+    for row, col in ((10, 0), (20, width // 2), (30, width - 1)):
+        block[row, col] = rng.choice(special)
     assert csv_body(block) == repr_lines(block)
     assert csv_body(block[:0]) == b""
 
 
-def hard_significands(E):
-    """Significands m2 in [2^52, 2^53) that put 4 m2 5^i / 2^q just above
-    an integer at biased exponent E: multiples of the continued-fraction
-    convergent denominators of 4 5^i / 2^q whose residue is positive."""
-    e2 = E - 1077
-    q = (-e2 * 732923 >> 20) - 1
-    A, B = 4 * 5 ** (-e2 - q), 1 << q
-    out, (h0, h1), (k0, k1), (a, b) = [], (0, 1), (1, 0), (A, B)
-    while b and k1 < 1 << 52:
-        t = a // b
-        (h0, h1), (k0, k1), (a, b) = (h1, t * h1 + h0), (k1, t * k1 + k0), (b, a - t * b)
-        if 0 < k1 < 1 << 52 and k1 * A - h1 * B > 0:
-            out.append(-(-(1 << 52) // k1) * k1)
-    return out[-3:]
+def min_mod(n, m, a, b):
+    """(min, argmin) of (a x + b) mod m over 0 <= x < n. Past the k-th wrap
+    over a multiple of m, (a x + b) mod m is (b - k m) mod a, at the first
+    x = ceil((k m - b) / a): a problem of the same form with modulus a."""
+    levels = []
+    while True:
+        a, b = a % m, b % m
+        levels.append((m, a, b))
+        wraps = (a * (n - 1) + b) // m if n > 1 and a else 0
+        if not wraps:
+            break
+        n, m, a, b = wraps, a, -m % a, (b - m) % a
+    best = (levels.pop()[2], 0)
+    for m, a, b in reversed(levels):
+        best = min((b, 0), (best[0], ((best[1] + 1) * m - b + a - 1) // a))
+    return best
+
+
+def test_min_mod_matches_a_scan():
+    rng = np.random.default_rng(24)
+    for n, m, a, b in rng.integers(1, 300, (2000, 4)).tolist():
+        value, x = min_mod(n, m, a, b)
+        assert value == min((a * y + b) % m for y in range(n)) == (a * x + b) % m and 0 <= x < n
+
+
+def hard_cases():
+    """Per exponent E from 1 to 1072, the significands m2 in [2^52, 2^53)
+    whose (4 m2 + d) t, for d = 0, 2, -2, lies nearest above and nearest
+    below an integer, as the bits of their doubles."""
+    bits = set()
+    for E in range(1, 1073):
+        e2 = E - 1077
+        q = (-e2 * 732923 >> 20) - 1
+        A, B = 4 * 5 ** (-e2 - q), 1 << q
+        for d in (0, 2, -2):
+            for side in (1, -1):
+                bits.add(E << 52 | min_mod(1 << 52, B, side * A, side * (A << 52) + side * d * A // 4)[1])
+    return np.array(sorted(bits), dtype=np.uint64)
 
 
 def test_bounds_are_exact_floors_at_hard_significands():
-    """vr, vp and vm are the exact floors at the significands where a
-    truncated 5^i / 2^q would round down across an integer, up to three
-    at each fast-path exponent. A table of 96 bits instead of 121 fails
-    here, although it passes every repr comparison above."""
-    limbs = floatrepr._tables()[0]
-    cases = [(E, m2) for E in range(1, 1073) for m2 in hard_significands(E)]
-    E = np.array([E for E, _ in cases])
-    m2 = np.array([m2 for _, m2 in cases], dtype=np.uint64)
-    assert len(cases) > 2000
-    vr, vp, vm = floatrepr._bounds(m2 << np.uint64(2), np.ones(len(cases), dtype=bool), limbs[:, E])
-    for (E, m2), got in zip(cases, zip(vr.tolist(), vp.tolist(), vm.tolist())):
-        e2 = E - 1077
+    """vr, vp and vm are the exact floors wherever _bounds certifies them,
+    at the significands that put them nearest an integer, above or below,
+    at each fast-path exponent: where a computed bound that falls short
+    would floor to the integer below, or land in the guard band. The
+    nearest lie 2^-61.7 above and 2^-61.2 below an integer, outside the
+    2.125 units of 2^-64 the bounds can fall short by and the band of
+    _GUARD units, so every fast-path double is certified."""
+    bits = hard_cases()
+    E = (bits >> np.uint64(52)).astype(np.intp)
+    assert mismatches(bits.view(np.float64)) == []
+    fast = bits & floatrepr._tables()[3].take(E) != 0
+    bits, E = bits[fast], E[fast]
+    assert bits.size > 5000
+    vr, vp, vm, sure = floatrepr._bounds(bits, E)
+    assert sure.all()
+    for E, m2, got in zip(E.tolist(), (bits & np.uint64((1 << 52) - 1)).tolist(),
+                          zip(vr.tolist(), vp.tolist(), vm.tolist())):
+        e2, m2 = E - 1077, m2 | 1 << 52
         q = (-e2 * 732923 >> 20) - 1
         assert got == tuple((4 * m2 + d) * 5 ** (-e2 - q) >> q for d in (0, 2, -2)), E
+
+
+def test_uncertified_values_are_written_by_repr(monkeypatch):
+    """With a guard band as wide as the fraction, no bound is certified,
+    and every fast-path value goes to repr in its own slot."""
+    monkeypatch.setattr(floatrepr, "_GUARD", 2**64 - 1)
+    rng = np.random.default_rng(23)
+    block = rng.standard_normal((500, 7)) * 10.0 ** rng.integers(-20, 15, (500, 7))
+    bits = block.view(np.uint64).ravel()
+    assert not floatrepr._bounds(bits, (bits >> np.uint64(52) & np.uint64(0x7FF)).astype(np.intp))[3].any()
+    assert csv_body(block) == repr_lines(block)

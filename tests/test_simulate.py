@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronred
+from kronred import experiment as experiment_module
 from kronred import reduction as reduction_module
 from kronred import simulate as simulate_module
 from kronred import (
@@ -38,6 +39,7 @@ from kronred import (
     simulate_reduced,
     validate,
 )
+from kronred.cli import main
 from kronred.errors import (
     ConstraintDriftError,
     InconsistentInitialConditionError,
@@ -619,6 +621,21 @@ class TestParallelCsvWrite:
         trajectory_to_csv(traj, tmp_path / "w.csv")
         assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    # t lands on a multiple of 0.125 every 125 rows: Ryu's trailing-zero
+    # case, so about one row in 125 holds a value that repr writes, in
+    # every file of both calls.
+    @pytest.mark.parametrize("which", ["sinusoid", "step"])
+    def test_paper_experiment_files_match_the_one_process_writer(self, tmp_path, monkeypatch, which):
+        written, write = {}, experiment_module.write_trajectories
+        monkeypatch.setattr(experiment_module, "write_trajectories",
+                            lambda trajectories, out: written.update(trajectories) or write(trajectories, out))
+        assert main(["paper-experiment", "--which", which, "--t-end", "0.5", "--out-dir", str(tmp_path / "exp")]) == 0
+        assert len(written) == 7
+        assert np.isin([0.125, 0.25, 0.375, 0.5], written["dae"].times).all()
+        for name, traj in written.items():
+            write_csv_rows(traj, tmp_path / "ref.csv")
+            assert (tmp_path / "exp" / f"{name}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), name
+
     @pytest.mark.parametrize("missing", [False, True], ids=["one-cpu", "no-fork"])
     def test_no_fork_for_one_writer(self, tmp_path, rng, monkeypatch, missing):
         def no_fork():
@@ -634,9 +651,9 @@ class TestParallelCsvWrite:
         assert write_both_ways(trajectories, tmp_path) == (expected, expected)
 
     # With 2 CPUs, at the sizes timed to set the least work per process:
-    # one process wrote 10000 values and read 189 kB faster than two did,
-    # and two were faster from 30000 values and 725 kB.
-    @pytest.mark.parametrize("values, nbytes, children", [(10_000, 189_000, 0), (30_000, 725_000, 1)],
+    # one process wrote 10000 values and read 1.9 MB faster than two did;
+    # two were faster from 30000 values, and read 3.8 MB as fast.
+    @pytest.mark.parametrize("values, nbytes, children", [(10_000, 1_900_000, 0), (30_000, 4_300_000, 1)],
                              ids=["below", "above"])
     def test_forks_from_the_least_work_per_process(self, tmp_path, monkeypatch, values, nbytes, children):
         monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 2)
