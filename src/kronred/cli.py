@@ -125,12 +125,7 @@ def cmd_simulate(args):
     if args.method == "reduced":
         if args.model:
             model = load_model(args.model)
-            inc = build_incidence(network)
-            if (model.edge_ids, model.boundary_nodes) != (inc.edge_ids, inc.boundary_nodes):
-                raise InputFormatError(
-                    f"model {args.model} is for other edges or boundary nodes than the manifest's network"
-                )
-            check_model(model, inc, network)
+            check_model(model, build_incidence(network), network)
         else:
             model = reduce(network, m["strategy"])
         trajectories = {"reduced": simulate_reduced(model, excitation, f0, cfg)}

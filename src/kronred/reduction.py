@@ -272,13 +272,16 @@ def embed_initial(P, f0: np.ndarray) -> np.ndarray:
 
 def check_model(model: ReducedModel, incidence: IncidenceMatrix, network: Network) -> None:
     """InputFormatError, naming the matrix and its relative residual,
-    unless model is network's reduction: P has E - N0 columns, B0 P = 0
-    (over max|P|) and B1 P = Bhat, and P^T L P X = Lhat X and
-    P^T R P X = Rhat X for a fixed-seed Gaussian probe X of two columns
-    (Freivalds' check, O(E n) where the congruence is O(E n^2)), each
-    within MODEL_RTOL of the largest entry of its right-hand side. With
-    Lhat SPD, B0 P = 0 then makes range(P) = null(B0), so every basis of
-    it passes."""
+    unless model is network's reduction: the network's edge ids and
+    boundary nodes in its order, P has E - N0 columns, B0 P = 0 (over
+    max|P|) and B1 P = Bhat, and P^T L P X = Lhat X and P^T R P X =
+    Rhat X for a fixed-seed Gaussian probe X of two columns (Freivalds'
+    check, O(E n) where the congruence is O(E n^2)), each within
+    MODEL_RTOL of the largest entry of its right-hand side. With Lhat
+    SPD, B0 P = 0 then makes range(P) = null(B0), so every basis of it
+    passes."""
+    if (model.edge_ids, model.boundary_nodes) != (incidence.edge_ids, incidence.boundary_nodes):
+        raise InputFormatError("the model is for other edges or boundary nodes than the network")
     expected = len(incidence.edge_ids) - len(incidence.interior_nodes)
     if model.order != expected:
         raise InputFormatError(f"model order is {model.order}, the network's null(B0) has dimension {expected}")

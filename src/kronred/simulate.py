@@ -78,14 +78,14 @@ from .signals import Excitation
 # Interior current balance of initial flows and the DAE oracle's drift guard, relative to the flow scale.
 DRIFT_TOL = 1e-7
 
-# Largest span of l among the edges at one interior node that the DAE
-# oracle runs. Past it, the node's potential follows its shortest edges
-# so closely that the voltages across them cancel to rounding, and the
-# flows drift off the interior current balance by more than the drift
-# check can see. On a wye with r = l = x on one edge and 1 on the others,
-# 120 V at 1.5 Hz and 100 V on two nodes: spans of 2.7e6, 2.7e7, 2.7e9 and
-# 2.7e11 ran 3.0e-10, 3.8e-9, 1.2e-7 and 1.9e-5 off the reduced model,
-# and 2.7e15 ran 0.35 off. The paper's wye spans 1.4, the benchmark grids 2.
+# Largest span of l over the edges that meet an interior node that the DAE
+# oracle runs. Past it, interior potentials follow the shortest edges so
+# closely that the voltages across them cancel to rounding, and the flows
+# drift off the interior current balance by more than the drift check can
+# see. The error follows the span over the network, not at one node: on
+# chains, wyes and 600 random networks, every run spanning at most 1e8 agreed
+# with the reduced model to 1.5e-7, and the first to miss 1e-6 spans 1e9
+# (README). The paper's wye spans 1.4, the benchmark grids 2.
 ORACLE_SPAN_MAX = 1e8
 
 # Relative tolerance on t_end / dt being a whole number of steps.
@@ -111,20 +111,23 @@ MAX_RUN_BYTES = 2**30
 RECORD_BLOCK_STEPS = 64
 
 # Values per formatted CSV block (floatrepr.csv_body), whose temporaries
-# hold about 250 bytes per value. On a 2-core VM, blocks of 7 columns took
-# about 470, 340, 295, 315 and 325 ns per value at 1024, 2048, 4096, 8192
-# and 16384 values: each numpy call costs more at the small sizes, and the
-# temporaries fall out of cache at the large ones.
-CSV_BLOCK_VALUES = 4096
+# hold about 250 bytes per value. On a 2-core VM, writing one paper-experiment
+# call's 7 files took 328, 299, 286 and 323 ns per value in one process at
+# 4096, 8192, 16384 and 32768 values, and 214, 211, 194 and 196 ns in two
+# (medians of 15 alternating rounds; the 15 x 15 grid's files alike). Each
+# numpy call costs more at the small sizes, and the temporaries fall out of
+# cache at the large ones; children peak 3 MB higher at 32768.
+CSV_BLOCK_VALUES = 16384
 
 # Least CSV work per process: values to format, and body bytes to parse. Timed
-# with 1 and 2 CPUs, a forked child costs more than it saves below about these:
-# in a 64 MB process on a 2-CPU VM, one process wrote 10000 values in 5.4 ms
-# and two in 9.4 ms, and 30000 values in 21.5 and 18.3 ms. One process read
-# 7-column trajectory files of 0.95, 1.9 and 2.9 MB in 13.6, 27.5 and 40.2 ms
-# and two in 18.6, 32.2 and 45.4 ms; at 3.8 MB both took 57 ms. Reads are
-# cut at 2 MB so that the 4.3 MB and 12 MB files of a 15 x 15 grid run still
-# fork, where the second CPU is free.
+# with 1 and 2 CPUs in a 64 MB process on a 2-CPU VM, at 16384-value blocks one
+# process wrote 10000 values in 3.9 ms and two in 8.2 ms, 30000 in 11.5 and
+# 16.9 ms, 80000 in 28.9 and 23.4 ms: writes now break even near 70000 values,
+# above this constant (ROADMAP item 9). One process read 7-column trajectory
+# files of 0.95, 1.9 and 2.9 MB in 13.6, 27.5 and 40.2 ms and two in 18.6, 32.2
+# and 45.4 ms; at 3.8 MB both took 57 ms. Reads are cut at 2 MB so that the
+# 4.3 MB and 12 MB files of a 15 x 15 grid run still fork, where the second
+# CPU is free.
 CSV_WRITE_VALUES_PER_PROCESS = 10_000
 CSV_READ_BYTES_PER_PROCESS = 2_000_000
 
@@ -559,8 +562,9 @@ def simulate_dae_oracle(
     when there are no interior nodes). So A's eigenvalues are only
     computed when that bound fails the test.
 
-    A network whose edges at one interior node span more than a factor
-    of ORACLE_SPAN_MAX in l raises LostPrecisionError before the run.
+    A network whose edges that meet an interior node span more than a
+    factor of ORACLE_SPAN_MAX in l raises LostPrecisionError before the
+    run.
     """
     incidence = build_incidence(network)
     initial_injections(incidence, f0)
@@ -568,15 +572,17 @@ def simulate_dae_oracle(
     f0 = np.asarray(f0, dtype=float)
     B0 = incidence.b0.toarray()  # the oracle keeps its own dense algebra
     B1 = incidence.b1.toarray()
-    at_node = B0 != 0
-    with np.errstate(over="ignore"):  # a span past the largest float is inf, and refused
-        spans = np.max(np.where(at_node, l, 0.0), axis=1) / np.min(np.where(at_node, l, np.inf), axis=1)
-    if not np.all(spans <= ORACLE_SPAN_MAX):
-        i = int(np.argmax(spans > ORACLE_SPAN_MAX))
-        raise LostPrecisionError(
-            f"the DAE oracle cannot resolve interior node {incidence.interior_nodes[i]!r}: the inductances "
-            f"of its edges span a factor of {spans[i]:.3g}, more than {ORACLE_SPAN_MAX:g}"
-        )
+    # the edges that meet an interior node: an end on a row past the boundary's
+    inner = np.flatnonzero(np.maximum(incidence.tail, incidence.head) >= len(incidence.boundary_nodes))
+    if inner.size:
+        lo, hi = inner[np.argmin(l[inner])], inner[np.argmax(l[inner])]
+        span = float(l[hi]) / float(l[lo])  # inf past the largest float, and refused
+        if not span <= ORACLE_SPAN_MAX:
+            raise LostPrecisionError(
+                f"the DAE oracle cannot resolve the network: the inductances of the edges at its interior "
+                f"nodes span a factor of {span:.3g}, from edge {incidence.edge_ids[lo]!r} to edge "
+                f"{incidence.edge_ids[hi]!r}, more than {ORACLE_SPAN_MAX:g}"
+            )
     linv = 1.0 / l
     channels = (
         tuple(f"f_{e}" for e in incidence.edge_ids)
@@ -631,9 +637,10 @@ def simulate_homogeneous(
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write `t,<channels>` rows as UTF-8, with shortest round-trip float
     formatting, byte for byte as Python's repr writes it (floatrepr.csv_body,
-    in numpy; a row with a value off its fast path goes to repr itself).
-    The rows are formatted by up to one process per available CPU, over
-    row ranges (_write_csv), and the bytes are those of a one-process write."""
+    in numpy; a value off its fast path goes to repr itself, the rest of its
+    row staying in numpy). The rows are formatted by up to one process per
+    available CPU, over row ranges (_write_csv), and the bytes are those of
+    a one-process write."""
     _write_csv([(traj, path)])
 
 
@@ -652,48 +659,35 @@ def _write_csv(jobs):
     """Write each (trajectory, path) in order, from _workers(total values,
     CSV_WRITE_VALUES_PER_PROCESS) processes.
 
-    Every file's rows are cut into one contiguous range per process, and
-    each range into blocks of CSV_BLOCK_VALUES values (_csv_blocks), each
-    block formatted to ASCII bytes by one csv_body call (_csv_text).
+    Every file's rows are cut into one contiguous range per process.
     Forked child w formats range w of every file, in file order, and
     sends each range's bytes here as one message (_forked). This process
-    formats range 0 and is the only one that opens files, in binary: each
-    gets its UTF-8 header, range 0, then the children's ranges in order.
-    So the bytes are those of a one-process write, and a file that cannot
-    be written raises what a one-process write raises. A range that does
-    not arrive is formatted here, and so is the rest of that child's work.
+    is the only one that opens files, in binary: each gets its UTF-8
+    header, then its ranges in order, by one rule: a range's message if
+    one arrives whole, else the range formatted here (_csv_range). Range
+    0 has no child, so it is always formatted here; a child that fails
+    sends nothing more, so the rest of its work is formatted here too. So
+    the bytes are those of a one-process write, and a file that cannot be
+    written raises what a one-process write raises.
     """
     values = sum(traj.times.size * (1 + traj.data.shape[1]) for traj, _ in jobs)
     n = _workers(values, CSV_WRITE_VALUES_PER_PROCESS)
-    blocks = [
-        [_csv_blocks(traj, traj.times.size * w // n, traj.times.size * (w + 1) // n) for w in range(n)]
-        for traj, _ in jobs
-    ]
-
-    def child_ranges(w):
-        for (traj, _), ranges in zip(jobs, blocks):
-            yield b"".join([_csv_text(traj, s, e) for s, e in ranges[w]])
-
-    with _forked(n, child_ranges) as pipes:
-        for (traj, path), ranges in zip(jobs, blocks):
+    with _forked(n, lambda w: (b"".join(_csv_range(traj, w, n)) for traj, _ in jobs)) as pipes:
+        for traj, path in jobs:
             with open(path, "wb") as fh:
                 fh.write(("t," + ",".join(traj.channels) + "\n").encode("utf-8"))
-                for s, e in ranges[0]:
-                    fh.write(_csv_text(traj, s, e))
-                for pipe, child_range in zip(pipes, ranges[1:]):
+                for w, pipe in enumerate([None] + pipes):
                     text = _receive(pipe)
-                    if text is None:
-                        for s, e in child_range:
-                            fh.write(_csv_text(traj, s, e))
-                    else:
-                        fh.write(text)
+                    fh.writelines(_csv_range(traj, w, n) if text is None else [text])
 
 
-def _csv_blocks(traj, start, stop):
-    """Rows start to stop - 1 as (first, end) blocks of about
-    CSV_BLOCK_VALUES values."""
+def _csv_range(traj, w, n):
+    """The CSV lines of row range w of n, as ASCII bytes, one _csv_text
+    block of about CSV_BLOCK_VALUES values at a time."""
+    start, stop = traj.times.size * w // n, traj.times.size * (w + 1) // n
     rows = max(1, CSV_BLOCK_VALUES // (1 + traj.data.shape[1]))
-    return [(s, min(s + rows, stop)) for s in range(start, stop, rows)]
+    for first in range(start, stop, rows):
+        yield _csv_text(traj, first, min(first + rows, stop))
 
 
 def _csv_text(traj, first, end):

@@ -66,6 +66,19 @@ def wye_dict(r=(0.98, 0.99, 0.58), l=(0.55, 0.64, 0.77)):
     }
 
 
+def chain_dict(l):
+    """Nodes 1, n0, n1, ..., 2 in a row, boundary 1 and 2, r = l per edge."""
+    nodes = ["1"] + [f"n{k}" for k in range(len(l) - 1)] + ["2"]
+    return {
+        "nodes": nodes,
+        "boundary": ["1", "2"],
+        "edges": [
+            {"id": f"e{k + 1}", "from": nodes[k], "to": nodes[k + 1], "r_ohm": float(x), "l_henry": float(x)}
+            for k, x in enumerate(l)
+        ],
+    }
+
+
 def nested(depth, value=1.0):
     """value inside depth levels of JSON lists."""
     for _ in range(depth):
@@ -488,16 +501,24 @@ class TestSimulate:
     # node 1 driven at 120 V and 1.5 Hz, node 2 at 100 V. At x = 1e-306 the
     # DAE oracle and the homogeneous model exited 0 with injections that
     # summed to -0.24 A; each now agrees with the reduced model or refuses.
-    @pytest.mark.parametrize("x, refused", [(3.7e-7, ()), (1e-306, ("dae", "homogeneous"))],
-                             ids=["span-2.7e6", "span-1e306"])
-    def test_references_agree_with_reduced_or_refuse(self, tmp_path, capsys, x, refused):
-        write_json(tmp_path / "wye.json", wye_dict(r=(x, 1.0, 1.0), l=(x, 1.0, 1.0)))
+    # The chains run from node 1 through three interior nodes to node 2.
+    # The oracle's error follows the span of l over the network: the
+    # 1e15 chain spans only 1e5 at each node, and its oracle exited 0
+    # with compare's max_rel 2.1.
+    @pytest.mark.parametrize("network, refused", [
+        (wye_dict(r=(3.7e-7, 1.0, 1.0), l=(3.7e-7, 1.0, 1.0)), ()),
+        (wye_dict(r=(1e-306, 1.0, 1.0), l=(1e-306, 1.0, 1.0)), ("dae", "homogeneous")),
+        (chain_dict(10.0 ** np.linspace(-7.5, 7.5, 4)), ("dae", "homogeneous")),
+        (chain_dict(10.0 ** np.linspace(-3.95, 3.95, 4)), ()),
+    ], ids=["span-2.7e6", "span-1e306", "chain-span-1e15", "chain-span-10^7.9"])
+    def test_references_agree_with_reduced_or_refuse(self, tmp_path, capsys, network, refused):
+        write_json(tmp_path / "wye.json", network)
         write_json(tmp_path / "exc.json", {"signals": {
             "1": {"type": "sinusoid", "amplitude_v": 120.0, "freq_hz": 1.5, "phase_deg": 0.0},
             "2": {"type": "constant", "value_v": 100.0},
         }})
         manifest = write_json(tmp_path / "manifest.json", {
-            "network": "wye.json", "excitation": "exc.json", "f0": [0.0, 0.0, 0.0],
+            "network": "wye.json", "excitation": "exc.json", "f0": [0.0] * len(network["edges"]),
             "solver": {"dt_s": 1e-3, "t_end_s": 0.01, "record_stride": 1}, "out_dir": "out",
         })
         assert main(["simulate", manifest, "--method", "reduced"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -26,7 +27,7 @@ from kronred.errors import (
     RankDeficientInputError,
 )
 from kronred.linalg import dense, schur_complement, simultaneous_diagonalization
-from kronred.reduction import build_P, model_from_dict, model_to_dict
+from kronred.reduction import build_P, check_model, model_from_dict, model_to_dict
 
 from conftest import (
     make_balanced_wye,
@@ -165,6 +166,19 @@ class TestReduce:
             assert model.order == len(net.edges) - n_interior(net)
             assert np.all(np.linalg.eigvalsh(model.Lhat) > 0)
             assert np.min(np.linalg.eigvalsh(model.Rhat)) >= -1e-10
+
+
+class TestCheckModel:
+    # Relabelled boundary nodes keep Bhat = B1 P in the network's order, so
+    # only the labels tell the model apart: the wye tree model with
+    # boundary nodes ("2", "1", "3") used to pass, and its run put i_1
+    # 0.498 A off.
+    @pytest.mark.parametrize("field, value", [("boundary_nodes", ("2", "1", "3")), ("edge_ids", ("e2", "e1", "e3"))])
+    def test_labels_must_be_the_networks(self, wye, field, value):
+        model, incidence = reduce(wye, PStrategy.TREE_ELIMINATION), build_incidence(wye)
+        check_model(model, incidence, wye)
+        with pytest.raises(InputFormatError, match="other edges or boundary nodes than the network"):
+            check_model(dataclasses.replace(model, **{field: value}), incidence, wye)
 
 
 class TestEmbedLift:
