@@ -18,7 +18,7 @@ from pathlib import Path
 from .baseline import baseline_errors, draw_gammas, run_baseline_sweep
 from .compare import compare_trajectories
 from .errors import InputFormatError, KronredError
-from .experiment import resolve_seed, run_experiment
+from .experiment import PAPER_SOLVER, resolve_seed, run_experiment
 from .network import build_incidence, json_number, json_object, load_json, load_network
 from .phasor import Phasor, admittance, kron_reduce, phasor_solve, recover_interior_phasors
 from .reduction import (
@@ -286,9 +286,9 @@ def build_parser():
     p.add_argument("--which", choices=["sinusoid", "step"], required=True)
     p.add_argument("--out-dir", default="experiment_out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--dt", type=float, default=1e-4)
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--record-stride", type=int, default=10)
+    p.add_argument("--dt", type=float, default=PAPER_SOLVER.dt)
+    p.add_argument("--t-end", type=float, default=PAPER_SOLVER.t_end)
+    p.add_argument("--record-stride", type=int, default=PAPER_SOLVER.record_stride)
     p.set_defaults(func=cmd_paper_experiment)
 
     return parser

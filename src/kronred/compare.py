@@ -24,14 +24,20 @@ def compare_trajectories(
     a's order): other channels, such as a reduced model's pseudoflows
     fhat_<k>, are coordinates that differ between P strategies. A missing
     channel, a non-finite value in a compared one, or sample times that
-    differ by more than 1e-12 s + 1e-12 |t| raise InputFormatError. Per channel the deviation is normalized by the
-    reference's peak magnitude over the window; the reported numbers are
-    maxima over channels:
+    differ by more than 1e-12 s + 1e-12 |t| raise InputFormatError. The
+    reported numbers are maxima over channels:
 
     * max_abs — largest absolute deviation;
-    * max_rel — largest deviation / reference scale;
+    * max_rel — largest deviation / the channel's reference scale;
     * steady_rel — same ratio restricted to the trailing
-      STEADY_FRACTION of the window.
+      STEADY_FRACTION of the window, with scales taken over that tail.
+
+    A channel's scale is the reference's peak magnitude over the window.
+    A channel that is identically 0 in the reference there takes the
+    largest reference peak among the compared channels instead, so a
+    rounding-level deviation on it reads as rounding. Where the reference
+    is 0 on every compared channel, a's largest peak is the scale: the
+    ratio reads 1 where a is not 0 too, and 0 where it is.
     """
     if channels is None:
         common = [c for c in a.channels if c in b.channels]
@@ -44,26 +50,24 @@ def compare_trajectories(
     if not np.any(mask):
         raise InputFormatError(f"no samples at or after t={from_time}")
     t = a.times[mask]
-    steady_start = t[-1] - STEADY_FRACTION * (t[-1] - t[0])
-    steady = t >= steady_start
-    max_abs = 0.0
-    max_rel = 0.0
-    steady_rel = 0.0
-    for name in channels:
-        xa = a.channel(name)[mask]
-        xb = b.channel(name)[mask]
-        if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
+    steady = t >= t[-1] - STEADY_FRACTION * (t[-1] - t[0])
+    xa, xb = np.empty((2, len(channels), t.size))
+    for k, name in enumerate(channels):
+        xa[k], xb[k] = a.channel(name)[mask], b.channel(name)[mask]
+        if not (np.all(np.isfinite(xa[k])) and np.all(np.isfinite(xb[k]))):
             raise InputFormatError(f"channel {name!r} holds a non-finite value")
-        diff = np.abs(xa - xb)
-        scale = max(float(np.max(np.abs(xb))), 1e-300)
-        max_abs = max(max_abs, float(np.max(diff)))
-        max_rel = max(max_rel, float(np.max(diff)) / scale)
-        steady_scale = max(float(np.max(np.abs(xb[steady]))), 1e-300)
-        steady_rel = max(steady_rel, float(np.max(diff[steady])) / steady_scale)
+    diff = np.abs(xa - xb)
     return {
         "channels": list(channels),
         "from_time": float(from_time),
-        "max_abs": max_abs,
-        "max_rel": max_rel,
-        "steady_rel": steady_rel,
+        "max_abs": float(diff.max()),
+        "max_rel": _relative(diff, xa, xb),
+        "steady_rel": _relative(diff[:, steady], xa[:, steady], xb[:, steady]),
     }
+
+
+def _relative(diff, xa, xb):
+    """The largest deviation over its channel's scale (compare_trajectories)."""
+    peak = np.abs(xb).max(axis=1)
+    scale = np.where(peak > 0, peak, peak.max() or np.abs(xa).max())
+    return float(np.divide(diff.max(axis=1), scale, out=np.zeros(peak.size), where=scale > 0).max())

@@ -31,6 +31,8 @@ SIN_AMPLITUDE_V = 120.0
 SIN_PHASES_DEG = (0.0, 30.0, -30.0)
 STEP_VALUES_V = (120.0, 100.0, 110.0)
 OMEGA0 = 2.0 * math.pi * SIN_FREQ_HZ
+# The paper's solver settings, and paper-experiment's defaults.
+PAPER_SOLVER = SolverConfig(dt=1e-4, t_end=10.0, record_stride=10)
 
 
 def wye_network() -> Network:
@@ -82,7 +84,7 @@ def run_experiment(
     which: str,
     out_dir=None,
     seed: int = 0,
-    cfg: SolverConfig = None,
+    cfg: SolverConfig = PAPER_SOLVER,
 ) -> dict:
     """Run one excitation variant end to end.
 
@@ -95,8 +97,6 @@ def run_experiment(
         excitation = step_excitation()
     else:
         raise ValueError(f"unknown experiment {which!r}, expected 'sinusoid' or 'step'")
-    if cfg is None:
-        cfg = SolverConfig(dt=1e-4, t_end=10.0, record_stride=10)
     network = wye_network()
     f0 = np.array(WYE_F0)
     oracle = simulate_dae_oracle(network, excitation, f0, cfg)

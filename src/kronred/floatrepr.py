@@ -12,12 +12,12 @@ rounding vr gives the digits; the decimal exponent is e10 + k.
 
 The fast path is Ryu's e2 < 0 branch without its trailing-zero cases:
 normal doubles below 2^50, other than powers of two, whose interval
-bounds are not exact decimals there. Every other value (+-0.0,
-subnormals, nan, inf, 2^50 and above, powers of two, round values such
-as 0.5 or 120.0) is written by repr into its own slot of the block. A
-fast value is never integral and below 10^16, so its layout is repr's
-0.000ddd or ddd.ddd (-4 < decpt <= 16) or d.ddde-XX (two exponent
-digits or more).
+bounds are not exact decimals there. Every value of a block goes through
+the digit pipeline, and repr then overwrites the slot of each other value
+(+-0.0, subnormals, nan, inf, 2^50 and above, powers of two, round values
+such as 0.5 or 120.0), whose computed digits are not used. A fast value
+is never integral and below 10^16, so its layout is repr's 0.000ddd or
+ddd.ddd (-4 < decpt <= 16) or d.ddde-XX (two exponent digits or more).
 
 Error budget of the bounds. X = 4 m2 t is formed from 26-bit limbs of
 T = floor(4 t 2^121) (10 <= t < 100, so T < 2^130) and of m2, without
@@ -113,20 +113,14 @@ def _tables():
 
 
 def csv_body(block):
-    """The CSV lines of the rows of a (rows, cols) float64 block, as bytes."""
+    """The CSV lines of a (rows, cols) float64 block's rows, as bytes: every
+    value takes the digit pipeline, then repr rewrites those off its fast path."""
     bits = np.ascontiguousarray(block, dtype=np.float64).view(_U)
     flat = bits.ravel()
     *_, low, _, _, masks, _ = _tables()
     E = (flat >> _U(52) & _U(0x7FF)).astype(np.intp)
-    fast = flat & low.take(E) != 0
-    if not fast.any():  # nothing for the digit pipeline: repr's own join
-        return "".join([",".join(map(repr, row)) + "\n" for row in bits.view(np.float64).tolist()]).encode("ascii")
-    if fast.all():
-        digits, olength, decpt, fast = _shortest(flat, E)
-    else:  # the digits of fast-path values only
-        digits, olength, decpt = (np.ones(flat.size, dtype=t) for t in (_U, np.intp, np.int64))
-        at = np.flatnonzero(fast)
-        digits[at], olength[at], decpt[at], fast[at] = _shortest(flat[at], E[at])
+    digits, olength, decpt, sure = _shortest(flat, E)
+    fast = (flat & low.take(E) != 0) & sure
     words, key = _layout(bits, digits, olength, decpt)
     off = np.flatnonzero(~fast)
     if off.size:
@@ -140,8 +134,8 @@ def csv_body(block):
 
 def _layout(bits, digits, olength, decpt):
     """The 56-byte slots and mask keys of a (rows, cols) block's values,
-    from their digits, digit counts and decpt; a slot whose value is off
-    the fast path holds a placeholder until repr's bytes replace it."""
+    from their digits, digit counts and decpt; the slot of a value off the
+    fast path holds digits that mean nothing until repr's bytes replace it."""
     *_, groups, tails, _, shapes = _tables()
     neg = (bits.ravel() >> _U(63)).astype(np.intp)
     key, sign, dot, tail = shapes.take((decpt + _DECPT) * 18 + olength, axis=1)
@@ -172,8 +166,9 @@ def _layout(bits, digits, olength, decpt):
 
 
 def _shortest(bits, E):
-    """(digits, their count, decpt, certified) of fast-path values' bits:
-    each is 0.<digits> times 10^decpt, with the fewest digits that read back."""
+    """(digits, their count, decpt, certified) of values' bits: a fast-path
+    value is 0.<digits> times 10^decpt, with the fewest digits that read
+    back; for any other value they mean nothing but index the layout tables."""
     e10 = _tables()[2]
     vr, vp, vm, sure = _bounds(bits, E)
     k = np.zeros(bits.size, dtype=np.intp)  # digits removed: the p >= 1 with vp // 10^p > vm // 10^p

@@ -120,15 +120,15 @@ RECORD_BLOCK_STEPS = 64
 CSV_BLOCK_VALUES = 16384
 
 # Least CSV work per process: values to format, and body bytes to parse. Timed
-# with 1 and 2 CPUs in a 64 MB process on a 2-CPU VM, at 16384-value blocks one
-# process wrote 10000 values in 3.9 ms and two in 8.2 ms, 30000 in 11.5 and
-# 16.9 ms, 80000 in 28.9 and 23.4 ms: writes now break even near 70000 values,
-# above this constant (ROADMAP item 9). One process read 7-column trajectory
-# files of 0.95, 1.9 and 2.9 MB in 13.6, 27.5 and 40.2 ms and two in 18.6, 32.2
-# and 45.4 ms; at 3.8 MB both took 57 ms. Reads are cut at 2 MB so that the
-# 4.3 MB and 12 MB files of a 15 x 15 grid run still fork, where the second
-# CPU is free.
-CSV_WRITE_VALUES_PER_PROCESS = 10_000
+# with 1 and 2 CPUs in a 64 MB process on a 2-CPU VM (medians of 41 rounds,
+# sizes interleaved), one process wrote a 7-column file of 20000, 40000, 50000
+# and 80000 values in 9.0, 17.5, 22.4 and 34.7 ms, and two in 11.6, 17.1, 19.8
+# and 26.0 ms, faster in 0, 21, 33 and 39 rounds: writes break even near 40000
+# values, so two processes start at 50000. One process read 7-column files of
+# 0.95, 1.9 and 2.9 MB in 13.6, 27.5 and 40.2 ms and two in 18.6, 32.2 and 45.4
+# ms; at 3.8 MB both took 57 ms. Reads are cut at 2 MB so that the 4.3 MB and
+# 12 MB files of a 15 x 15 grid run still fork, where the second CPU is free.
+CSV_WRITE_VALUES_PER_PROCESS = 25_000
 CSV_READ_BYTES_PER_PROCESS = 2_000_000
 
 
@@ -822,13 +822,14 @@ def _parse_csv(raw):
     sequence never holds LF, and a CRLF ends before its cut); where a
     range's length holds no LF, as in a lone-CR file, the range before
     runs on. This process parses range 0, and forked child w parses range
-    w (_parse_rows) and sends its rows as float64 bytes; a range whose
-    child does not deliver them all is parsed here.
+    w (_parse_rows) and sends its rows as float64 bytes. One loop takes
+    each child's range by the writer's rule: its message if it arrives
+    whole, else the range parsed here.
 
-    Range 0's array is grown in place (realloc) and the children's rows
-    are read into it, so no second copy of the rows is made and freed: a
-    freed block of megabytes raises glibc's dynamic mmap threshold, and
-    later numpy arrays of that size then grow the heap instead.
+    Range 0's array grows in place (realloc) and each message is read
+    straight into it: joined parts would hold the rows twice (2 GiB at
+    MAX_RUN_BYTES), and a freed block of megabytes raises glibc's dynamic
+    mmap threshold, so later arrays of that size grow the heap instead.
     """
     first = re.match(rb"([^\r\n]*)(\r\n?|\n)?", raw.readline())
     header = first[1].decode("utf-8").strip().split(",")
@@ -849,16 +850,13 @@ def _parse_csv(raw):
 
     with _forked(len(cuts) - 1, lambda w: [rows(w).tobytes()]) as pipes:
         arr = rows(0)
-        sizes = [_message_size(pipe) for pipe in pipes]
-        here = {w: rows(w) for w, nbytes in enumerate(sizes, 1) if nbytes is None}
-        counts = [len(here[w]) if w in here else nbytes // (8 * width) for w, nbytes in enumerate(sizes, 1)]
-        start = len(arr)
-        arr.resize((start + sum(counts), width), refcheck=False)  # loadtxt's array owns its data
-        for w, (pipe, count) in enumerate(zip(pipes, counts), 1):
-            part = arr[start:start + count]
-            if w in here or pipe.readinto(part) != part.nbytes:
-                part[...] = here[w] if w in here else rows(w)
-            start += count
+        for w, pipe in enumerate(pipes, 1):
+            nbytes, start = _message_size(pipe), len(arr)
+            part = rows(w) if nbytes is None else None
+            count = len(part) if nbytes is None else nbytes // (8 * width)
+            arr.resize((start + count, width), refcheck=False)  # loadtxt's array owns its data
+            if nbytes is None or pipe.readinto(arr[start:]) != arr[start:].nbytes:
+                arr[start:] = rows(w) if part is None else part
     if not arr.size:
         raise ValueError("no samples")
     return Trajectory(arr[:, 0], arr[:, 1:], tuple(header[1:]))

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kronred import (
+    Edge,
     Excitation,
+    Network,
     Sinusoid,
     SolverConfig,
     build_incidence,
@@ -14,6 +16,7 @@ from kronred import (
     map_initial_condition,
     run_baseline_sweep,
     simulate_dae_oracle,
+    validate,
 )
 from kronred.errors import NegativeSynthesizedElementError
 
@@ -97,6 +100,27 @@ class TestMapInitialCondition:
             gamma = float(rng.uniform(-5, 5))
             f0 = map_initial_condition(DELTA_INCIDENCE, i1, gamma)
             assert np.allclose(DELTA_INCIDENCE @ f0, i1, atol=1e-10)
+
+    def test_several_independent_cycles(self):
+        # a four-arm star reduces to a K4 delta, whose null space has
+        # dimension 3: the SVD's basis is not unique there, so check what
+        # any basis must give
+        star = validate(Network(
+            ("1", "2", "3", "4", "c"),
+            tuple(Edge(f"e{k}", str(k), "c", 1.0 + 0.1 * k, 0.5 + 0.2 * k) for k in range(1, 5)),
+            ("1", "2", "3", "4"),
+        ))
+        Br = build_incidence(heuristic_reduce(star, omega0=2.0)).matrix.toarray().astype(float)
+        assert Br.shape == (4, 6)
+        i1 = np.array([3.0, -1.0, -4.5, 2.5])
+        base = map_initial_condition(Br, i1)
+        for gamma in (-2.5, 1.7):
+            f = map_initial_condition(Br, i1, gamma)
+            assert np.allclose(Br @ f, i1, atol=1e-12)
+            assert np.allclose(Br @ (f - base), 0.0, atol=1e-12)
+            assert np.linalg.norm(f - base) == pytest.approx(abs(gamma), rel=1e-12)
+        assert np.allclose(Br @ base, i1, atol=1e-12)
+        assert np.allclose(np.linalg.lstsq(Br, i1, rcond=None)[0], base, atol=1e-12)
 
 
 class TestDrawGammas:

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -16,7 +17,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kronred import PStrategy, cli, reduce, simulate
+from kronred import PStrategy, cli, experiment, reduce, simulate
 from kronred.cli import main
 from kronred.network import network_from_dict
 from kronred.reduction import load_model, model_to_dict
@@ -195,6 +196,24 @@ class TestValidate:
         diag = json.loads(lines[0])
         assert diag["error"] == "InputFormat"
         assert "id, from and to must be strings" in diag["message"]
+
+    @pytest.mark.parametrize(
+        "edit, error, words",
+        [
+            (lambda d: d["nodes"].append("2"), "NetworkValidation", "duplicate node ids"),
+            (lambda d: d["edges"][2].update(id="e1"), "NetworkValidation", "duplicate edge ids"),
+            (lambda d: d["boundary"].append("5"), "NetworkValidation", "boundary references unknown node '5'"),
+            (lambda d: d["edges"].append(7), "InputFormat", "edge must be an object"),
+            (lambda d: [d], "InputFormat", "network must be an object"),
+        ],
+        ids=["duplicate-node", "duplicate-edge", "unknown-boundary-node", "edge-not-object", "network-not-object"],
+    )
+    def test_structure_check_exits_2(self, tmp_path, capsys, edit, error, words):
+        bad = wye_dict()
+        path = write_json(tmp_path / "bad.json", edit(bad) or bad)
+        code, diag = run_one_diagnostic(["validate", path], capsys)
+        assert code == 2
+        assert diag["error"] == error and words in diag["message"]
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
@@ -749,6 +768,20 @@ class TestSimulate:
         assert diag["error"] == "InputFormat"
         assert "'2'" in diag["message"] and "non-finite" in diag["message"]
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("breakpoints", [[[0.0, 1.0, 2.0]], [0.0, 1.0]], ids=["triple", "flat"])
+    def test_breakpoints_not_pairs_exit_2(self, tmp_path, wye_file, capsys, breakpoints):
+        excitation = sinusoid_excitation_dict()
+        excitation["signals"]["2"] = {"type": "piecewise", "breakpoints": breakpoints}
+        write_json(tmp_path / "exc.json", excitation)
+        manifest = write_json(
+            tmp_path / "m.json",
+            {"network": "wye.json", "excitation": "exc.json", "solver": {"dt_s": 1e-3, "t_end_s": 0.1}},
+        )
+        code, diag = run_one_diagnostic(["simulate", manifest, "--method", "reduced"], capsys)
+        assert code == 2
+        assert diag["error"] == "InputFormat" and "[t, value] pairs" in diag["message"]
+        assert not list(tmp_path.glob("**/*.csv"))
 
     # 2 pi f overflows, so 2 pi f t is NaN or inf: the runs used to print
     # RuntimeWarnings, write NaN rows and exit 0
@@ -1343,6 +1376,21 @@ class TestCompare:
         assert captured.out == ""
         assert f"--from-time: not a finite number: {from_time!r}" in captured.err
 
+    def test_no_common_channel_exits_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("t,x\n0.0,1.0\n0.1,2.0\n")
+        b.write_text("t,y\n0.0,1.0\n0.1,2.0\n")
+        code, diag = run_one_diagnostic(["compare", str(a), str(b)], capsys)
+        assert code == 2
+        assert diag["error"] == "DimensionMismatch" and "no common channels" in diag["message"]
+
+    def test_from_time_past_the_last_sample_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "a.csv"
+        path.write_text("t,x\n0.0,1.0\n0.1,2.0\n")
+        code, diag = run_one_diagnostic(["compare", str(path), str(path), "--from-time", "0.5"], capsys)
+        assert code == 2
+        assert diag["error"] == "InputFormat" and "no samples at or after t=0.5" in diag["message"]
+
     def test_unknown_channel_exits_2(self, manifest_file, tmp_path, capsys):
         # used to end in a KeyError traceback with exit 1
         assert main(["simulate", manifest_file, "--method", "dae"]) == 0
@@ -1447,6 +1495,16 @@ class TestPhasor:
 
 
 class TestPaperExperiment:
+    def test_defaults_are_the_papers_solver_settings(self):
+        args = cli.build_parser().parse_args(["paper-experiment", "--which", "step"])
+        cfg = simulate.SolverConfig(dt=args.dt, t_end=args.t_end, record_stride=args.record_stride)
+        assert cfg == experiment.PAPER_SOLVER == simulate.SolverConfig(dt=1e-4, t_end=10.0, record_stride=10)
+        assert inspect.signature(experiment.run_experiment).parameters["cfg"].default is experiment.PAPER_SOLVER
+
+    def test_unknown_experiment_raises(self):
+        with pytest.raises(ValueError, match="unknown experiment 'ramp'"):
+            experiment.run_experiment("ramp")
+
     def test_sinusoid_summary(self, tmp_path, capsys):
         code = main(
             [

@@ -74,6 +74,21 @@ class TestValidate:
         with pytest.raises(UnknownNodeRefError):
             validate(net)
 
+    def test_duplicate_node_ids_rejected(self):
+        net = Network(("1", "2", "1"), (Edge("e1", "1", "2", 1.0, 1.0),), ("1", "2"))
+        with pytest.raises(NetworkValidationError, match="duplicate node ids"):
+            validate(net)
+
+    def test_duplicate_edge_ids_rejected(self):
+        net = Network(("1", "2"), (Edge("e1", "1", "2", 1.0, 1.0), Edge("e1", "2", "1", 2.0, 2.0)), ("1", "2"))
+        with pytest.raises(NetworkValidationError, match="duplicate edge ids"):
+            validate(net)
+
+    def test_unknown_boundary_node_rejected(self):
+        net = Network(("1", "2"), (Edge("e1", "1", "2", 1.0, 1.0),), ("1", "9"))
+        with pytest.raises(NetworkValidationError, match="boundary references unknown node '9'"):
+            validate(net)
+
     def test_self_loop_rejected(self):
         net = Network(("1", "2"), (Edge("e1", "1", "1", 1.0, 1.0),), ("1", "2"))
         with pytest.raises(NetworkValidationError):
@@ -159,6 +174,17 @@ class TestJson:
         obj = network_to_dict(wye)
         obj["edges"][0]["x"] = 1
         with pytest.raises(InputFormatError):
+            network_from_dict(obj)
+
+    @pytest.mark.parametrize("obj", [[], "wye", 3.0, None])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(InputFormatError, match="network must be an object"):
+            network_from_dict(obj)
+
+    def test_non_object_edge_rejected(self, wye):
+        obj = network_to_dict(wye)
+        obj["edges"][1] = ["e2", "2", "4"]
+        with pytest.raises(InputFormatError, match="edge must be an object"):
             network_from_dict(obj)
 
     def test_missing_key_rejected(self):

@@ -29,6 +29,9 @@ class TestPhasorType:
         assert -math.pi < p.phase <= math.pi
         assert np.isclose(p.phase, -0.5 * math.pi)
 
+    def test_phase_minus_pi_is_pi(self):
+        assert Phasor(1.0, -math.pi).phase == math.pi
+
     def test_negative_magnitude_folded(self):
         p = Phasor(-2.0, 0.0)
         assert p.magnitude == 2.0

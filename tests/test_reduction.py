@@ -51,6 +51,10 @@ def lossless_every_third_edge(net):
 
 
 class TestBuildP:
+    def test_unknown_strategy_raises(self, wye):
+        with pytest.raises(ValueError, match="unknown strategy 'tree'"):
+            build_P(build_incidence(wye), wye, "tree")
+
     def test_wye_tree_elimination(self, wye):
         model = reduce(wye, PStrategy.TREE_ELIMINATION)
         assert sparse.issparse(model.P)

@@ -42,6 +42,7 @@ from kronred import (
 from kronred.cli import main
 from kronred.errors import (
     ConstraintDriftError,
+    DimensionMismatchError,
     InconsistentInitialConditionError,
     InputFormatError,
     KronredError,
@@ -138,6 +139,11 @@ class TestSignals:
     def test_unknown_key_rejected(self):
         with pytest.raises(InputFormatError):
             excitation_from_dict({"signals": {"1": {"type": "constant", "value_v": 1, "x": 2}}})
+
+    @pytest.mark.parametrize("breakpoints", [[[0.0, 1.0, 2.0]], [0.0, 1.0]], ids=["triple", "flat"])
+    def test_breakpoints_must_be_pairs(self, breakpoints):
+        with pytest.raises(InputFormatError, match=r"\[t, value\] pairs"):
+            excitation_from_dict({"signals": {"1": {"type": "piecewise", "breakpoints": breakpoints}}})
 
 
 class TestReducedSimulation:
@@ -476,6 +482,67 @@ class TestCompare:
         report = compare_trajectories(a, b)
         assert tuple(report["channels"]) == ("y",)
 
+    def test_no_common_channels_raises(self):
+        t = np.linspace(0, 1, 5)
+        a = Trajectory(t, np.zeros((5, 1)), ("x",))
+        with pytest.raises(DimensionMismatchError, match="no common channels"):
+            compare_trajectories(a, Trajectory(t, np.zeros((5, 1)), ("y",)))
+
+    def test_no_samples_after_from_time_raises(self):
+        t = np.linspace(0, 1, 5)
+        a = Trajectory(t, np.ones((5, 1)), ("x",))
+        with pytest.raises(InputFormatError, match="no samples at or after"):
+            compare_trajectories(a, a, from_time=1.5)
+
+    # On these networks the oracle's injection at one boundary node is
+    # exactly 0 and the reduced model's is off by rounding (6e-17 and
+    # 8e-16 A on peaks of 19 and 40 A): the 1e-300 floor this rule
+    # replaced reported max_rel 6.3e283 and 7.7e284.
+    @pytest.mark.parametrize("seed, zero", [(3, "i_6"), (7, "i_4")])
+    def test_channel_zero_in_the_reference_is_scaled_by_the_largest_peak(self, seed, zero):
+        net = random_connected_network(np.random.default_rng(seed))
+        excitation = Excitation({net.boundary[0]: Sinusoid(120.0, 1.5, 0.0)})
+        cfg = SolverConfig(dt=1e-3, t_end=0.5, record_stride=10)
+        f0 = np.zeros(len(net.edges))
+        oracle = simulate_dae_oracle(net, excitation, f0, cfg)
+        reduced = simulate_reduced(reduce(net, PStrategy.ORTHONORMAL_NULL_BASIS), excitation, f0, cfg)
+        assert not np.any(oracle.channel(zero))
+        report = compare_trajectories(reduced, oracle)
+        assert zero in report["channels"]
+        assert report["max_rel"] <= 1e-6
+        assert report["steady_rel"] <= 1e-6
+
+    def test_channel_zero_in_the_reference_still_reads_a_real_deviation(self):
+        t = np.linspace(0, 1, 101)
+        b = Trajectory(t, np.column_stack([5.0 * np.sin(3 * t) + 20.0, np.zeros(t.size)]), ("x", "y"))
+        peak = np.max(np.abs(b.channel("x")))
+        a = Trajectory(t, b.data + [0.0, 1e-3 * peak], b.channels)  # y off by 1e-3 of the largest peak
+        report = compare_trajectories(a, b)
+        assert report["max_rel"] == pytest.approx(1e-3)
+        steady = np.max(np.abs(b.channel("x")[t >= 0.9]))
+        assert report["steady_rel"] == pytest.approx(1e-3 * peak / steady)
+
+    def test_channel_zero_only_in_the_steady_tail_takes_the_tails_largest_peak(self):
+        t = np.linspace(0, 1, 101)
+        y = np.where(t < 0.5, 1.0, 0.0)
+        b = Trajectory(t, np.column_stack([np.full(t.size, 4.0), y]), ("x", "y"))
+        a = Trajectory(t, b.data + [0.0, 4e-9], b.channels)
+        report = compare_trajectories(a, b)
+        assert report["max_rel"] == pytest.approx(4e-9)  # y's own peak, 1, over the window
+        assert report["steady_rel"] == pytest.approx(1e-9)  # x's tail peak, 4
+
+    def test_reference_zero_on_every_channel(self):
+        # no reference scale: a's largest peak stands in, so the ratio is
+        # 1 where a is not 0 and 0 where it is
+        t = np.linspace(0, 1, 11)
+        zero = Trajectory(t, np.zeros((11, 2)), ("x", "y"))
+        report = compare_trajectories(zero, zero)
+        assert report["max_rel"] == report["steady_rel"] == 0.0
+        a = Trajectory(t, np.column_stack([np.zeros(11), 1e-20 * t]), ("x", "y"))
+        report = compare_trajectories(a, zero)
+        assert report["max_abs"] == 1e-20
+        assert report["max_rel"] == report["steady_rel"] == 1.0
+
 
 class TestCsvRoundTrip:
     def test_bit_exact(self, wye, tmp_path):
@@ -651,9 +718,9 @@ class TestParallelCsvWrite:
         assert write_both_ways(trajectories, tmp_path) == (expected, expected)
 
     # With 2 CPUs, at the sizes timed to set the least work per process:
-    # one process wrote 10000 values and read 1.9 MB faster than two did;
-    # two were faster from 30000 values, and read 3.8 MB as fast.
-    @pytest.mark.parametrize("values, nbytes, children", [(10_000, 1_900_000, 0), (30_000, 4_300_000, 1)],
+    # one process wrote 40000 values as fast as two and read 1.9 MB faster;
+    # two were faster from 50000 values, and read 3.8 MB as fast.
+    @pytest.mark.parametrize("values, nbytes, children", [(40_000, 1_900_000, 0), (50_000, 4_300_000, 1)],
                              ids=["below", "above"])
     def test_forks_from_the_least_work_per_process(self, tmp_path, monkeypatch, values, nbytes, children):
         monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 2)
