@@ -30,15 +30,8 @@ from .reduction import (
     save_model,
 )
 from .signals import Constant, Excitation, Piecewise, Sinusoid, Step, load_excitation
-from .simulate import (
-    SolverConfig,
-    Trajectory,
-    simulate_dae_oracle,
-    simulate_homogeneous,
-    simulate_reduced,
-    trajectory_from_csv,
-    trajectory_to_csv,
-)
+from .simulate import SolverConfig, simulate_dae_oracle, simulate_homogeneous, simulate_reduced
+from .csvio import Trajectory, trajectory_from_csv, trajectory_to_csv
 from .baseline import draw_gammas, heuristic_reduce, map_initial_condition, run_baseline_sweep
 from .compare import compare_trajectories
 

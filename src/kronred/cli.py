@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .baseline import baseline_errors, draw_gammas, run_baseline_sweep
 from .compare import compare_trajectories
+from .csvio import trajectory_from_csv, write_trajectories
 from .errors import InputFormatError, KronredError
 from .experiment import PAPER_SOLVER, resolve_seed, run_experiment
 from .network import build_incidence, json_number, json_object, load_json, load_network
@@ -37,8 +38,6 @@ from .simulate import (
     simulate_dae_oracle,
     simulate_homogeneous,
     simulate_reduced,
-    trajectory_from_csv,
-    write_trajectories,
 )
 
 EXIT_OK = 0

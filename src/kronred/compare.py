@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .csvio import Trajectory
 from .errors import DimensionMismatchError, InputFormatError
-from .simulate import Trajectory
 
 # Fraction of the compared window treated as "steady state" (its tail).
 STEADY_FRACTION = 0.1

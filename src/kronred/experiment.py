@@ -17,11 +17,12 @@ import numpy as np
 
 from .baseline import baseline_errors, draw_gammas, run_baseline_sweep
 from .compare import compare_trajectories
+from .csvio import write_trajectories
 from .errors import InputFormatError
 from .network import Edge, Network, validate
 from .reduction import reduce
 from .signals import Excitation, Sinusoid, Step
-from .simulate import SolverConfig, simulate_dae_oracle, simulate_reduced, write_trajectories
+from .simulate import SolverConfig, simulate_dae_oracle, simulate_reduced
 
 WYE_R = (0.98, 0.99, 0.58)          # ohms
 WYE_L = (0.55, 0.64, 0.77)          # henries

@@ -36,32 +36,19 @@ MAX_RUN_BYTES before its excitation is sampled (_check_run_size), and
 builds its Trajectory through one guard, _finite_trajectory: a state or
 output that overflows ends the run in InputFormatError, never in a NaN
 or inf sample.
-
-Trajectories are written as CSV by trajectory_to_csv and
-write_trajectories: floatrepr.csv_body formats blocks of CSV_BLOCK_VALUES
-values in numpy, byte for byte as Python's float repr, over row ranges
-in up to one forked process per CPU (_write_csv). They are read back by
-np.loadtxt over byte ranges in the same way (trajectory_from_csv).
 """
 
-from __future__ import annotations
-
-import contextlib
-import io
 import math
 import numbers
-import os
-import re
-import shutil
-import tempfile
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dtbtrs
 
+# The CSV functions stay simulate attributes, as the same objects, for the
+# callers that name them here (perfbench/spans.py times them by that name).
+from .csvio import Trajectory, trajectory_from_csv, trajectory_to_csv  # noqa: F401
 from .errors import (
     ConstraintDriftError,
     InconsistentInitialConditionError,
@@ -70,7 +57,6 @@ from .errors import (
     SolverConfigError,
     UnstableTimeStepError,
 )
-from .floatrepr import csv_body
 from .network import IncidenceMatrix, Network, build_incidence
 from .reduction import HomogeneousReducedModel, ReducedModel, embed_initial
 from .signals import Excitation
@@ -110,27 +96,6 @@ MAX_RUN_BYTES = 2**30
 # Shorter pieces leave the oracle more steady-state bias, eps / (l dt d).
 RECORD_BLOCK_STEPS = 64
 
-# Values per formatted CSV block (floatrepr.csv_body), whose temporaries
-# hold about 250 bytes per value. On a 2-core VM, writing one paper-experiment
-# call's 7 files took 328, 299, 286 and 323 ns per value in one process at
-# 4096, 8192, 16384 and 32768 values, and 214, 211, 194 and 196 ns in two
-# (medians of 15 alternating rounds; the 15 x 15 grid's files alike). Each
-# numpy call costs more at the small sizes, and the temporaries fall out of
-# cache at the large ones; children peak 3 MB higher at 32768.
-CSV_BLOCK_VALUES = 16384
-
-# Least CSV work per process: values to format, and body bytes to parse. Timed
-# with 1 and 2 CPUs in a 64 MB process on a 2-CPU VM (medians of 41 rounds,
-# sizes interleaved), one process wrote a 7-column file of 20000, 40000, 50000
-# and 80000 values in 9.0, 17.5, 22.4 and 34.7 ms, and two in 11.6, 17.1, 19.8
-# and 26.0 ms, faster in 0, 21, 33 and 39 rounds: writes break even near 40000
-# values, so two processes start at 50000. One process read 7-column files of
-# 0.95, 1.9 and 2.9 MB in 13.6, 27.5 and 40.2 ms and two in 18.6, 32.2 and 45.4
-# ms; at 3.8 MB both took 57 ms. Reads are cut at 2 MB so that the 4.3 MB and
-# 12 MB files of a 15 x 15 grid run still fork, where the second CPU is free.
-CSV_WRITE_VALUES_PER_PROCESS = 25_000
-CSV_READ_BYTES_PER_PROCESS = 2_000_000
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -167,28 +132,6 @@ class SolverConfig:
     def n_steps(self):
         return int(round(self.t_end / self.dt))
 
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniformly sampled named channels over time."""
-
-    times: np.ndarray
-    data: np.ndarray      # (n_samples, n_channels)
-    channels: tuple
-
-    def channel(self, name):
-        try:
-            j = self.channels.index(name)
-        except ValueError:
-            raise InputFormatError(f"no channel {name!r}") from None
-        return self.data[:, j]
-
-    def channels_with_prefix(self, prefix):
-        return tuple(c for c in self.channels if c.startswith(prefix))
-
-    def select(self, names):
-        idx = [self.channels.index(n) for n in names]
-        return Trajectory(self.times, self.data[:, idx], tuple(names))
 
 
 def _record_steps(n_steps, record_stride):
@@ -632,284 +575,3 @@ def simulate_homogeneous(
     channels = tuple(f"i_{n}" for n in model.boundary_nodes)
     return _modal_runs(excitation, model.boundary_nodes, np.full(i1_0.size, model.alpha), model.Lred,
                        i1_0[:, None], lambda i1: (i1,), channels, cfg)[0]
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write `t,<channels>` rows as UTF-8, with shortest round-trip float
-    formatting, byte for byte as Python's repr writes it (floatrepr.csv_body,
-    in numpy; a value off its fast path goes to repr itself, the rest of its
-    row staying in numpy). The rows are formatted by up to one process per
-    available CPU, over row ranges (_write_csv), and the bytes are those of
-    a one-process write."""
-    _write_csv([(traj, path)])
-
-
-def write_trajectories(trajectories: dict, out_dir) -> list:
-    """Write each named trajectory to <out_dir>/<name>.csv, as
-    trajectory_to_csv writes it, making out_dir and its parents where
-    missing; returns the paths in the dict's order. One set of processes
-    formats the rows of every file (_write_csv)."""
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    jobs = [(traj, Path(out_dir) / f"{name}.csv") for name, traj in trajectories.items()]
-    _write_csv(jobs)
-    return [path for _, path in jobs]
-
-
-def _write_csv(jobs):
-    """Write each (trajectory, path) in order, from _workers(total values,
-    CSV_WRITE_VALUES_PER_PROCESS) processes.
-
-    Every file's rows are cut into one contiguous range per process.
-    Forked child w formats range w of every file, in file order, and
-    sends each range's bytes here as one message (_forked). This process
-    is the only one that opens files, in binary: each gets its UTF-8
-    header, then its ranges in order, by one rule: a range's message if
-    one arrives whole, else the range formatted here (_csv_range). Range
-    0 has no child, so it is always formatted here; a child that fails
-    sends nothing more, so the rest of its work is formatted here too. So
-    the bytes are those of a one-process write, and a file that cannot be
-    written raises what a one-process write raises.
-    """
-    values = sum(traj.times.size * (1 + traj.data.shape[1]) for traj, _ in jobs)
-    n = _workers(values, CSV_WRITE_VALUES_PER_PROCESS)
-    with _forked(n, lambda w: (b"".join(_csv_range(traj, w, n)) for traj, _ in jobs)) as pipes:
-        for traj, path in jobs:
-            with open(path, "wb") as fh:
-                fh.write(("t," + ",".join(traj.channels) + "\n").encode("utf-8"))
-                for w, pipe in enumerate([None] + pipes):
-                    text = _receive(pipe)
-                    fh.writelines(_csv_range(traj, w, n) if text is None else [text])
-
-
-def _csv_range(traj, w, n):
-    """The CSV lines of row range w of n, as ASCII bytes, one _csv_text
-    block of about CSV_BLOCK_VALUES values at a time."""
-    start, stop = traj.times.size * w // n, traj.times.size * (w + 1) // n
-    rows = max(1, CSV_BLOCK_VALUES // (1 + traj.data.shape[1]))
-    for first in range(start, stop, rows):
-        yield _csv_text(traj, first, min(first + rows, stop))
-
-
-def _csv_text(traj, first, end):
-    """The CSV lines of rows first to end - 1, as ASCII bytes (csv_body)."""
-    return csv_body(np.column_stack([traj.times[first:end], traj.data[first:end]]))
-
-
-def _available_cpus():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _workers(size, per_process):
-    """Processes for CSV work of the given size (values to write, or
-    bytes to read): one per available CPU, but none beyond one per
-    per_process of the size, and one where fork is missing."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_available_cpus(), size // per_process))
-
-
-@contextlib.contextmanager
-def _forked(n, messages):
-    """Fork children 1 to n - 1 of this process and yield, in order, the
-    read end of each one's pipe (None where no child could be made).
-
-    Child w sends each bytes object of messages(w) here over its own
-    pipe, length-prefixed, and leaves by os._exit: 0 once all are sent,
-    1 on any exception. It never returns into the caller's code, prints
-    nothing, and neither flushes inherited stdio buffers nor runs atexit
-    handlers. Children format and parse CSV only, so they never enter a
-    BLAS thread pool inherited through the fork.
-
-    _receive(pipe) returns the child's next message, or None from the
-    first one that does not arrive whole: the fork failed, or the child
-    raised (so exits 1) or was killed, and its pipe closed early. Leaving
-    the block closes every pipe, so a child still sending stops, and
-    reaps every child, also when SIGCHLD is ignored.
-    """
-    children = []  # (pid, pipe), or (None, None) where no child could be made
-    try:
-        for w in range(1, n):
-            try:
-                r, wfd = os.pipe()
-            except OSError:  # no descriptor to spare: this process does child w's work
-                children.append((None, None))
-                continue
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: likewise
-                os.close(r)
-                os.close(wfd)
-                children.append((None, None))
-                continue
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(r)
-                    for _, pipe in children:  # a sibling's pipe must close when this process closes it
-                        if pipe is not None:
-                            pipe.close()
-                    with open(wfd, "wb") as out:
-                        for message in messages(w):
-                            out.write(len(message).to_bytes(8, "little"))
-                            out.write(message)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(wfd)
-            children.append((pid, open(r, "rb")))
-        yield [pipe for _, pipe in children]
-    finally:
-        for _, pipe in children:
-            if pipe is not None:
-                pipe.close()
-        for pid, _ in children:
-            if pid is not None:
-                try:
-                    os.waitpid(pid, 0)
-                except ChildProcessError:  # reaped by the system, as when SIGCHLD is ignored
-                    pass
-
-
-def _receive(pipe):
-    """The next length-prefixed message on pipe, or None where none
-    arrives whole."""
-    size = _message_size(pipe)
-    message = b"" if size is None else pipe.read(size)
-    return message if len(message) == size else None
-
-
-def _message_size(pipe):
-    """The length prefix of the next message on pipe, or None where none
-    arrives."""
-    head = b"" if pipe is None else pipe.read(8)
-    return int.from_bytes(head, "little") if len(head) == 8 else None
-
-
-def trajectory_from_csv(path) -> Trajectory:
-    """Read a trajectory_to_csv file; non-UTF-8 content or a bad header,
-    row or cell is an InputFormatError. The body is parsed over byte
-    ranges by up to one process per available CPU (_parse_csv), a FIFO or
-    a pipe from a copy; only a failed parse reads the file again, line by
-    line, for the diagnostic (_csv_fault)."""
-    with open(path, "rb") as given, _seekable(given) as raw:
-        try:
-            return _parse_csv(raw)
-        except ValueError:  # UnicodeDecodeError too
-            raise _csv_fault(raw, path) from None
-
-
-def _seekable(fh):
-    """fh, or, where it cannot be seeked, an unnamed temporary file
-    holding the bytes it has left."""
-    if fh.seekable():
-        return fh
-    copy = tempfile.TemporaryFile()
-    shutil.copyfileobj(fh, copy)
-    copy.seek(0)
-    return copy
-
-
-def _parse_csv(raw):
-    """The trajectory in the seekable binary file raw, parsed by
-    _workers(body bytes, CSV_READ_BYTES_PER_PROCESS) processes;
-    ValueError where any part of it does not parse.
-
-    The header is the first line by universal newlines. The body is cut
-    after an LF byte into one range per process (a UTF-8 multibyte
-    sequence never holds LF, and a CRLF ends before its cut); where a
-    range's length holds no LF, as in a lone-CR file, the range before
-    runs on. This process parses range 0, and forked child w parses range
-    w (_parse_rows) and sends its rows as float64 bytes. One loop takes
-    each child's range by the writer's rule: its message if it arrives
-    whole, else the range parsed here.
-
-    Range 0's array grows in place (realloc) and each message is read
-    straight into it: joined parts would hold the rows twice (2 GiB at
-    MAX_RUN_BYTES), and a freed block of megabytes raises glibc's dynamic
-    mmap threshold, so later arrays of that size grow the heap instead.
-    """
-    first = re.match(rb"([^\r\n]*)(\r\n?|\n)?", raw.readline())
-    header = first[1].decode("utf-8").strip().split(",")
-    if header[0] != "t":
-        raise ValueError("the first column is not t")
-    body, size = first.end(), raw.seek(0, os.SEEK_END)
-    n = _workers(size - body, CSV_READ_BYTES_PER_PROCESS)
-    cuts = [body]
-    for w in range(1, n):
-        raw.seek(body + (size - body) * w // n)
-        if raw.readline((size - body) // n).endswith(b"\n"):
-            cuts.append(raw.tell())
-    cuts.append(size)
-    width = len(header)
-
-    def rows(w):
-        return _parse_rows(_ByteRange(raw.fileno(), cuts[w], cuts[w + 1]), width)
-
-    with _forked(len(cuts) - 1, lambda w: [rows(w).tobytes()]) as pipes:
-        arr = rows(0)
-        for w, pipe in enumerate(pipes, 1):
-            nbytes, start = _message_size(pipe), len(arr)
-            part = rows(w) if nbytes is None else None
-            count = len(part) if nbytes is None else nbytes // (8 * width)
-            arr.resize((start + count, width), refcheck=False)  # loadtxt's array owns its data
-            if nbytes is None or pipe.readinto(arr[start:]) != arr[start:].nbytes:
-                arr[start:] = rows(w) if part is None else part
-    if not arr.size:
-        raise ValueError("no samples")
-    return Trajectory(arr[:, 0], arr[:, 1:], tuple(header[1:]))
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes start to stop - 1 of the file open as fd, read by pread, which
-    neither reads nor moves the descriptor's offset."""
-
-    def __init__(self, fd, start, stop):
-        self.fd, self.pos, self.stop = fd, start, stop
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        data = os.pread(self.fd, min(len(buffer), self.stop - self.pos), self.pos)
-        buffer[:len(data)] = data
-        self.pos += len(data)
-        return len(data)
-
-
-def _parse_rows(raw, width):
-    """The rows of CSV body bytes in the binary stream raw, decoded as
-    UTF-8 with universal newlines and parsed by np.loadtxt, blank lines
-    skipped (a range without rows is 0 x 1); ValueError unless each row
-    has width cells."""
-    with warnings.catch_warnings():  # loadtxt warns of a range without rows
-        warnings.simplefilter("ignore", UserWarning)
-        arr = np.loadtxt(io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8"),
-                         delimiter=",", comments=None, ndmin=2)
-    if arr.size and arr.shape[1] != width:
-        raise ValueError(f"{arr.shape[1]} columns, {width} expected")
-    return arr
-
-
-def _csv_fault(raw, path) -> InputFormatError:
-    """The error for the CSV file raw (binary, seekable) that did not
-    parse: non-UTF-8 bytes, a first column not named t, the first bad
-    line (universal newlines, blank lines counted), or no samples."""
-    raw.seek(0)
-    try:
-        with io.TextIOWrapper(raw, encoding="utf-8") as fh:  # closes raw
-            header = fh.readline().strip().split(",")
-            if header[0] != "t":
-                return InputFormatError(f"{path}: first CSV column must be 't'")
-            for lineno, line in enumerate(fh, start=2):
-                try:
-                    cells = np.loadtxt([line], delimiter=",", comments=None, ndmin=1) if line != "\n" else None
-                except ValueError as exc:  # loadtxt's row number, cut from its message, would skip blank lines
-                    return InputFormatError(f"{path}, line {lineno}: {str(exc).partition(' at row')[0]}")
-                if cells is not None and cells.size != len(header):
-                    return InputFormatError(f"{path}, line {lineno}: ragged CSV, {len(header)} columns expected")
-    except UnicodeDecodeError as exc:
-        return InputFormatError(f"{path} is not UTF-8 text: {exc.reason}")
-    return InputFormatError(f"{path}: no samples")

@@ -30,14 +30,14 @@ from kronred.simulate import trajectory_from_csv
 # per run.
 WRITE_RUNS = """
 import json, os, sys
-from kronred import simulate
+from kronred import csvio
 from kronred.cli import main
 
 results = []
 fork = os.fork
-simulate.CSV_WRITE_VALUES_PER_PROCESS = 1024
+csvio.CSV_WRITE_VALUES_PER_PROCESS = 1024
 for cpus, argv in json.loads(sys.argv[1]):
-    simulate._available_cpus = lambda: cpus
+    csvio._available_cpus = lambda: cpus
     forks = []
     os.fork = lambda: forks.append(1) or fork()
     code = main(argv)

@@ -1,12 +1,12 @@
-"""floatrepr.csv_body against Python's float repr, value by value and row by row."""
+"""csvio.csv_body against Python's float repr, value by value and row by row."""
 
 import math
 
 import numpy as np
 import pytest
 
-from kronred import floatrepr
-from kronred.floatrepr import csv_body
+from kronred import csvio
+from kronred.csvio import csv_body
 
 
 def repr_lines(block):
@@ -146,10 +146,10 @@ def test_bounds_are_exact_floors_at_hard_significands():
     bits = hard_cases()
     E = (bits >> np.uint64(52)).astype(np.intp)
     assert mismatches(bits.view(np.float64)) == []
-    fast = bits & floatrepr._tables()[3].take(E) != 0
+    fast = bits & csvio._tables()[3].take(E) != 0
     bits, E = bits[fast], E[fast]
     assert bits.size > 5000
-    vr, vp, vm, sure = floatrepr._bounds(bits, E)
+    vr, vp, vm, sure = csvio._bounds(bits, E)
     assert sure.all()
     for E, m2, got in zip(E.tolist(), (bits & np.uint64((1 << 52) - 1)).tolist(),
                           zip(vr.tolist(), vp.tolist(), vm.tolist())):
@@ -161,9 +161,9 @@ def test_bounds_are_exact_floors_at_hard_significands():
 def test_uncertified_values_are_written_by_repr(monkeypatch):
     """With a guard band as wide as the fraction, no bound is certified,
     and every fast-path value goes to repr in its own slot."""
-    monkeypatch.setattr(floatrepr, "_GUARD", 2**64 - 1)
+    monkeypatch.setattr(csvio, "_GUARD", 2**64 - 1)
     rng = np.random.default_rng(23)
     block = rng.standard_normal((500, 7)) * 10.0 ** rng.integers(-20, 15, (500, 7))
     bits = block.view(np.uint64).ravel()
-    assert not floatrepr._bounds(bits, (bits >> np.uint64(52) & np.uint64(0x7FF)).astype(np.intp))[3].any()
+    assert not csvio._bounds(bits, (bits >> np.uint64(52) & np.uint64(0x7FF)).astype(np.intp))[3].any()
     assert csv_body(block) == repr_lines(block)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronred
+from kronred import csvio as csvio_module
 from kronred import experiment as experiment_module
 from kronred import reduction as reduction_module
 from kronred import simulate as simulate_module
@@ -562,7 +563,7 @@ class TestCsvRoundTrip:
 
     def test_special_values_across_blocks(self, tmp_path):
         # 8 values a row: several blocks and a partial last one
-        rows_per_block = simulate_module.CSV_BLOCK_VALUES // 8
+        rows_per_block = csvio_module.CSV_BLOCK_VALUES // 8
         n = 3 * rows_per_block + 5
         special = [-0.0, 5e-324, 1e-5, 1e16, 0.1, np.inf, np.nan]
         rng = np.random.default_rng(3)
@@ -613,7 +614,7 @@ def write_both_ways(trajectories, out_dir):
     """The bytes of write_trajectories into out_dir/all and of one
     trajectory_to_csv call per file into out_dir/each."""
     (out_dir / "all").mkdir()
-    paths = simulate_module.write_trajectories(trajectories, out_dir / "all")
+    paths = csvio_module.write_trajectories(trajectories, out_dir / "all")
     assert paths == [out_dir / "all" / f"{name}.csv" for name in trajectories]
     (out_dir / "each").mkdir()
     for name, traj in trajectories.items():
@@ -629,9 +630,9 @@ SMALL_WORK = 1024
 def fork_for_small_files(monkeypatch, cpus):
     """cpus CPUs for CSV work, and a process per SMALL_WORK values to
     write or body bytes to read, so that the small files here fork."""
-    monkeypatch.setattr(simulate_module, "_available_cpus", lambda: cpus)
-    monkeypatch.setattr(simulate_module, "CSV_WRITE_VALUES_PER_PROCESS", SMALL_WORK)
-    monkeypatch.setattr(simulate_module, "CSV_READ_BYTES_PER_PROCESS", SMALL_WORK)
+    monkeypatch.setattr(csvio_module, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(csvio_module, "CSV_WRITE_VALUES_PER_PROCESS", SMALL_WORK)
+    monkeypatch.setattr(csvio_module, "CSV_READ_BYTES_PER_PROCESS", SMALL_WORK)
 
 
 def count_forks(monkeypatch):
@@ -648,7 +649,7 @@ class TestParallelCsvWrite:
         expected = reference_bytes(trajectories, tmp_path / "ref")
         fork_for_small_files(monkeypatch, cpus)
         forks = count_forks(monkeypatch)
-        paths = simulate_module.write_trajectories(trajectories, tmp_path)
+        paths = csvio_module.write_trajectories(trajectories, tmp_path)
         assert len(forks) == cpus - 1  # one set of children for every file
         assert paths == [tmp_path / f"{name}.csv" for name in trajectories]
         assert [p.read_bytes() for p in paths] == expected
@@ -660,7 +661,7 @@ class TestParallelCsvWrite:
     @pytest.mark.parametrize("width", [1, 7, 646])
     def test_widths_match_the_one_process_writer(self, tmp_path, rng, monkeypatch, width, cpus):
         # two and a half blocks of rows: the last block is partial
-        n = 5 * max(1, simulate_module.CSV_BLOCK_VALUES // (1 + width)) // 2
+        n = 5 * max(1, csvio_module.CSV_BLOCK_VALUES // (1 + width)) // 2
         data = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 8, (n, width))
         data.flat[::97] = 0.0  # rows that repr formats
         traj = Trajectory(np.arange(n) * 1e-4, data, tuple(f"c{k}" for k in range(width)))
@@ -723,7 +724,7 @@ class TestParallelCsvWrite:
     @pytest.mark.parametrize("values, nbytes, children", [(40_000, 1_900_000, 0), (50_000, 4_300_000, 1)],
                              ids=["below", "above"])
     def test_forks_from_the_least_work_per_process(self, tmp_path, monkeypatch, values, nbytes, children):
-        monkeypatch.setattr(simulate_module, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(csvio_module, "_available_cpus", lambda: 2)
         forks = count_forks(monkeypatch)
         rows = values // 5
         traj = Trajectory(np.arange(rows) * 1e-3, np.full((rows, 4), 0.1), ("a", "b", "c", "d"))
@@ -752,7 +753,7 @@ class TestParallelCsvWrite:
     def test_failed_child_is_written_here(self, tmp_path, rng, monkeypatch, failing):
         trajectories = csv_trajectories(rng)
         expected = reference_bytes(trajectories, tmp_path / "ref")
-        parent, text = os.getpid(), simulate_module._csv_text
+        parent, text = os.getpid(), csvio_module._csv_text
 
         def child_fails(traj, first, end):
             if os.getpid() != parent and traj is trajectories[failing]:
@@ -760,7 +761,7 @@ class TestParallelCsvWrite:
             return text(traj, first, end)
 
         fork_for_small_files(monkeypatch, 3)
-        monkeypatch.setattr(simulate_module, "_csv_text", child_fails)
+        monkeypatch.setattr(csvio_module, "_csv_text", child_fails)
         written, each = write_both_ways(trajectories, tmp_path)
         assert written == expected
         assert each[list(trajectories).index(failing)] == expected[list(trajectories).index(failing)]
@@ -847,7 +848,7 @@ class TestParallelCsvRead:
         path.write_bytes(data.draw(csv_files(fault, end)))
         expected = serial_read(path)
         for cpus in (1, 2, 3):
-            with mock.patch.multiple(simulate_module, _available_cpus=lambda: cpus,
+            with mock.patch.multiple(csvio_module, _available_cpus=lambda: cpus,
                                      CSV_READ_BYTES_PER_PROCESS=SMALL_WORK), \
                     mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 assert parallel_read(path) == expected
@@ -895,10 +896,10 @@ class TestParallelCsvRead:
         os.write(w, (3).to_bytes(8, "little") + b"abc" + (10).to_bytes(8, "little") + b"12345")
         os.close(w)
         with open(r, "rb") as pipe:
-            assert simulate_module._receive(pipe) == b"abc"
-            assert simulate_module._receive(pipe) is None
-            assert simulate_module._receive(pipe) is None
-        assert simulate_module._receive(None) is None
+            assert csvio_module._receive(pipe) == b"abc"
+            assert csvio_module._receive(pipe) is None
+            assert csvio_module._receive(pipe) is None
+        assert csvio_module._receive(None) is None
 
     def test_special_values_in_every_range(self, tmp_path, rng, monkeypatch):
         traj = csv_trajectories(rng)["c"]
@@ -943,16 +944,16 @@ class TestParallelCsvRead:
             def child_open(file, mode):
                 return (open if os.getpid() == parent else Dying)(file, mode)
 
-            monkeypatch.setattr(simulate_module, "open", child_open, raising=False)
+            monkeypatch.setattr(csvio_module, "open", child_open, raising=False)
         else:
-            parent, parse = os.getpid(), simulate_module._parse_rows
+            parent, parse = os.getpid(), csvio_module._parse_rows
 
             def child_fails(data, width):
                 if os.getpid() != parent:
                     os.kill(os.getpid(), signal.SIGKILL)
                 return parse(data, width)
 
-            monkeypatch.setattr(simulate_module, "_parse_rows", child_fails)
+            monkeypatch.setattr(csvio_module, "_parse_rows", child_fails)
         back = trajectory_from_csv(path)
         assert np.array_equal(back.times.view(np.int64), traj.times.view(np.int64))
         assert np.array_equal(back.data.view(np.int64), traj.data.view(np.int64))
