@@ -144,15 +144,19 @@ def write_trajectories(trajectories: dict, out_dir) -> list:
     trajectory_to_csv writes it, making out_dir and its parents where
     missing; returns the paths in the dict's order. One set of processes
     formats the rows of every file (_write_csv)."""
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     jobs = [(traj, Path(out_dir) / f"{name}.csv") for name, traj in trajectories.items()]
-    _write_csv(jobs)
+    _write_csv(jobs, out_dir)
     return [path for _, path in jobs]
 
 
-def _write_csv(jobs):
+def _write_csv(jobs, out_dir=None):
     """Write each (trajectory, path) in order, from _workers(total values,
     CSV_WRITE_VALUES_PER_PROCESS) processes.
+
+    First every file's header is checked to read back as its channels
+    (_csv_header_line), and only then is out_dir, where given, made with
+    its parents: a header that would not read back leaves no file and no
+    directory behind.
 
     Every file's rows are cut into one contiguous range per process.
     Forked child w formats range w of every file, in file order, and
@@ -165,15 +169,41 @@ def _write_csv(jobs):
     the bytes are those of a one-process write, and a file that cannot be
     written raises what a one-process write raises.
     """
+    headers = [_csv_header_line(traj, path) for traj, path in jobs]
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     values = sum(traj.times.size * (1 + traj.data.shape[1]) for traj, _ in jobs)
     n = _workers(values, CSV_WRITE_VALUES_PER_PROCESS)
     with _forked(n, lambda w: (b"".join(_csv_range(traj, w, n)) for traj, _ in jobs)) as pipes:
-        for traj, path in jobs:
+        for (traj, path), header in zip(jobs, headers):
             with open(path, "wb") as fh:
-                fh.write(("t," + ",".join(traj.channels) + "\n").encode("utf-8"))
+                fh.write(header)
                 for w, pipe in enumerate([None] + pipes):
                     text = _receive(pipe)
                     fh.writelines(_csv_range(traj, w, n) if text is None else [text])
+
+
+def _csv_header_line(traj, path):
+    """The UTF-8 header line of traj's CSV file at path, checked to read
+    back as t and the channels by the reader's rule (_csv_header);
+    InputFormatError naming the file and the first channel that does not."""
+    line = ("t," + ",".join(traj.channels) + "\n").encode("utf-8")
+    cells = _csv_header(line)[0]
+    if cells != ["t", *traj.channels]:
+        name = next((c for c, cell in zip(traj.channels, cells[1:]) if c != cell), None)
+        what = "a trajectory without channels" if name is None else f"channel {name!r}"
+        raise InputFormatError(f"{path}: {what} would not read back from the CSV header, which ends at the"
+                               " first CR or LF, loses white space at its ends and is split at commas")
+    return line
+
+
+def _csv_header(line):
+    """(cells, length) of a CSV header, from the bytes of the file's first
+    line: the line up to its first CR or LF, decoded as UTF-8, stripped of
+    white space and split at commas. The body starts length bytes in,
+    after that CR, LF or CRLF. Headers are written and read by this rule."""
+    first = re.match(rb"[^\r\n]*(\r\n?|\n)?", line)
+    return first[0].decode("utf-8").strip().split(","), first.end()
 
 
 def _csv_range(traj, w, n):
@@ -211,12 +241,13 @@ def _forked(n, messages):
     """Fork children 1 to n - 1 of this process and yield, in order, the
     read end of each one's pipe (None where no child could be made).
 
-    Child w sends each bytes object of messages(w) here over its own
-    pipe, length-prefixed, and leaves by os._exit: 0 once all are sent,
-    1 on any exception. It never returns into the caller's code, prints
-    nothing, and neither flushes inherited stdio buffers nor runs atexit
-    handlers. Children format and parse CSV only, so they never enter a
-    BLAS thread pool inherited through the fork.
+    Child w sends each message of messages(w), a bytes object or a 1-D
+    uint8 array, here over its own pipe, length-prefixed, and leaves by
+    os._exit: 0 once all are sent, 1 on any exception. It never returns
+    into the caller's code, prints nothing, and neither flushes inherited
+    stdio buffers nor runs atexit handlers. Children format and parse CSV
+    only, so they never enter a BLAS thread pool inherited through the
+    fork.
 
     _receive(pipe) returns the child's next message, or None from the
     first one that does not arrive whole: the fork failed, or the child
@@ -312,25 +343,25 @@ def _parse_csv(raw):
     _workers(body bytes, CSV_READ_BYTES_PER_PROCESS) processes;
     ValueError where any part of it does not parse.
 
-    The header is the first line by universal newlines. The body is cut
-    after an LF byte into one range per process (a UTF-8 multibyte
-    sequence never holds LF, and a CRLF ends before its cut); where a
-    range's length holds no LF, as in a lone-CR file, the range before
-    runs on. This process parses range 0, and forked child w parses range
-    w (_parse_rows) and sends its rows as float64 bytes. One loop takes
-    each child's range by the writer's rule: its message if it arrives
-    whole, else the range parsed here.
+    The header is read by _csv_header's rule. The body is cut after an LF
+    byte into one range per process (a UTF-8 multibyte sequence never
+    holds LF, and a CRLF ends before its cut); where a range's length
+    holds no LF, as in a lone-CR file, the range before runs on. This
+    process parses range 0, and forked child w parses range w
+    (_parse_rows) and sends its rows as float64 bytes: a uint8 view of
+    its array, as a copy would hold them twice. One loop takes each
+    child's range by the writer's rule: its message if it arrives whole,
+    else the range parsed here.
 
     Range 0's array grows in place (realloc) and each message is read
     straight into it: joined parts would hold the rows twice (2 GiB at
     MAX_RUN_BYTES), and a freed block of megabytes raises glibc's dynamic
     mmap threshold, so later arrays of that size grow the heap instead.
     """
-    first = re.match(rb"([^\r\n]*)(\r\n?|\n)?", raw.readline())
-    header = first[1].decode("utf-8").strip().split(",")
+    header, body = _csv_header(raw.readline())
     if header[0] != "t":
         raise ValueError("the first column is not t")
-    body, size = first.end(), raw.seek(0, os.SEEK_END)
+    size = raw.seek(0, os.SEEK_END)
     n = _workers(size - body, CSV_READ_BYTES_PER_PROCESS)
     cuts = [body]
     for w in range(1, n):
@@ -343,7 +374,7 @@ def _parse_csv(raw):
     def rows(w):
         return _parse_rows(_ByteRange(raw.fileno(), cuts[w], cuts[w + 1]), width)
 
-    with _forked(len(cuts) - 1, lambda w: [rows(w).tobytes()]) as pipes:
+    with _forked(len(cuts) - 1, lambda w: [rows(w).reshape(-1).view(np.uint8)]) as pipes:
         arr = rows(0)
         for w, pipe in enumerate(pipes, 1):
             nbytes, start = _message_size(pipe), len(arr)
@@ -394,10 +425,11 @@ def _csv_fault(raw, path) -> InputFormatError:
     line (universal newlines, blank lines counted), or no samples."""
     raw.seek(0)
     try:
+        header, body = _csv_header(raw.readline())
+        if header[0] != "t":
+            return InputFormatError(f"{path}: first CSV column must be 't'")
+        raw.seek(body)
         with io.TextIOWrapper(raw, encoding="utf-8") as fh:  # closes raw
-            header = fh.readline().strip().split(",")
-            if header[0] != "t":
-                return InputFormatError(f"{path}: first CSV column must be 't'")
             for lineno, line in enumerate(fh, start=2):
                 try:
                     cells = np.loadtxt([line], delimiter=",", comments=None, ndmin=1) if line != "\n" else None

@@ -62,3 +62,11 @@ def test_argument_positions_that_spans_reads(module, attribute, position, name):
     # _csv_write_counts the trajectory and path as args[0] and args[1]
     parameters = list(inspect.signature(getattr(importlib.import_module(f"kronred.{module}"), attribute)).parameters)
     assert parameters[position] == name
+
+
+@pytest.mark.parametrize("attribute", ["trajectory_to_csv", "trajectory_from_csv"])
+def test_traced_csv_functions_are_csvios(attribute):
+    # spans.TARGETS wraps these as simulate attributes: they must be the
+    # functions csvio defines and its callers run, for the spans to time them
+    simulate, csvio = (importlib.import_module(f"kronred.{module}") for module in ("simulate", "csvio"))
+    assert getattr(simulate, attribute) is getattr(csvio, attribute)

@@ -82,3 +82,19 @@ def test_orphans_are_found(tmp_path):
         (tmp_path / name).write_text(textwrap.dedent(text))
     assert orphans(parse_package(tmp_path)) == [
         ("a", "UNUSED"), ("a", "recursive"), ("b", "helper_of_b"), ("b", "shadow")]
+
+
+def test_files_and_processes_are_left_to_csvio():
+    # simulate.py integrates; the CSV files, their pipes and their forked
+    # children are csvio.py's alone
+    modules = parse_package(PACKAGE)
+    imported = {a.name for stmt in ast.walk(modules["simulate"]) if isinstance(stmt, ast.Import) for a in stmt.names}
+    imported |= {stmt.module for stmt in ast.walk(modules["simulate"])
+                 if isinstance(stmt, ast.ImportFrom) and stmt.level == 0}
+    assert not imported & {"os", "io", "re", "shutil", "tempfile", "warnings", "contextlib"}
+    naming = {module for module, tree in modules.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os"
+              and node.attr in ("fork", "pipe")
+              or isinstance(node, ast.ImportFrom) and node.module == "os"
+              and {a.name for a in node.names} & {"fork", "pipe"}}
+    assert naming == {"csvio"}

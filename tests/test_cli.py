@@ -363,6 +363,32 @@ class TestText:
         assert main(["simulate", manifest, "--method", "dae", "--out-dir", str(tmp_path / "out")]) == 0
         assert "i_\U0001f600 \\ud800" in trajectory_from_csv(tmp_path / "out" / "dae.csv").channels
 
+    # The CSV writer took any id into the header, and the reader cut the
+    # header at a CR or LF, stripped its ends and split it at commas. With
+    # edge id "e,1", simulate --method dae exited 0, and then compare and
+    # --oracle exited 2 on dae.csv ("ragged CSV"). With boundary node "3 "
+    # the only driven one, reduced.csv's last cell "i_3 " read back as i_3
+    # while dae.csv's kept its space, so compare left that injection out.
+    @pytest.mark.parametrize("old, new, method, channel, kept", [
+        ('"e1"', '"e,1"', "dae", "f_e,1", []),
+        ('"3"', '"3 "', "reduced", "i_3 ", ["dae"]),
+    ], ids=["edge-id-with-a-comma", "boundary-node-with-a-trailing-space"])
+    def test_header_that_would_not_read_back_exits_2(self, tmp_path, capsys, old, new, method, channel, kept):
+        signals = {"signals": {"3": sinusoid_excitation_dict()["signals"]["3"]}}
+        for name, doc in (("wye.json", wye_dict()), ("exc.json", signals)):
+            (tmp_path / name).write_text(json.dumps(doc).replace(old, new))
+        manifest = write_json(tmp_path / "m.json", {"network": "wye.json", "excitation": "exc.json",
+                                                    "solver": {"dt_s": 1e-3, "t_end_s": 0.01}})
+        out = tmp_path / "out"
+        code, diag = run_one_diagnostic(["simulate", manifest, "--method", method, "--out-dir", str(out)], capsys)
+        assert code == 2
+        assert diag["error"] == "InputFormat"
+        assert diag["message"].startswith(f"{out / (method + '.csv')}: channel {channel!r} would not read back")
+        assert not out.exists()
+        for other in kept:  # a method whose header holds the channel before its last cell
+            assert main(["simulate", manifest, "--method", other, "--out-dir", str(out)]) == 0
+            assert channel in trajectory_from_csv(out / f"{other}.csv").channels
+
     # CSVs were written in the locale's encoding but are read as UTF-8: under
     # an ASCII locale a non-ASCII node id ended in a UnicodeEncodeError
     # traceback (exit 1) at the CSV header

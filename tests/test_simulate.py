@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import math
@@ -87,6 +88,9 @@ from reference import (
     write_csv_rows,
     zero_excitation,
 )
+
+# Every character str.strip removes; str.isspace holds for none above U+3000.
+WHITE_SPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
 
 
 class TestSignals:
@@ -588,6 +592,32 @@ class TestCsvRoundTrip:
         path.write_text("time,x\n0.0,1.0\n")
         with pytest.raises(InputFormatError):
             trajectory_from_csv(path)
+
+    # The writer wrote any channel name into the header, and the reader cut
+    # the header at a CR or LF, stripped its ends and split it at commas: a
+    # file could hold more or fewer channels than written, or the last one
+    # renamed. Either a name reads back, or writing refuses it and leaves
+    # no file, and then the header written by hand would not read back.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(channels=st.lists(st.builds(
+        lambda head, body, tail: head + body + tail,
+        st.text(st.sampled_from(WHITE_SPACE), max_size=2),
+        # no lone surrogate: no UTF-8 header holds one, and no input file (load_json)
+        st.text(st.sampled_from("i_,\r\n") | st.characters(exclude_categories=["Cs"]), max_size=4),
+        st.text(st.sampled_from(WHITE_SPACE), max_size=2),
+    ), max_size=3))
+    def test_channels_read_back_or_are_refused(self, tmp_path_factory, channels):
+        traj = Trajectory(np.array([0.0, 0.5]), np.ones((2, len(channels))), tuple(channels))
+        path = tmp_path_factory.mktemp("header") / "h.csv"
+        try:
+            trajectory_to_csv(traj, path)
+        except InputFormatError as exc:
+            assert str(path) in str(exc) and not path.exists()
+            path.write_bytes(("t," + ",".join(channels) + "\n0.0" + ",1.0" * len(channels) + "\n").encode("utf-8"))
+            with contextlib.suppress(InputFormatError):
+                assert trajectory_from_csv(path).channels != traj.channels
+        else:
+            assert trajectory_from_csv(path).channels == traj.channels
 
 
 def csv_trajectories(rng):
