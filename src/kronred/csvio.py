@@ -4,7 +4,9 @@ Trajectories are written as CSV by trajectory_to_csv and
 write_trajectories: csv_body formats blocks of CSV_BLOCK_VALUES values
 in numpy, byte for byte as Python's float repr, over row ranges in up to
 one forked process per CPU (_write_csv). They are read back by
-np.loadtxt over byte ranges in the same way (trajectory_from_csv).
+np.loadtxt over byte ranges in the same way (trajectory_from_csv). The
+header is written and read by one rule (_csv_header), and the writer
+refuses a channel that would not read back by it.
 
 csv_body(block) is ",".join(map(repr, row)) + "\\n" over the rows of a
 (rows, cols) float64 block, as ASCII bytes, computed in numpy. repr prints
@@ -135,7 +137,8 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     numpy; a value off its fast path goes to repr itself, the rest of its
     row staying in numpy). The rows are formatted by up to one process per
     available CPU, over row ranges (_write_csv), and the bytes are those of
-    a one-process write."""
+    a one-process write. A channel that would not read back from the
+    header is an InputFormatError, and no file is written."""
     _write_csv([(traj, path)])
 
 
