@@ -209,6 +209,22 @@ def _csv_header(line):
     return first[0].decode("utf-8").strip().split(","), first.end()
 
 
+def _csv_head(raw):
+    """The bytes of the seekable binary file raw from its start that hold
+    its header line, for _csv_header: read io.DEFAULT_BUFFER_SIZE bytes at
+    a time until they hold an LF, a CR with a byte after it (so a CRLF
+    split across two reads stays whole) or the file's end. Not readline,
+    which stops only at LF and so reads a lone-CR file whole."""
+    raw.seek(0)
+    head = bytearray()
+    while True:
+        more = raw.read(io.DEFAULT_BUFFER_SIZE)
+        last = head[-1:] + more  # this read and the byte before it
+        head += more
+        if not more or b"\n" in last or b"\r" in last[:-1]:
+            return bytes(head)
+
+
 def _csv_range(traj, w, n):
     """The CSV lines of row range w of n, as ASCII bytes, one _csv_text
     block of about CSV_BLOCK_VALUES values at a time."""
@@ -361,7 +377,7 @@ def _parse_csv(raw):
     MAX_RUN_BYTES), and a freed block of megabytes raises glibc's dynamic
     mmap threshold, so later arrays of that size grow the heap instead.
     """
-    header, body = _csv_header(raw.readline())
+    header, body = _csv_header(_csv_head(raw))
     if header[0] != "t":
         raise ValueError("the first column is not t")
     size = raw.seek(0, os.SEEK_END)
@@ -426,9 +442,8 @@ def _csv_fault(raw, path) -> InputFormatError:
     """The error for the CSV file raw (binary, seekable) that did not
     parse: non-UTF-8 bytes, a first column not named t, the first bad
     line (universal newlines, blank lines counted), or no samples."""
-    raw.seek(0)
     try:
-        header, body = _csv_header(raw.readline())
+        header, body = _csv_header(_csv_head(raw))
         if header[0] != "t":
             return InputFormatError(f"{path}: first CSV column must be 't'")
         raw.seek(body)

@@ -24,10 +24,12 @@ the recurrence:
   voltages at every stage (index-1 reduction). Its kernel is built by
   dense products with the step map, and its chain is one matrix-vector
   product per piece, with the step map's power for that piece's length,
-  every length from one chain of squares. It shares neither the
-  projection machinery nor the modal core (only the RK4 stability rule,
-  _rk4_decay_factor, and the indexing of _record_steps, _pieces and
-  _stage_rows), so it stays an independent reference.
+  every length from one chain of squares. Each piece's state is kept in
+  place of its forced part, and the records are read at the pieces that
+  end them. It shares neither the projection machinery nor the modal
+  core (only the RK4 stability rule, _rk4_decay_factor, and the indexing
+  of _record_steps, _pieces and _stage_rows), so it stays an independent
+  reference.
 
 simulate_reduced_batch and simulate_homogeneous run through one body,
 _modal_runs, and differ only in (d, Bm, z0) and the map from modal states
@@ -204,7 +206,9 @@ def _rk4_lti(A, B, u, y0, dt, n_steps, record_stride):
     kernel is built by l - 1 products of (2 inputs x dim)(dim x dim),
     and a shorter piece's is its tail. The forced parts of the pieces of
     one run are then one product of that kernel with a strided view of
-    u, and only the chain over pieces is a loop. This is the discrete
+    u, and only the chain over pieces is a loop: each piece's w takes
+    the place of its forced part, and the records are read at the pieces
+    that end them, as _rk4_modal reads its solve. This is the discrete
     map of stepping every step, up to rounding.
 
     M^l is I plus M^l - I powered from N = M - I (_step_powers). M, rounded
@@ -220,17 +224,10 @@ def _rk4_lti(A, B, u, y0, dt, n_steps, record_stride):
     z = _lti_forced_parts(N, G, u, runs, lengths.size)
     I = np.eye(N.shape[0])
     maps = {length: (I + power).dot for length, power in _step_powers(N, {run[0] for run in runs}).items()}
-    out = np.empty((record_steps.size, N.shape[0]))
-    out[0] = y0
-    w = out[0] - u[0] @ F1B
-    p = 0
-    for i, end in enumerate(ends, 1):
-        for length in lengths[p:end + 1].tolist():
-            w = maps[length](w) + z[p]
-            p += 1
-        out[i] = w
-    out[1:] += u[2 * record_steps[1:]] @ F1B
-    return record_steps, out
+    w = y0 - u[0] @ F1B
+    for p, length in enumerate(lengths.tolist()):
+        w = z[p] = maps[length](w) + z[p]
+    return record_steps, np.vstack([y0, z[ends] + u[2 * record_steps[1:]] @ F1B])
 
 
 def _rk4_step_map(A, B, dt):
@@ -259,10 +256,9 @@ def _lti_forced_parts(N, G, u, runs, n_pieces):
     Mt = (N + np.eye(N.shape[0])).T
     kernel = np.empty((longest, 2 * nb, N.shape[0]))
     X = np.vstack([G[:nb] + G[2 * nb:] @ Mt, G[nb:2 * nb]])
-    for q in range(longest):
-        kernel[-1 - q] = X
-        if q + 1 < longest:
-            X = X @ Mt
+    kernel[-1] = X
+    for q in range(1, longest):
+        kernel[-1 - q] = X = X @ Mt
     kernel = kernel.reshape(2 * longest * nb, N.shape[0])
     z = np.empty((n_pieces, N.shape[0]))
     for length, start, count, period, pieces in runs:

@@ -898,6 +898,47 @@ class TestParallelCsvRead:
         assert expected.endswith("line 2: could not convert string '   ' to float64")
         assert parallel_read(path) == expected
 
+    # The header is read from the file's start one read at a time, up to
+    # its line end: readline stops only at LF, so it gave the header rule
+    # a lone-CR file's whole body, on a good read and on a fault's alike.
+    def test_lone_cr_header_is_read_in_one_read(self, tmp_path, rng, monkeypatch):
+        write_csv_rows(csv_trajectories(rng)["c"], tmp_path / "c.csv")
+        lf = (tmp_path / "c.csv").read_bytes()
+        good, bad = tmp_path / "cr.csv", tmp_path / "bad.csv"
+        good.write_bytes(lf.replace(b"\n", b"\r"))
+        bad.write_bytes(lf[:-1].replace(b"\n", b"\r") + b"x\r")
+        assert len(lf) > 10 * io.DEFAULT_BUFFER_SIZE
+        given, rule = [], csvio_module._csv_header
+        monkeypatch.setattr(csvio_module, "_csv_header", lambda line: given.append(len(line)) or rule(line))
+        assert parallel_read(good) == serial_read(good)
+        assert parallel_read(bad) == serial_read(bad)
+        assert "could not convert string" in serial_read(bad)
+        assert len(given) == 3  # the good read, then the bad read and its diagnostic
+        assert max(given) <= lf.index(b"\n") + 1 + io.DEFAULT_BUFFER_SIZE
+
+    # A CRLF whose CR ends one read and whose LF starts the next is one
+    # line end: the body starts after the LF, so no blank line comes first.
+    def test_crlf_header_split_across_reads(self, tmp_path, rng):
+        size = io.DEFAULT_BUFFER_SIZE
+        name = "a" * (size - 1 - len("t,,c1"))  # "t,<name>,c1" fills the first read but its last byte
+        traj = Trajectory(np.arange(50) * 1e-3, rng.standard_normal((50, 2)), (name, "c1"))
+        write_csv_rows(traj, tmp_path / "lf.csv")
+        crlf = (tmp_path / "lf.csv").read_bytes().replace(b"\n", b"\r\n")
+        assert crlf.index(b"\r\n") == size - 1
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(crlf)
+        with open(path, "rb") as raw:
+            assert csvio_module._csv_header(csvio_module._csv_head(raw)) == (["t", name, "c1"], size + 1)
+        back = trajectory_from_csv(path)
+        assert back.channels == traj.channels
+        assert np.array_equal(back.times.view(np.int64), traj.times.view(np.int64))
+        assert np.array_equal(back.data.view(np.int64), traj.data.view(np.int64))
+        lines = crlf.split(b"\r\n")
+        lines[1] = b"0.0,abc,1.5"
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(InputFormatError, match=r"crlf\.csv, line 2: could not convert string 'abc'"):
+            trajectory_from_csv(path)
+
     def test_width_is_checked_in_every_range(self, tmp_path, monkeypatch):
         # Two ranges. Past the cut, rows have 4 cells in the bytes of 2: each
         # range parses, and only the width test keeps the 4-cell rows from
