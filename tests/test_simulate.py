@@ -899,8 +899,8 @@ class TestParallelCsvRead:
         assert parallel_read(path) == expected
 
     # The header is read from the file's start one read at a time, up to
-    # its line end: readline stops only at LF, so it gave the header rule
-    # a lone-CR file's whole body, on a good read and on a fault's alike.
+    # its line end: readline stops only at LF, so it would give the header
+    # rule a lone-CR file's whole body, on a good read and a fault's alike.
     def test_lone_cr_header_is_read_in_one_read(self, tmp_path, rng, monkeypatch):
         write_csv_rows(csv_trajectories(rng)["c"], tmp_path / "c.csv")
         lf = (tmp_path / "c.csv").read_bytes()
