@@ -48,6 +48,7 @@ floor is exact, and the guard band only stands behind this budget.
 import contextlib
 import functools
 import io
+import itertools
 import os
 import re
 import shutil
@@ -80,6 +81,13 @@ CSV_BLOCK_VALUES = 16384
 # 12 MB files of a 15 x 15 grid run still fork, where the second CPU is free.
 CSV_WRITE_VALUES_PER_PROCESS = 25_000
 CSV_READ_BYTES_PER_PROCESS = 2_000_000
+
+# Lines per np.loadtxt call of the diagnostic of a CSV file that did not
+# parse (_csv_fault). On a 2-core VM, trajectory_from_csv reported a bad last
+# cell of a 50000 x 7 CSV in 225, 210, 203, 202 and 214 ms at 128, 256, 512,
+# 1024 and 4096 lines, and in 391 ms at one line per call; the good file read
+# in 65 ms (medians of 11 rounds, sizes interleaved).
+CSV_FAULT_BLOCK_LINES = 1024
 
 _U = np.uint64
 _POW10 = _U(10) ** np.arange(20, dtype=_U)
@@ -441,23 +449,47 @@ def _parse_rows(raw, width):
 def _csv_fault(raw, path) -> InputFormatError:
     """The error for the CSV file raw (binary, seekable) that did not
     parse: non-UTF-8 bytes, a first column not named t, the first bad
-    line (universal newlines, blank lines counted), or no samples."""
+    line (universal newlines, blank lines counted), or no samples. The
+    body is parsed CSV_FAULT_BLOCK_LINES lines per np.loadtxt call, and
+    line by line only inside the first block that does not parse whole."""
     try:
         header, body = _csv_header(_csv_head(raw))
         if header[0] != "t":
             return InputFormatError(f"{path}: first CSV column must be 't'")
         raw.seek(body)
         with io.TextIOWrapper(raw, encoding="utf-8") as fh:  # closes raw
-            for lineno, line in enumerate(fh, start=2):
+            start = 2
+            while True:
+                lines, undecoded = [], None
+                try:
+                    lines.extend(itertools.islice(fh, CSV_FAULT_BLOCK_LINES))
+                except UnicodeDecodeError as exc:  # raised after the lines before it are checked
+                    undecoded = exc
+                if undecoded or not lines or not _csv_block_parses(lines, header):
+                    break
+                start += len(lines)
+            for lineno, line in enumerate(lines, start=start):
                 try:
                     cells = np.loadtxt([line], delimiter=",", comments=None, ndmin=1) if line != "\n" else None
                 except ValueError as exc:  # loadtxt's row number, cut from its message, would skip blank lines
                     return InputFormatError(f"{path}, line {lineno}: {str(exc).partition(' at row')[0]}")
                 if cells is not None and cells.size != len(header):
                     return InputFormatError(f"{path}, line {lineno}: ragged CSV, {len(header)} columns expected")
+            if undecoded:
+                raise undecoded
     except UnicodeDecodeError as exc:
         return InputFormatError(f"{path} is not UTF-8 text: {exc.reason}")
     return InputFormatError(f"{path}: no samples")
+
+
+def _csv_block_parses(lines, header):
+    """Whether the lines that are not blank parse as rows of one cell per
+    header cell, in one np.loadtxt call."""
+    rows = [line for line in lines if line != "\n"]
+    try:
+        return not rows or np.loadtxt(rows, delimiter=",", comments=None, ndmin=2).shape == (len(rows), len(header))
+    except ValueError:
+        return False
 
 
 @functools.cache

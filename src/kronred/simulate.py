@@ -22,14 +22,17 @@ the recurrence:
 * _rk4_lti — the dense RK4 map, used only by simulate_dae_oracle: the
   full constrained model, converted to an ODE by solving for interior
   voltages at every stage (index-1 reduction). Its kernel is built by
-  dense products with the step map, and its chain is one matrix-vector
-  product per piece, with the step map's power for that piece's length,
-  every length from one chain of squares. Each piece's state is kept in
-  place of its forced part, and the records are read at the pieces that
-  end them. It shares neither the projection machinery nor the modal
-  core (only the RK4 stability rule, _rk4_decay_factor, and the indexing
-  of _record_steps, _pieces and _stage_rows), so it stays an independent
-  reference.
+  dense products with the step map. Its chain takes a chunk of up to
+  K = max(1, CHAIN_BLOCK_STATES // dim) consecutive pieces of one length
+  per loop iteration: one matrix-vector product with the stacked powers
+  of the step map for the chunk's pieces, every power from one chain of
+  squares, after one product per chunk shape with their block Toeplitz
+  matrix has summed the forced parts within each chunk. Each piece's
+  state is kept in place of its forced part, and the records are read at
+  the pieces that end them. It shares neither the projection machinery
+  nor the modal core (only the RK4 stability rule, _rk4_decay_factor,
+  and the indexing of _record_steps, _pieces and _stage_rows), so it
+  stays an independent reference.
 
 simulate_reduced_batch and simulate_homogeneous run through one body,
 _modal_runs, and differ only in (d, Bm, z0) and the map from modal states
@@ -95,8 +98,18 @@ MAX_RUN_BYTES = 2**30
 # 15 x 15 grid (one BLAS thread, 2-core VM), at 32, 64 and 128 the oracle
 # took 0.057, 0.071 and 0.092 s for 1e4 steps at stride 1000, and the
 # reduced model 0.084, 0.077 and 0.073 s for 1e5 steps at stride 1e5.
-# Shorter pieces leave the oracle more steady-state bias, eps / (l dt d).
+# Shorter pieces leave the oracle more steady-state bias, eps / (K l dt d)
+# for chunks of K pieces of l steps (CHAIN_BLOCK_STATES).
 RECORD_BLOCK_STEPS = 64
+
+# Most states in one chunk of the DAE oracle's chain (_rk4_lti), which takes
+# K = max(1, CHAIN_BLOCK_STATES // dim) pieces per loop iteration: its Toeplitz
+# product costs about CHAIN_BLOCK_STATES * dim flops per piece, against a loop
+# iteration saved. For 1e5 steps at stride 10 (one BLAS thread, 2-core VM),
+# at 60, 120 and 240 _rk4_lti took 2.5, 2.3 and 2.7 ms at dim 3, 11.6, 8.9 and
+# 8.5 ms at dim 30, 24.8, 21.1 and 19.0 ms at dim 60, and 36.0, 35.9 and 43.3 ms
+# at dim 100 (K = 1, 1, 2); one piece per iteration, 12.1, 13.9, 20.7, 32.0 ms.
+CHAIN_BLOCK_STATES = 120
 
 
 @dataclass(frozen=True)
@@ -206,15 +219,26 @@ def _rk4_lti(A, B, u, y0, dt, n_steps, record_stride):
     kernel is built by l - 1 products of (2 inputs x dim)(dim x dim),
     and a shorter piece's is its tail. The forced parts of the pieces of
     one run are then one product of that kernel with a strided view of
-    u, and only the chain over pieces is a loop: each piece's w takes
-    the place of its forced part, and the records are read at the pieces
-    that end them, as _rk4_modal reads its solve. This is the discrete
-    map of stepping every step, up to rounding.
+    u. Only the chain is a loop, over chunks of up to K = max(1,
+    CHAIN_BLOCK_STATES // dim) consecutive pieces of one length l
+    (_chunks). With Phi_j = M^(jl), piece i of a chunk that starts from w
+    ends at Phi_(i+1) w + sum_(j<=i) Phi_(i-j) z_j. The sums, for all
+    chunks of one length and size, are one product with the block
+    lower-triangular Toeplitz matrix of Phi_0 = I, ..., Phi_(K-1)
+    (_chunk_sums); the loop then forms a chunk's states by one product of
+    the stacked Phi_1, ..., Phi_K with w, and its last piece's state
+    carries the chain. A chunk of one piece is w <- (I + (M^l - I)) w + z,
+    the Toeplitz matrix I not applied. Each piece's w takes the place of
+    its forced part, and the records are read at the pieces that end
+    them, as _rk4_modal reads its solve. This is the discrete map of
+    stepping every step, up to rounding.
 
-    M^l is I plus M^l - I powered from N = M - I (_step_powers). M, rounded
-    to the grid of I, is off by up to eps / (dt d) relative in 1 - m for a
-    mode decaying at rate d, and powering M would keep that error in 1 - m^l:
-    a steady-state bias. Rounding I + (M^l - I) once errs by eps / (l dt d).
+    Each Phi_j is I plus M^(jl) - I powered from N = M - I (_step_powers).
+    M, rounded to the grid of I, is off by up to eps / (dt d) relative in
+    1 - m for a mode decaying at rate d, and powering M would keep that
+    error in 1 - m^l: a steady-state bias. Rounding I + (M^(Kl) - I) once
+    per chunk errs by eps / (K l dt d), and each state within a chunk is
+    formed from the chunk's first, so its rounding does not accumulate.
     """
     record_steps = _record_steps(n_steps, record_stride)
     u = np.ascontiguousarray(u, dtype=float)
@@ -222,12 +246,46 @@ def _rk4_lti(A, B, u, y0, dt, n_steps, record_stride):
     F1B = G[2 * B.shape[1]:]
     lengths, runs, ends = _pieces(n_steps, record_stride)
     z = _lti_forced_parts(N, G, u, runs, lengths.size)
-    I = np.eye(N.shape[0])
-    maps = {length: (I + power).dot for length, power in _step_powers(N, {run[0] for run in runs}).items()}
-    w = y0 - u[0] @ F1B
-    for p, length in enumerate(lengths.tolist()):
-        w = z[p] = maps[length](w) + z[p]
+    dim = N.shape[0]
+    starts, sizes = _chunks(lengths, max(1, CHAIN_BLOCK_STATES // dim))
+    heads, I = lengths[starts], np.eye(dim)
+    kinds = set(zip(heads.tolist(), sizes.tolist()))
+    most = {l: max(s for h, s in kinds if h == l) for l, _ in kinds}
+    powers = _step_powers(N, {j * l for l, s in most.items() for j in range(1, s + 1)})
+    chain = {l: np.vstack([I + powers[j * l] for j in range(1, s + 1)]) for l, s in most.items()}
+    for l, s in kinds - {(l, 1) for l in most}:
+        _chunk_sums(z, starts[(heads == l) & (sizes == s)], chain[l][:(s - 1) * dim])
+    maps = {(l, s): chain[l][:s * dim].dot for l, s in kinds}
+    zf, w = z.reshape(-1), y0 - u[0] @ F1B
+    for a, b, step in zip((dim * starts).tolist(), (dim * (starts + sizes)).tolist(),
+                          [maps[kind] for kind in zip(heads.tolist(), sizes.tolist())]):
+        zf[a:b] = step(w) + zf[a:b]
+        w = zf[b - dim:b]
     return record_steps, np.vstack([y0, z[ends] + u[2 * record_steps[1:]] @ F1B])
+
+
+def _chunks(lengths, K):
+    """(starts, sizes) of the chunks of _rk4_lti's chain: the pieces in time
+    order, cut where their length changes and after every K of one length."""
+    p = np.arange(lengths.size)
+    first = np.maximum.accumulate(np.where(np.diff(lengths, prepend=0) != 0, p, 0))
+    starts = np.flatnonzero((p - first) % K == 0)
+    return starts, np.diff(starts, append=lengths.size)
+
+
+def _chunk_sums(z, starts, phis):
+    """In place, z[a + i] <- sum_(j<=i) Phi_(i-j) z[a + j] over the chunks of
+    s pieces from each a of starts, with Phi_0 = I and phis the stacked
+    Phi_1, ..., Phi_(s-1): one product with their block lower-triangular
+    Toeplitz matrix, over a bounded copy of z at a time."""
+    dim = z.shape[1]
+    s = phis.shape[0] // dim + 1
+    blocks = np.concatenate([np.eye(dim), phis]).reshape(s, dim, dim)
+    lag = np.subtract.outer(np.arange(s), np.arange(s))
+    T = (blocks[lag] * (lag >= 0)[:, :, None, None]).transpose(0, 2, 1, 3).reshape(s * dim, s * dim)
+    for c in range(0, starts.size, 4096):
+        rows = starts[c:c + 4096, None] + np.arange(s)
+        z[rows] = (z[rows].reshape(-1, s * dim) @ T.T).reshape(-1, s, dim)
 
 
 def _rk4_step_map(A, B, dt):

@@ -1,6 +1,6 @@
 """Digests of the CLI's outputs on a fixed set of commands, as one JSON file.
 
-    python3 tests/cli_outputs.py OUT.json
+    python3 tests/cli_outputs.py OUT.json [DIR]
 
 Run from a checkout, this runs that checkout's CLI (`python -m
 kronred.cli`, with its `src/` on PYTHONPATH) on each command below, one
@@ -9,7 +9,9 @@ OUT.json: for each command, its arguments, its exit code and the SHA-256
 digests of its stdout, its stderr and every file it wrote. Run it at two
 commits and compare the two files with `cmp`: they are equal exactly
 when every command gave the same bytes. Digests compare only between
-runs on one machine, since BLAS builds round differently.
+runs on one machine, since BLAS builds round differently. Given DIR, it
+also keeps the files that command k wrote under DIR/k/, so that two
+commits' CSVs can be compared by value where their digests differ.
 
 The inputs are written to a temporary directory first, and every path
 is relative to it: the paper's wye, a seeded k = 6 grid (the benchmark's
@@ -24,6 +26,7 @@ strategy.
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -83,7 +86,7 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def main(out_path):
+def main(out_path, keep=None):
     env = {k: v for k, v in os.environ.items() if k != "KRONRED_SEED"}
     env.update(PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     results = []
@@ -98,11 +101,13 @@ def main(out_path):
             results.append({"args": args, "exit": run.returncode, "stdout": digest(run.stdout),
                             "stderr": digest(run.stderr),
                             "files": {str(p.relative_to(d / out_dir)): digest(p.read_bytes()) for p in files}})
+            if keep is not None and files:
+                shutil.copytree(d / out_dir, Path(keep) / str(k))
             print(f"{run.returncode} {len(files):2d} files  {' '.join(args)}", file=sys.stderr)
     Path(out_path).write_text(json.dumps(results, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT.json")
-    main(sys.argv[1])
+    if len(sys.argv) not in (2, 3):
+        sys.exit(f"usage: {sys.argv[0]} OUT.json [DIR]")
+    main(*sys.argv[1:])

@@ -42,6 +42,7 @@ from kronred import (
     validate,
 )
 from kronred.cli import main
+from kronred.experiment import WYE_F0, step_excitation, wye_network
 from kronred.errors import (
     ConstraintDriftError,
     DimensionMismatchError,
@@ -56,8 +57,12 @@ from kronred.linalg import simultaneous_diagonalization
 from kronred.reduction import homogeneous_reduce
 from kronred.signals import excitation_from_dict
 from kronred.simulate import (
+    CHAIN_BLOCK_STATES,
     MAX_STEPS,
     RECORD_BLOCK_STEPS,
+    _chunks,
+    _lti_forced_parts,
+    _pieces,
     _record_steps,
     _rk4_lti,
     _rk4_modal,
@@ -962,6 +967,37 @@ class TestParallelCsvRead:
         assert parallel_read(path) == serial_read(path)
         assert len(forks) == 2
 
+    # The diagnostic parses blocks of 8 lines here, one np.loadtxt call
+    # each, and the first block that does not parse whole line by line;
+    # blank lines count in the line numbers and in the blocks. Body line
+    # i is file line i + 2, and lines 2-9 are the first block.
+    @pytest.mark.parametrize("case, message", [
+        ("last-of-block", "line 33: could not convert string 'abc'"),
+        ("first-of-block", "line 34: could not convert string 'abc'"),
+        ("after-blanks", "line 37: could not convert string 'abc'"),
+        ("ragged", "line 34: ragged CSV, 3 columns expected"),
+        ("lone-cr", "line 34: could not convert string 'abc'"),
+    ])
+    def test_fault_found_in_blocks(self, tmp_path, monkeypatch, case, message):
+        lines = ["t,x,y"] + [f"{i / 7!r},{i}.5,-{i}.25" for i in range(200)]
+        bad = 31 if case == "last-of-block" else 32
+        lines[bad + 1] = "1.5,abc,2" if case != "ragged" else "1.5,2"
+        if case == "after-blanks":
+            lines[bad + 1:bad + 1] = ["", "", ""]  # the bad line moves to 37
+            lines[5:5] = [""]  # and one more before it
+            lines.pop(2)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("\r" if case == "lone-cr" else "\n").join(lines).encode() + b"\n")
+        monkeypatch.setattr(csvio_module, "CSV_FAULT_BLOCK_LINES", 8)
+        expected = serial_read(path)
+        assert f"bad.csv, {message}" in expected
+        assert parallel_read(path) == expected
+        calls, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        with open(path, "rb") as raw:
+            assert str(csvio_module._csv_fault(raw, path)) == expected
+        assert len(calls) <= 5 + 8  # four blocks that parse, the fifth, then up to its 8 lines
+
     def test_a_message_cut_short_is_not_received(self):
         r, w = os.pipe()
         os.write(w, (3).to_bytes(8, "little") + b"abc" + (10).to_bytes(8, "little") + b"12345")
@@ -1150,15 +1186,20 @@ def test_record_steps():
 
 
 class TestOracleRecurrence:
-    """_rk4_lti, one RK4 map per piece of a record interval, against the step loop."""
+    """_rk4_lti, one RK4 map per chunk of pieces of a record interval, against the step loop."""
 
     @pytest.mark.parametrize("n_steps, stride", HORIZONS)
     def test_matches_step_loop(self, rng, n_steps, stride):
         # random stable systems: a negative definite symmetric part plus a
         # skew part, so the modes decay and oscillate, driven by sinusoids
-        # with a phase, so that no input starts at 0
-        for _ in range(5):
-            dim, inputs = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        # with a phase, so that no input starts at 0. Five random dims of 1
+        # to 8 chain 15 pieces or more a chunk; one dim past
+        # CHAIN_BLOCK_STATES / 2 chains one (K = 1); and dim 19 chains K = 6,
+        # which the 200 pieces at stride 1 and the 28 at stride 7 do not
+        # fill, so a last short chunk follows the full ones.
+        dims = [*rng.integers(1, 9, 5).tolist(), CHAIN_BLOCK_STATES // 2 + 1, 19]
+        for dim in dims:
+            inputs = int(rng.integers(1, 4))
             S = rng.standard_normal((dim, dim))
             K = rng.standard_normal((dim, dim))
             A = -(S @ S.T + 0.1 * np.eye(dim)) + (K - K.T)
@@ -1198,17 +1239,64 @@ class TestOracleRecurrence:
         # RK4 keeps the equilibrium y* = -A^-1 B u of a constant input. A
         # step map rounded to the grid of I misses it by about eps / (dt d)
         # of the slowest rate d, 1.7e-12 for the step loop here; powering
-        # M^l - I from M - I holds it to a few eps / (l dt d), for pieces of
-        # whole intervals (stride 100) and of a last short one alike.
+        # M^l - I from M - I and chaining K pieces of l steps at once hold
+        # it to a few eps / (K l dt d): at strides 1 and 10 (K = 60 pieces
+        # a chunk), 100 (pieces of 64 and 36, one a chunk) and of one last
+        # short interval. A chain of single pieces missed it by 7.8e-13 at
+        # stride 1 and 2.4e-13 at stride 10.
         c, s = math.cos(0.3), math.sin(0.3)
         Q = np.array([[c, -s], [s, c]])
         A = -Q @ np.diag([1.0, 3.0]) @ Q.T
         B = np.array([[1.0], [0.5]])
         n_steps = 400_000   # t = 40 s, 40 time constants of the slowest mode
         u = np.ones((2 * n_steps + 1, 1))
-        for stride in (100, n_steps + 1):
+        for stride in (1, 10, 100, n_steps + 1):
             _, y = _rk4_lti(A, B, u, np.zeros(2), 1e-4, n_steps, stride)
             assert _rel_dev(y[-1], -np.linalg.solve(A, B[:, 0])) <= 1e-13
+
+    def test_paper_step_matches_reduced(self):
+        # The paper's step experiment at its dt, horizon and stride: 10000
+        # pieces of 10 steps, chained 40 at a time. The oracle's injections
+        # match the reduced model's to 1e-13 of each one's peak; a chain of
+        # single pieces missed by 4.8e-13.
+        net, exc = wye_network(), step_excitation()
+        cfg = SolverConfig(dt=1e-4, t_end=10.0, record_stride=10)
+        oracle = simulate_dae_oracle(net, exc, WYE_F0, cfg)
+        reduced = simulate_reduced(reduce(net), exc, WYE_F0, cfg)
+        channels = [f"i_{n}" for n in net.boundary]
+        o = oracle.data[:, [oracle.channels.index(c) for c in channels]]
+        r = reduced.data[:, [reduced.channels.index(c) for c in channels]]
+        assert np.max(np.abs(o - r) / np.max(np.abs(r), axis=0)) <= 1e-13
+
+    def test_one_piece_chunks_are_the_piece_loop(self, rng):
+        # Where a chunk holds one piece (K = 1, dim past CHAIN_BLOCK_STATES
+        # / 2), the chain forms (I + (M^l - I)) w + z piece by piece, the
+        # loop before chunks, bit for bit: pieces of 64 and 36 steps and a
+        # last one of 50.
+        dim, n_steps, stride = CHAIN_BLOCK_STATES // 2 + 1, 250, 100
+        S = rng.standard_normal((dim, dim))
+        A = -(S @ S.T + np.eye(dim))
+        dt = 1.0 / np.max(np.abs(np.linalg.eigvalsh(A)))
+        B = rng.standard_normal((dim, 2))
+        u = np.sin(np.outer(np.arange(2 * n_steps + 1) * dt / 2, [0.5, 1.5]) + 1.0)
+        y0 = rng.standard_normal(dim)
+        steps, y = _rk4_lti(A, B, u, y0, dt, n_steps, stride)
+        N, G = _rk4_step_map(A, B, dt)
+        lengths, runs, ends = _pieces(n_steps, stride)
+        z = _lti_forced_parts(N, G, u, runs, lengths.size)
+        powers, F1B = _step_powers(N, set(lengths.tolist())), G[2 * B.shape[1]:]
+        w = y0 - u[0] @ F1B
+        for p, length in enumerate(lengths.tolist()):
+            w = z[p] = (np.eye(dim) + powers[length]).dot(w) + z[p]
+        assert np.array_equal(y, np.vstack([y0, z[ends] + u[2 * steps[1:]] @ F1B]))
+
+    def test_chunks(self):
+        # cut where the length changes and after every K pieces of one length
+        starts, sizes = _chunks(np.array([10] * 5 + [4] + [10] * 3 + [7]), 2)
+        assert starts.tolist() == [0, 2, 4, 5, 6, 8, 9]
+        assert sizes.tolist() == [2, 2, 1, 1, 2, 1, 1]
+        starts, sizes = _chunks(np.array([3] * 7), 1)
+        assert starts.tolist() == list(range(7)) and sizes.tolist() == [1] * 7
 
     def test_step_powers(self, rng):
         # every length from one chain of squares is bit for bit its own
