@@ -253,7 +253,7 @@ def _rk4_lti(A, B, u, y0, dt, n_steps, record_stride):
     most = {l: max(s for h, s in kinds if h == l) for l, _ in kinds}
     powers = _step_powers(N, {j * l for l, s in most.items() for j in range(1, s + 1)})
     chain = {l: np.vstack([I + powers[j * l] for j in range(1, s + 1)]) for l, s in most.items()}
-    for l, s in kinds - {(l, 1) for l in most}:
+    for l, s in [(l, s) for l, s in kinds if s > 1]:
         _chunk_sums(z, starts[(heads == l) & (sizes == s)], chain[l][:(s - 1) * dim])
     maps = {(l, s): chain[l][:s * dim].dot for l, s in kinds}
     zf, w = z.reshape(-1), y0 - u[0] @ F1B

@@ -42,7 +42,6 @@ from kronred import (
     validate,
 )
 from kronred.cli import main
-from kronred.experiment import WYE_F0, step_excitation, wye_network
 from kronred.errors import (
     ConstraintDriftError,
     DimensionMismatchError,
@@ -53,6 +52,7 @@ from kronred.errors import (
     SolverConfigError,
     UnstableTimeStepError,
 )
+from kronred.experiment import WYE_F0, step_excitation, wye_network
 from kronred.linalg import simultaneous_diagonalization
 from kronred.reduction import homogeneous_reduce
 from kronred.signals import excitation_from_dict
@@ -998,6 +998,22 @@ class TestParallelCsvRead:
             assert str(csvio_module._csv_fault(raw, path)) == expected
         assert len(calls) <= 5 + 8  # four blocks that parse, the fifth, then up to its 8 lines
 
+    # Body lines of 32 bytes: the text layer decodes 8192 bytes, 256 lines,
+    # at a time. A bad cell ends the first chunk and a non-UTF-8 byte
+    # starts the second, both in the block of 7 lines from line 252 on:
+    # the cell is reported, as line by line, not the byte.
+    def test_fault_before_an_undecodable_line_of_its_block(self, tmp_path, monkeypatch):
+        body = [f"{i:010d},{i:010d},{i:09d}\n".encode() for i in range(400)]
+        body[255] = b"0000000255,0000000abc,000000255\n"
+        body[256] = b"\xff" + body[256][1:]
+        assert {len(line) for line in body} == {32}
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"t,x,y\n" + b"".join(body))
+        monkeypatch.setattr(csvio_module, "CSV_FAULT_BLOCK_LINES", 7)
+        expected = serial_read(path)
+        assert expected.endswith("bad.csv, line 257: could not convert string '0000000abc' to float64")
+        assert parallel_read(path) == expected
+
     def test_a_message_cut_short_is_not_received(self):
         r, w = os.pipe()
         os.write(w, (3).to_bytes(8, "little") + b"abc" + (10).to_bytes(8, "little") + b"12345")
@@ -1270,9 +1286,8 @@ class TestOracleRecurrence:
 
     def test_one_piece_chunks_are_the_piece_loop(self, rng):
         # Where a chunk holds one piece (K = 1, dim past CHAIN_BLOCK_STATES
-        # / 2), the chain forms (I + (M^l - I)) w + z piece by piece, the
-        # loop before chunks, bit for bit: pieces of 64 and 36 steps and a
-        # last one of 50.
+        # / 2), the chain is a per-piece loop of (I + (M^l - I)) w + z, bit
+        # for bit: pieces of 64 and 36 steps and a last one of 50.
         dim, n_steps, stride = CHAIN_BLOCK_STATES // 2 + 1, 250, 100
         S = rng.standard_normal((dim, dim))
         A = -(S @ S.T + np.eye(dim))
